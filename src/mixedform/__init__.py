@@ -3,7 +3,7 @@
 Subpackages by geometry:
 
   * :mod:`mixedform.forms`    -- symmetric / trilinear / Hermitian forms,
-    Jacobi eigenvalues, signatures, polarization, inequality residuals;
+    LAPACK eigenvalues, signatures, polarization, inequality residuals;
   * :mod:`mixedform.polygon`  -- 2D normal fans, area form, Minkowski
     inequality with witnesses, chart embedding;
   * :mod:`mixedform.surface`  -- flat cone metrics from glued triangles,

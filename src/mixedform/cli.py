@@ -81,7 +81,7 @@ def _matrix_lines(entries, indent="  "):
     return [indent + "  ".join(f"{x: .12g}" for x in row) for row in entries]
 
 
-def _human(report, lines, elapsed):
+def _human(lines, elapsed):
     out = list(lines)
     out.append(f"wall time: {elapsed:.3f}s")
     return "\n".join(out)
@@ -539,7 +539,7 @@ def main(argv=None):
             report["seed"] = args.seed
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(_human(report=None, lines=lines, elapsed=elapsed))
+        print(_human(lines, elapsed))
     return EXIT_OK
 
 

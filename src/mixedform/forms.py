@@ -13,15 +13,12 @@ Generic machinery shared by the geometry modules:
     for the three-body A,B,C quadratic-in-lambda argument, with the
     discriminant bound B^2 <= A*C.
 
-Eigenvalues are computed by a cyclic Jacobi iteration (two-sided plane
-rotations) driven to an off-diagonal Frobenius residual below
-1e-14 * ||M||_F; dimensions here are small, so robustness beats speed.
+Eigenvalues come from LAPACK's symmetric/Hermitian solvers (numpy
+``eigvalsh``/``eigh``); Hermitian forms use the complex solver directly.
 The signature zero-threshold is *relative* to the spectral radius: the
 kernels that occur (translation vectors) are exact in theory but the
 computed eigenvalues carry O(eps * ||M||) noise.
 """
-
-import math
 
 import numpy as np
 
@@ -33,8 +30,6 @@ from .errors import (
 )
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
 HOMOGENEITY_SAMPLES = 16
 HOMOGENEITY_FACTORS = (0.5, 2.0)
 HOMOGENEITY_TOL = 1e-8
@@ -60,99 +55,19 @@ def _as_vector(h, dim, what):
 
 
 # =============================================================================
-# JACOBI EIGENSOLVER
+# EIGENSOLVER
 # =============================================================================
 
 def jacobi_eigenvalues(matrix, want_vectors=False):
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a real symmetric matrix, by LAPACK (``eigvalsh``/``eigh``).
 
     Returns eigenvalues sorted ascending; with ``want_vectors=True`` returns
     ``(values, vectors)`` where column j of ``vectors`` is the eigenvector
-    of ``values[j]``.
+    of ``values[j]``.  Only the lower triangle is read.  The name predates
+    the switch from cyclic Jacobi rotations and is kept for callers.
     """
     M = _as_square_matrix(matrix, "jacobi_eigenvalues")
-    n = M.shape[0]
-    if n == 0:
-        vals = np.empty(0)
-        return (vals, np.empty((0, 0))) if want_vectors else vals
-    fro = float(np.sqrt(np.sum(M * M)))
-    if n == 1 or fro == 0.0:
-        vals = np.diag(M).astype(float).copy()
-        order = np.argsort(vals)
-        if want_vectors:
-            return vals[order], np.eye(n)[:, order]
-        return vals[order]
-
-    # Plain Python lists: for the small dense matrices used here this beats
-    # per-rotation numpy slicing by a wide margin.
-    a = [[float(M[i, j]) for j in range(n)] for i in range(n)]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
-    off_target = JACOBI_OFF_TOL * fro
-    skip = off_target / (2.0 * n)
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off2 = 0.0
-        for i in range(n - 1):
-            ai = a[i]
-            for j in range(i + 1, n):
-                off2 += ai[j] * ai[j]
-        if math.sqrt(2.0 * off2) <= off_target:
-            converged = True
-            break
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if abs(apq) <= skip:
-                    continue
-                aq = a[q]
-                theta = (aq[q] - ap[p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    ak = a[k]
-                    akp = ak[p]
-                    akq = ak[q]
-                    ak[p] = c * akp - s * akq
-                    ak[q] = s * akp + c * akq
-                for k in range(n):
-                    apk = ap[k]
-                    aqk = aq[k]
-                    ap[k] = c * apk - s * aqk
-                    aq[k] = s * apk + c * aqk
-                if want_vectors:
-                    for k in range(n):
-                        vk = v[k]
-                        vkp = vk[p]
-                        vkq = vk[q]
-                        vk[p] = c * vkp - s * vkq
-                        vk[q] = s * vkp + c * vkq
-    if not converged:
-        raise ConsistencyError("Jacobi iteration did not converge within the sweep limit")
-
-    vals = np.array([a[i][i] for i in range(n)])
-    order = np.argsort(vals, kind="stable")
-    if want_vectors:
-        V = np.array(v)[:, order]
-        return vals[order], V
-    return vals[order]
-
-
-def _hermitian_eigenvalues(H):
-    """Eigenvalues of a Hermitian matrix via the real 2n x 2n embedding.
-
-    [[Re H, -Im H], [Im H, Re H]] is symmetric with each eigenvalue of H
-    doubled; collapse the pairs after sorting.
-    """
-    n = H.shape[0]
-    B = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    vals = jacobi_eigenvalues(B)
-    return vals[::2].copy() if n else vals
+    return np.linalg.eigh(M) if want_vectors else np.linalg.eigvalsh(M)
 
 
 # =============================================================================
@@ -385,7 +300,7 @@ class HermitianForm:
 
     def eigenvalues(self):
         if self._eigen is None:
-            self._eigen = _hermitian_eigenvalues(self._M)
+            self._eigen = np.linalg.eigvalsh(self._M)
         return self._eigen
 
     def signature(self, zero_threshold=DEFAULT_ZERO_THRESHOLD):

@@ -3,8 +3,9 @@
 A polytope class is fixed by its m outward unit face normals; a member of
 the class is the halfspace intersection { x : <x, u_i> <= h_i }.  The
 combinatorics (vertices, face cycles, adjacency) are computed from a
-reference h by enumerating feasible triple-plane intersections and
-clustering coincident points; the Gauss image -- the tessellation of the
+reference h as the facets of a Qhull convex hull of the dual points
+u_i / (h_i - <u_i, x0>) around an interior point x0, with tolerances
+relative to the inradius; the Gauss image -- the tessellation of the
 unit sphere whose cell at a polytope vertex collects the normals of its
 faces -- is built alongside and must tile the full sphere.
 
@@ -47,9 +48,8 @@ from .errors import (
 from .forms import SymmetricForm, TrilinearForm
 from .surface import mesh_from_indexed_triangles
 
-VERTEX_CLUSTER_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
-DET_TOL = 1e-10
+ACTIVE_TOL = 1e-8
 SPHERE_TILING_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-12
 EQUALITY_TOL = 1e-10
@@ -186,14 +186,37 @@ def _spherical_polygon_area(units):
     return total - (d - 2) * math.pi
 
 
+def _dual_hull_vertices(A, b, center):
+    """Vertices of { y : A y <= b } from Qhull on its dual points.
+
+    ``center`` must lie strictly inside.  The hull of the points
+    a_j / (b_j - <a_j, center>) has one simplicial facet n.p + d = 0 per
+    vertex simplex; its vertex is center - n / d.  A non-simple vertex
+    comes back once per simplex of its triangulated dual facet.
+    """
+    try:
+        hull = ConvexHull(A / (b - A @ center)[:, None])
+    except QhullError as exc:
+        raise StructuralError(f"degenerate halfspace arrangement ({exc})") from exc
+    return center - hull.equations[:, :-1] / hull.equations[:, -1:]
+
+
 def build_fan(normals, h):
     """Extract the combinatorics of { x : <x, u_i> <= h_i }.
 
-    Vertices are feasible triple-plane intersections clustered at
-    1e-9 * scale; each halfspace must support a 2-face (otherwise a
-    redundancy error lists the offending indices) and the region must be
-    bounded.  Non-simple vertices (cells with more than 3 faces) are
-    allowed and only clear the ``simple`` flag.
+    An interior point x0 and the inradius r come from the top vertex of
+    the lifted region { (x, rho) : <u_i, x> + rho <= h_i, rho >= rho_low },
+    found by Qhull on its dual points around the known interior point
+    (0, min h - max|h|).  The vertices are then the facets of the 3D hull
+    of the dual points u_i / (h_i - <u_i, x0>).  Every tolerance is
+    relative to r, so the result does not change under scaling,
+    translation, rotation or a permutation of the faces.  Facets with the
+    same active-plane set merge into one vertex, which is how non-simple
+    vertices (cells with more than 3 faces) appear; they only clear the
+    ``simple`` flag.  Vertex ids follow the sorted active sets.  Each
+    halfspace must support a 2-face (otherwise a redundancy error lists
+    the offending indices) and the region must be bounded with nonempty
+    interior.
     """
     U = np.asarray(normals, dtype=float)
     if U.ndim != 2 or U.shape[1] != 3 or U.shape[0] < 4:
@@ -217,44 +240,37 @@ def build_fan(normals, h):
         raise InvalidInput("build_fan: h must be finite")
 
     _check_bounded(U)
-    scale = max(1.0, float(np.max(np.abs(hv))))
-    feas_tol = FEASIBILITY_TOL * scale
-    cluster_tol = VERTEX_CLUSTER_TOL * scale
+    scale = float(np.max(np.abs(hv)))
+    if scale == 0.0:
+        raise StructuralError("h = 0: the region is a single point")
 
-    # ---- candidate vertices from feasible triple intersections ----
-    candidates = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                A = U[[i, j, k]]
-                det = float(np.linalg.det(A))
-                if abs(det) <= DET_TOL:
-                    continue
-                x = np.linalg.solve(A, hv[[i, j, k]])
-                if np.max(U @ x - hv) <= feas_tol:
-                    candidates.append(x)
-    if not candidates:
-        raise RedundancyError(list(range(m)), "no feasible vertices: empty or degenerate region")
+    # ---- interior point and inradius: top vertex of the lifted region ----
+    rho_c = float(np.min(hv)) - scale
+    lift = _dual_hull_vertices(
+        np.vstack([np.column_stack([U, np.ones(m)]), [0.0, 0.0, 0.0, -1.0]]),
+        np.append(hv, scale - rho_c),
+        np.array([0.0, 0.0, 0.0, rho_c]))
+    top = lift[np.argmax(lift[:, 3])]
+    x0, r = top[:3], float(top[3])
+    if r < -FEASIBILITY_TOL * scale:
+        raise RedundancyError(list(range(m)), "no feasible vertices: empty region")
+    if r <= FEASIBILITY_TOL * scale:
+        raise StructuralError(f"region has no interior: inradius {r!r} at support scale {scale!r}")
 
-    reps = []        # cluster representatives
-    members = []     # accumulated points per cluster
-    for x in candidates:
-        for c, rep in enumerate(reps):
-            if np.linalg.norm(x - rep) <= cluster_tol:
-                members[c].append(x)
-                reps[c] = np.mean(members[c], axis=0)
-                break
-        else:
-            reps.append(x)
-            members.append([x])
-
-    positions = [np.mean(pts, axis=0) for pts in members]
-    active_sets = []
-    for x in positions:
-        active = np.flatnonzero(np.abs(U @ x - hv) <= 10.0 * feas_tol)
-        if len(active) < 3:
-            raise StructuralError("vertex with fewer than 3 active planes")
-        active_sets.append(set(int(a) for a in active))
+    # ---- vertices: facets of the dual hull, merged by active-plane set ----
+    corners = _dual_hull_vertices(U, hv, x0)
+    slack = corners @ U.T - hv
+    if np.max(slack) > FEASIBILITY_TOL * r:
+        raise ConsistencyError(
+            f"dual-hull vertex violates a halfspace by {np.max(slack):.3e} (inradius {r:.3e})")
+    groups = {}
+    for x, row in zip(corners, slack):
+        groups.setdefault(tuple(np.flatnonzero(row >= -ACTIVE_TOL * r).tolist()), []).append(x)
+    active_sets = sorted(groups)
+    if any(len(active) < 3 for active in active_sets):
+        raise StructuralError("vertex with fewer than 3 active planes")
+    positions = [np.mean(groups[active], axis=0) for active in active_sets]
+    active_sets = [set(active) for active in active_sets]
 
     face_to_vertices = [[] for _ in range(m)]
     for vid, active in enumerate(active_sets):

@@ -8,6 +8,8 @@ construction and the library's internal cross-checks stay quiet.
 """
 
 import math
+import os
+import sys
 
 import numpy as np
 from scipy.optimize import linprog
@@ -15,6 +17,11 @@ from scipy.optimize import linprog
 from mixedform import fuchsian, polygon, surface
 
 TWO_PI = 2.0 * math.pi
+
+
+def child_env():
+    """Environment for a child interpreter that imports what this one imports."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
 
 # =============================================================================

@@ -422,7 +422,8 @@ def test_criterion_11_chart_embedding():
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "mixedform", *argv],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=geomfix.child_env())
 
 
 def test_criterion_12_cli_determinism(tmp_path):

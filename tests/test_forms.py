@@ -196,6 +196,7 @@ def test_hermitian_eigenvalues_match_lapack(n, seed):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     H = forms.HermitianForm(0.5 * (A + A.conj().T))
     ref = np.linalg.eigvalsh(H.entries)
+    assert H.eigenvalues().shape == (n,)
     assert np.max(np.abs(H.eigenvalues() - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
 
 

@@ -1,11 +1,15 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 import geomfix
-from mixedform import errors, polytope, surface
+from mixedform import errors, forms, polytope, surface
 
 CUBE = geomfix.CUBE_NORMALS
 OCTA = geomfix.OCTAHEDRON_NORMALS
@@ -87,6 +91,110 @@ def test_rejects_duplicate_normals():
         polytope.build_fan(bad, np.ones(7))
 
 
+def test_empty_region_lists_every_face():
+    # x <= 1 and x >= 2 cannot both hold
+    with pytest.raises(errors.RedundancyError) as err:
+        polytope.build_fan(CUBE, np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0]))
+    assert err.value.faces == list(range(6))
+
+
+def test_plane_touching_one_vertex_is_redundant():
+    normals = np.vstack([CUBE, np.ones((1, 3)) / math.sqrt(3.0)])
+    h = np.append(np.ones(6), math.sqrt(3.0))      # touches the corner (1, 1, 1)
+    with pytest.raises(errors.RedundancyError) as err:
+        polytope.build_fan(normals, h)
+    assert err.value.faces == [6]
+
+
+def test_flat_region_raises():
+    with pytest.raises(errors.MixedFormError):
+        polytope.build_fan(CUBE, np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]))
+
+
+def test_scipy_optimize_not_imported():
+    code = ("import sys; import numpy as np; from mixedform import polytope; "
+            "polytope.build_fan(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)); "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=geomfix.child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _triple_vertices(normals, h, tol=1e-9):
+    """Brute-force oracle: feasible triple-plane intersections, deduplicated."""
+    found = {}
+    for triple in itertools.combinations(range(len(h)), 3):
+        A = normals[list(triple)]
+        if abs(np.linalg.det(A)) <= 1e-10:
+            continue
+        x = np.linalg.solve(A, h[list(triple)])
+        gap = normals @ x - h
+        if np.max(gap) <= tol:
+            found.setdefault(tuple(np.flatnonzero(gap >= -10 * tol)), x)
+    return found
+
+
+def test_vertices_match_triple_intersection_oracle():
+    rng = np.random.default_rng(59)
+    cases = [(OCTA, np.full(8, 1.0 / math.sqrt(3.0)))]
+    for m in (6, 9, 13, 17, 20):
+        fan, h = geomfix.random_simple_polytope(m, rng)
+        cases.append((fan.normals, h))
+    for normals, h in cases:
+        fan = polytope.build_fan(normals, h)
+        oracle = _triple_vertices(fan.normals, h)
+        ours = {tuple(sorted(cell.faces)): cell.position for cell in fan.vertex_cells}
+        assert sorted(ours) == sorted(oracle)
+        for key, x in oracle.items():
+            assert np.max(np.abs(ours[key] - x)) < 1e-12
+
+
+def test_tiny_scale_polytope_builds():
+    # tolerances follow the inradius, not max(1, max|h|)
+    rng = np.random.default_rng(0)
+    normals = geomfix.fibonacci_sphere(12, rng, jitter=0.15)
+    h = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, 12)
+    fan = polytope.build_fan(normals, h)
+    tiny = polytope.build_fan(normals, 1e-9 * h)
+    assert fan.simple and tiny.metadata == fan.metadata
+    assert tiny.face_cycles == fan.face_cycles
+    assert abs(polytope.volume(tiny, 1e-9 * h) / polytope.volume(fan, h) - 1e-27) < 1e-36
+
+
+def _rotation(rng):
+    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0.0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def _same_cycle(a, b):
+    return len(a) == len(b) and any(a[k:] + a[:k] == b for k in range(len(a)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=6, max_value=30), st.floats(min_value=-12.0, max_value=12.0),
+       st.floats(min_value=0.0, max_value=3.0), st.integers(min_value=0, max_value=2**31))
+def test_build_fan_invariance(m, log_scale, shift, seed):
+    # scale, translate (shift > 1 puts the origin outside), permute, rotate
+    rng = np.random.default_rng(seed)
+    fan, h = geomfix.random_simple_polytope(m, rng)
+    s = 10.0 ** log_scale
+    direction = rng.standard_normal(3)
+    t = shift * direction / np.linalg.norm(direction)
+    perm = rng.permutation(m)
+    R = _rotation(rng)
+    moved_h = s * (h + fan.normals @ t)[perm]
+    moved = polytope.build_fan(fan.normals[perm] @ R.T, moved_h)
+    assert moved.metadata == fan.metadata
+    for i in range(m):
+        assert _same_cycle([int(perm[j]) for j in moved.face_cycles[i]],
+                           fan.face_cycles[perm[i]])
+    expected = s ** 3 * polytope.volume(fan, h)
+    assert abs(polytope.volume(moved, moved_h) - expected) <= 1e-9 * expected
+
+
 def test_in_plane_support_numbers_match_geometry(cube_fan):
     # face +x of the unit cube: the in-plane polygon is the unit square,
     # all in-plane support numbers 1
@@ -166,6 +274,18 @@ def test_random_simple_signatures():
         fan, _ = geomfix.random_simple_polytope(m, rng)
         sig = polytope.boundary_area_form(fan).signature()
         assert sig.as_tuple == (1, 3, m - 4)
+
+
+def test_area_form_signature_margin_m96():
+    # LAPACK rounding is far from moving any eigenvalue across the threshold
+    normals = geomfix.fibonacci_sphere(96, np.random.default_rng(3), jitter=0.05)
+    form = polytope.boundary_area_form(polytope.build_fan(normals, np.ones(96)))
+    vals = np.abs(form.eigenvalues())
+    tau = forms.DEFAULT_ZERO_THRESHOLD * np.max(vals)
+    assert form.signature().as_tuple == (1, 3, 92)
+    zero = vals <= tau
+    assert np.max(vals[zero]) <= 1e-3 * tau
+    assert np.min(vals[~zero]) >= 1e3 * tau
 
 
 def test_edge_lengths_cube(cube_fan):
