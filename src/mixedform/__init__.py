@@ -8,6 +8,8 @@ Subpackages by geometry:
     inequality with witnesses, chart embedding;
   * :mod:`mixedform.surface`  -- flat cone metrics from glued triangles,
     Gauss-Bonnet, edge flips;
+  * :mod:`mixedform.faces`    -- face-local assembly shared by polytope and
+    Fuchsian fans: edge lengths, volume-type cubics, mixed forms, grams;
   * :mod:`mixedform.polytope` -- 3D normal fans, mixed volumes,
     Alexandrov-Fenchel, area measures, spherical quadrature;
   * :mod:`mixedform.fuchsian` -- lattice-invariant polyhedra in Minkowski

@@ -4,10 +4,13 @@ Generic machinery shared by the geometry modules:
 
   * dense real symmetric forms with evaluation q(h) = h'Mh, polarization
     b(h,k) = (q(h+k) - q(h) - q(k))/2, eigenvalues, signature and kernel;
-  * fully symmetric trilinear forms (volume-type cubics) with the
-    inclusion-exclusion polarization
+  * dense fully symmetric trilinear forms with the inclusion-exclusion
+    polarization of a cubic evaluator
         6 v(h,k,p) = v(h+k+p) + v(h) + v(k) + v(p)
                      - v(h+k) - v(k+p) - v(h+p);
+    the geometry modules evaluate their mixed volumes face by face
+    (``mixedform.faces``), and the dense n^3 form serves ``polarize_cubic``
+    and the tests as an independent reference;
   * Hermitian forms (area forms in complex unfolding coordinates);
   * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality and
     for the three-body A,B,C quadratic-in-lambda argument, with the

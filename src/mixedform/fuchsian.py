@@ -19,7 +19,8 @@ origin) determine the in-face support numbers linearly:
 
 (for a self-adjacency this is h_i (cosh phi - 1)/sinh phi = h_i tanh(phi/2)).
 The covolume -- the volume between the light cone and the polyhedron per
-fundamental domain -- is the cubic covol(h) = (1/3) sum h_i a_i(h_{i.}).
+fundamental domain -- is the cubic covol(h) = (1/3) sum h_i a_i(h_{i.}),
+evaluated face by face like the polytope volume (``mixedform.faces``).
 Its Hessian is the Jacobian of the face areas,
 
     d(area_i)/dh_j = - sum_{entries i->j} l_e / sinh phi_e        (j != i)
@@ -45,7 +46,8 @@ from .errors import (
     InvalidInput,
     InvariantFalsified,
 )
-from .forms import SymmetricForm, TrilinearForm
+from .faces import FaceAssembly, locate
+from .forms import SymmetricForm
 
 TWO_PI = 2.0 * math.pi
 PAIRING_TOL = 1e-9
@@ -141,7 +143,12 @@ class QuotientFan:
             omegas = [e.omega for e in face]
             angles = np.concatenate([[0.0], np.cumsum(omegas[:-1])])
             self.face_fans.append(poly.NormalFan2D(angles))
-        self._support_maps = None
+        # entry e = (i -> j): h_ij = coth(phi) h_i - h_j / sinh(phi), j = i allowed
+        entries = [e for face in parsed for e in face]
+        #: face-local assembly of covolume, edge lengths, area form and Hessian
+        self.assembly = FaceAssembly(self.face_fans, [e.to for e in entries],
+                                     [math.cosh(e.phi) / math.sinh(e.phi) for e in entries],
+                                     [-1.0 / math.sinh(e.phi) for e in entries])
         self._covolume_form = None
         self._area_form = None
 
@@ -157,18 +164,7 @@ class QuotientFan:
 
     def support_map(self, i):
         """Matrix S_i with h_{i.} = S_i h (rows follow face i's entries)."""
-        if self._support_maps is None:
-            self._support_maps = [None] * self.m
-        if self._support_maps[i] is None:
-            face = self.faces[i]
-            S = np.zeros((len(face), self.m))
-            for k, e in enumerate(face):
-                sh = math.sinh(e.phi)
-                S[k, i] += math.cosh(e.phi) / sh
-                S[k, e.to] -= 1.0 / sh
-            S.setflags(write=False)
-            self._support_maps[i] = S
-        return self._support_maps[i]
+        return self.assembly.support_map(i)
 
     def to_json_dict(self, h=None):
         data = {
@@ -228,54 +224,26 @@ def face_support_numbers_lorentz(fan, h, i):
 
 
 def cone_membership(fan, h, tol=1e-12):
-    """Classify h by the signs of all in-face edge lengths."""
+    """Classify h by the signs of all in-face edge lengths (edges labelled (i, k))."""
     v = fan._vector(h, "cone_membership")
-    tau = tol * float(np.linalg.norm(v))
-    degenerate = []
-    outside = []
-    for i in range(fan.m):
-        lengths = poly.edge_lengths(fan.face_fans[i], fan.support_map(i) @ v)
-        for k, ell in enumerate(lengths):
-            if ell < -tau:
-                outside.append((i, k))
-            elif ell <= tau:
-                degenerate.append((i, k))
-    if outside:
-        return poly.ConeLocation("outside", outside)
-    if degenerate:
-        return poly.ConeLocation("boundary", degenerate)
-    return poly.ConeLocation("interior", [])
+    F = fan.assembly
+    return locate(F.lengths(v), tol * float(np.linalg.norm(v)), F.src, F.pos)
 
 
 def covolume(fan, h):
     """covol(h) = (1/3) sum_i h_i a_i(h_{i.})."""
-    v = fan._vector(h, "covolume")
-    total = 0.0
-    for i in range(fan.m):
-        hi = fan.support_map(i) @ v
-        total += v[i] * poly.area_form(fan.face_fans[i]).q(hi)
-    return total / 3.0
-
-
-def _face_grams(fan):
-    """G_i = S_i' A_i S_i: the form h -> a_i(h_{i.}) as an m x m matrix."""
-    grams = []
-    for i in range(fan.m):
-        S = fan.support_map(i)
-        A = poly.area_form(fan.face_fans[i]).entries
-        grams.append(S.T @ A @ S)
-    return grams
+    return float(fan.assembly.cubic(fan._vector(h, "covolume")))
 
 
 def covolume_form(fan):
-    """The mixed covolume as a symmetric trilinear form.
+    """The mixed covolume as a symmetric trilinear form, evaluated face by face.
 
-    Raw slices T[i] = (1/3) G_i; total symmetry is a theorem and doubles
-    as a data-integrity check before symmetrizing.
+    The raw slices T[i] = (1/3) G_i are never stored densely; their total
+    symmetry is a theorem and doubles as a data-integrity check (entrywise,
+    within 1e-10) before the form is returned.
     """
     if fan._covolume_form is None:
-        T = np.stack(_face_grams(fan)) / 3.0
-        fan._covolume_form = TrilinearForm(T, symmetry_tol=1e-10)
+        fan._covolume_form = fan.assembly.trilinear_form()
     return fan._covolume_form
 
 
@@ -284,34 +252,27 @@ def covolume_hessian(fan, h):
 
     Assembled entrywise from the edge lengths (see the module docstring);
     checked to be symmetric and to equal 6 covol(., ., h) from the
-    polarized tensor, then returned as a SymmetricForm.  Strict diagonal
+    covolume form, then returned as a SymmetricForm.  Strict diagonal
     dominance with positive diagonal (hence positive definiteness) holds
     on the open cone.
     """
     v = fan._vector(h, "covolume_hessian")
-    J = np.zeros((fan.m, fan.m))
-    for i in range(fan.m):
-        lengths = poly.edge_lengths(fan.face_fans[i], fan.support_map(i) @ v)
-        if np.any(lengths <= 0.0):
-            raise DomainError(
-                f"covolume_hessian: h is not in the open cone (face {i} has a "
-                f"non-positive edge)")
-        for k, e in enumerate(fan.faces[i]):
-            sh = math.sinh(e.phi)
-            ell = float(lengths[k])
-            if e.to != i:
-                J[i, e.to] -= ell / sh
-                J[i, i] += math.cosh(e.phi) * ell / sh
-            else:
-                J[i, i] += (math.cosh(e.phi) - 1.0) * ell / sh
+    F = fan.assembly
+    lengths = F.lengths(v)
+    bad = np.flatnonzero(lengths <= 0.0)
+    if len(bad):
+        raise DomainError(
+            f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has a "
+            f"non-positive edge)")
+    J = F.jacobian(lengths)
 
     scale = max(1.0, float(np.max(np.abs(J))))
     defect = float(np.max(np.abs(J - J.T)))
     if defect > 1e-10 * scale:
         raise ConsistencyError(
             f"covolume Hessian is not symmetric: defect {defect:.3e} at scale {scale:.3e}")
-    via_tensor = 6.0 * covolume_form(fan).contract(v).entries
-    cross = float(np.max(np.abs(J - via_tensor)))
+    via_form = 6.0 * covolume_form(fan).contract(v).entries
+    cross = float(np.max(np.abs(J - via_form)))
     if cross > 1e-10 * scale:
         raise ConsistencyError(
             f"covolume Hessian disagrees with 6 covol(.,.,h): defect {cross:.3e}")
@@ -321,16 +282,17 @@ def covolume_hessian(fan, h):
 def fuchsian_area_form(fan):
     """area(h) = sum_i a_i(h_{i.}) as a positive definite m x m form.
 
-    Cross-checked against 3 covol(1, ., .); a non-positive eigenvalue is
-    reported as a falsified invariant, not silently returned.
+    Summed from the face-local grams G_i and cross-checked against
+    3 covol(1, ., .); a non-positive eigenvalue is reported as a falsified
+    invariant, not silently returned.
     """
     if fan._area_form is None:
-        M = np.add.reduce(_face_grams(fan))
-        form = SymmetricForm(M, symmetry_tol=1e-10)
         ones = np.ones(fan.m)
-        via_tensor = 3.0 * covolume_form(fan).contract(ones).entries
+        M = fan.assembly.gram_sum(ones)
+        form = SymmetricForm(M, symmetry_tol=1e-10)
+        via_form = 3.0 * covolume_form(fan).contract(ones).entries
         scale = max(1.0, float(np.max(np.abs(M))))
-        defect = float(np.max(np.abs(form.entries - via_tensor)))
+        defect = float(np.max(np.abs(form.entries - via_form)))
         if defect > 1e-10 * scale:
             raise ConsistencyError(
                 f"area form disagrees with 3 covol(1,.,.): defect {defect:.3e}")

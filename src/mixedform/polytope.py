@@ -21,6 +21,10 @@ matrices A_i gives
     volume v(h)   = (1/3) sum_i h_i * a_i(h_{i.})          (cubic in h)
     area          = sum_i a_i(h_{i.}) = 3 v(1, h, h)       (quadratic in h)
 
+Both sums, the edge lengths and the mixed volume are evaluated face by
+face over the directed edges (``mixedform.faces``); no m x m x m tensor
+is formed.
+
 The symmetric trilinear mixed volume v(h,k,p) satisfies the
 Alexandrov-Fenchel inequality v(h,k,p)^2 >= v(h,h,p) v(k,k,p), with
 equality (p interior) exactly at translate + homothety pairs h = h^x + l k.
@@ -45,7 +49,8 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .forms import SymmetricForm, TrilinearForm
+from .faces import FaceAssembly, locate
+from .forms import SymmetricForm
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
@@ -105,26 +110,20 @@ class PolytopeFan:
             "cone_dim": self.m - 3 if self.simple else None,
             "faces_from_euler": n_vertices / 2 + 2,
         }
-        self._support_maps = None
+        # edge e = (i -> j) of face i: h_ij = -cot(phi_ij) h_i + h_j / sin(phi_ij)
+        edges = [(i, j) for i, cycle in enumerate(face_cycles) for j in cycle]
+        #: face-local assembly of volume, edge lengths and area form
+        self.assembly = FaceAssembly(face_fans, [j for _, j in edges],
+                                     [-math.cos(phi[e]) / math.sin(phi[e]) for e in edges],
+                                     [1.0 / math.sin(phi[e]) for e in edges])
+        #: the directed edges with i < j: each polytope edge once
+        self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
         self._volume_form = None
         self._area_form = None
 
-    # -- linear support maps -------------------------------------------------
-
     def support_map(self, i):
         """Matrix S_i with h_{i.} = S_i h (rows follow face i's cycle)."""
-        if self._support_maps is None:
-            self._support_maps = [None] * self.m
-        if self._support_maps[i] is None:
-            cycle = self.face_cycles[i]
-            S = np.zeros((len(cycle), self.m))
-            for k, j in enumerate(cycle):
-                ph = self.phi[(i, j)]
-                S[k, j] = 1.0 / math.sin(ph)
-                S[k, i] = -math.cos(ph) / math.sin(ph)
-            S.setflags(write=False)
-            self._support_maps[i] = S
-        return self._support_maps[i]
+        return self.assembly.support_map(i)
 
     def _vector(self, h, what):
         v = np.asarray(h, dtype=float)
@@ -148,9 +147,8 @@ class PolytopeFan:
 
     def edge_length(self, i, j, h):
         """Length of the polytope edge between adjacent faces i and j."""
-        k = self.face_cycles[i].index(j)
-        lengths = poly.edge_lengths(self.face_fans[i], self.support_map(i) @ self._vector(h, "edge_length"))
-        return float(lengths[k])
+        e = self.assembly.offsets[i] + self.face_cycles[i].index(j)
+        return float(self.assembly.lengths(self._vector(h, "edge_length"))[e])
 
 
 def _check_bounded(normals):
@@ -393,51 +391,25 @@ def point_support_vector(fan, x):
 
 
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
-    """Classify h by the signs of all edge lengths l_ij(h)."""
+    """Classify h by the signs of all edge lengths l_ij(h), each edge once as i < j."""
     v = fan._vector(h, "cone_membership")
-    tau = tol * float(np.linalg.norm(v))
-    degenerate = []
-    outside = []
-    for i in range(fan.m):
-        lengths = poly.edge_lengths(fan.face_fans[i], fan.support_map(i) @ v)
-        for k, j in enumerate(fan.face_cycles[i]):
-            if i < j:
-                if lengths[k] < -tau:
-                    outside.append((i, j))
-                elif lengths[k] <= tau:
-                    degenerate.append((i, j))
-    if outside:
-        return poly.ConeLocation("outside", outside)
-    if degenerate:
-        return poly.ConeLocation("boundary", degenerate)
-    return poly.ConeLocation("interior", [])
+    F = fan.assembly
+    edges = fan._edges
+    return locate(F.lengths(v)[edges], tol * float(np.linalg.norm(v)),
+                  F.src[edges], F.dst[edges])
 
 
 def volume(fan, h):
     """v(h) = (1/3) sum_i h_i a_i(h_{i.}) -- the Euclidean volume on the cone."""
-    v = fan._vector(h, "volume")
-    total = 0.0
-    for i in range(fan.m):
-        hi = fan.support_map(i) @ v
-        total += v[i] * poly.area_form(fan.face_fans[i]).q(hi)
-    return total / 3.0
-
-
-def _face_grams(fan):
-    """G_i = S_i' A_i S_i: the quadratic form h -> a_i(h_{i.}) as an m x m matrix."""
-    grams = []
-    for i in range(fan.m):
-        S = fan.support_map(i)
-        A = poly.area_form(fan.face_fans[i]).entries
-        grams.append(S.T @ A @ S)
-    return grams
+    return float(fan.assembly.cubic(fan._vector(h, "volume")))
 
 
 def volume_form(fan):
-    """The mixed volume as a symmetric trilinear form.
+    """The mixed volume as a symmetric trilinear form, evaluated face by face.
 
-    Assembled from the raw slices T[i] = (1/3) G_i; their total symmetry is
-    a theorem and is asserted (within 1e-10) before symmetrizing.
+    The raw slices T[i] = (1/3) G_i (G_i = S_i' A_i S_i, nonzero only on
+    face i and its neighbors) are never stored densely; their total
+    symmetry is a theorem and is asserted entrywise (within 1e-10) first.
     """
     if fan._volume_form is None:
         if not fan.simple:
@@ -446,23 +418,20 @@ def volume_form(fan):
             raise DomainError(
                 "volume_form: fan has a non-simple vertex; the volume is not "
                 "a single cubic polynomial around this combinatorics")
-        grams = _face_grams(fan)
-        T = np.stack(grams) / 3.0
-        fan._volume_form = TrilinearForm(T, symmetry_tol=1e-10)
+        fan._volume_form = fan.assembly.trilinear_form()
     return fan._volume_form
 
 
 def boundary_area_form(fan):
     """area(h) = sum_i a_i(h_{i.}) as an m x m symmetric form.
 
-    Cross-checked entrywise against 3 v(1, ., .) from the volume tensor.
+    Summed from the face-local grams G_i and cross-checked entrywise
+    against 3 v(1, ., .) from the volume form.
     """
     if fan._area_form is None:
-        grams = _face_grams(fan)
-        M = np.add.reduce(grams)
-        form = SymmetricForm(M, symmetry_tol=1e-10)
+        ones = np.ones(fan.m)
+        form = SymmetricForm(fan.assembly.gram_sum(ones), symmetry_tol=1e-10)
         if fan.simple:
-            ones = np.ones(fan.m)
             via_volume = 3.0 * volume_form(fan).contract(ones).entries
             scale = max(1.0, float(np.max(np.abs(form.entries))))
             defect = float(np.max(np.abs(form.entries - via_volume)))
@@ -531,15 +500,11 @@ def first_area_measure(fan, h):
     v = fan._vector(h, "first_area_measure")
     if cone_membership(fan, v).status == "outside":
         raise DomainError("first_area_measure: h lies outside the closed cone")
-    arcs = []
-    total = 0.0
-    for i in range(fan.m):
-        lengths = poly.edge_lengths(fan.face_fans[i], fan.support_map(i) @ v)
-        for k, j in enumerate(fan.face_cycles[i]):
-            if i < j:
-                arc = Arc((i, j), fan.phi[(i, j)], float(lengths[k]))
-                arcs.append(arc)
-                total += arc.arc_length * arc.weight
+    F = fan.assembly
+    edges = fan._edges
+    arcs = [Arc((i, j), fan.phi[(i, j)], w) for i, j, w in zip(
+        F.src[edges].tolist(), F.dst[edges].tolist(), F.lengths(v)[edges].tolist())]
+    total = sum(arc.arc_length * arc.weight for arc in arcs)
     arcs.sort(key=lambda a: a.faces)
     return FirstAreaMeasure(arcs, total)
 

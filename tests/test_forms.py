@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,15 @@ from mixedform import errors, forms
 
 
 # =============================================================================
-# JACOBI EIGENVALUES -- closed-form oracles first, then numpy as referee
+# JACOBI EIGENVALUES -- closed-form oracles first, then mpmath as referee
 # =============================================================================
+
+def _mp_eigenvalues(M, solver):
+    """Ascending eigenvalues from an mpmath solver at 30 significant digits."""
+    with mpmath.workdps(30):
+        vals = solver(mpmath.matrix(M.tolist()), eigvals_only=True)
+        return np.sort([float(mpmath.re(vals[i])) for i in range(vals.rows)])
+
 
 def test_jacobi_2x2_closed_form():
     # [[a, b], [b, c]] has eigenvalues (a+c)/2 +- sqrt(((a-c)/2)^2 + b^2)
@@ -43,12 +51,12 @@ def test_jacobi_eigenvectors_reconstruct():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
-def test_jacobi_matches_lapack(n, seed):
+def test_jacobi_matches_high_precision(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     M = 0.5 * (A + A.T)
     ours = forms.jacobi_eigenvalues(M)
-    ref = np.linalg.eigvalsh(M)
+    ref = _mp_eigenvalues(M, mpmath.eigsy)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(ours - ref)) < 1e-12 * scale
 
@@ -191,11 +199,12 @@ def test_hermitian_rejects_non_hermitian():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
-def test_hermitian_eigenvalues_match_lapack(n, seed):
+def test_hermitian_eigenvalues_match_high_precision(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = forms.HermitianForm(0.5 * (A + A.conj().T))
-    ref = np.linalg.eigvalsh(H.entries)
+    M = 0.5 * (A + A.conj().T)
+    H = forms.HermitianForm(M)
+    ref = _mp_eigenvalues(M, mpmath.eighe)
     assert H.eigenvalues().shape == (n,)
     assert np.max(np.abs(H.eigenvalues() - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
 

@@ -121,15 +121,25 @@ def test_rejects_euler_mismatch():
         fuchsian.QuotientFan([_octagon_entries()], genus=2, vertices=4)
 
 
-def test_hessian_detects_unrealizable_data():
+def _unrealizable_fan():
     # pairing-consistent but geometrically fake: face 1 redistributes its
     # turnings, so the two faces disagree about their shared edge lengths
     face0 = [(1, 1.0, math.pi / 4.0)] * 8
     dl = 0.3
     face1 = [(0, 1.0, math.pi / 4.0 + dl), (0, 1.0, math.pi / 4.0 - dl)] * 4
-    fan = fuchsian.QuotientFan([face0, face1], genus=2)
+    return fuchsian.QuotientFan([face0, face1], genus=2)
+
+
+def test_hessian_detects_unrealizable_data():
     with pytest.raises(errors.ConsistencyError):
-        fuchsian.covolume_hessian(fan, np.ones(2))
+        fuchsian.covolume_hessian(_unrealizable_fan(), np.ones(2))
+
+
+def test_forms_detect_unrealizable_data():
+    # the raw covolume slices fail the entrywise total-symmetry check
+    for build in (fuchsian.covolume_form, fuchsian.fuchsian_area_form):
+        with pytest.raises(errors.ConsistencyError, match="tensor is not symmetric"):
+            build(_unrealizable_fan())
 
 
 # =============================================================================
