@@ -8,7 +8,8 @@ JSON documents described in the README.  Exit codes:
     2   bad input: malformed JSON, schema violations, infeasible or
         degenerate geometry, internal consistency failures
     3   a claimed mathematical invariant was falsified on valid input
-    64  usage error (unknown command, bad flags)
+    64  usage error (unknown command, bad flags, a negative --samples,
+        --p without --k)
 
 Reports are printed to stdout.  With ``--json`` the report is a single
 deterministic JSON object (sorted keys, no timing information, the input
@@ -62,105 +63,90 @@ def _parse_vector(text, n, what):
     return np.asarray(values)
 
 
-def _py(obj):
-    """Recursively convert numpy scalars/arrays into plain python objects."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _py(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    return obj
+def _plain(obj):
+    """``json.dumps`` fallback: numpy scalars and arrays as python objects."""
+    return obj.tolist()
 
 
 def _matrix_lines(entries, indent="  "):
     return [indent + "  ".join(f"{x: .12g}" for x in row) for row in entries]
 
 
-def _human(lines, elapsed):
-    out = list(lines)
-    out.append(f"wall time: {elapsed:.3f}s")
-    return "\n".join(out)
+# =============================================================================
+# SHARED REPORTS
+# =============================================================================
+# A command maps (args, fan, h) -- (mesh, None) for surfaces -- to (results,
+# tolerances, human lines).  It looks library functions up when it runs, so
+# that wrappers installed on the library modules after import see each call.
+
+def _area_form_report(module, name, key):
+    """The matrix of ``module.name(fan)`` and its value at h, named ``key``."""
+    label = key.replace("_", " ")
+
+    def command(args, fan, h):
+        form = getattr(module, name)(fan)
+        results = {"dim": form.dim, "entries": form.entries.tolist(), key: form.q(h)}
+        lines = [f"{label} form ({form.dim} x {form.dim}):"]
+        lines += _matrix_lines(form.entries)
+        lines.append(f"{label}(h) = {results[key]:.12g}")
+        return results, {}, lines
+    return command
+
+
+def _signature_report(module, name):
+    """Signature and eigenvalues of ``module.name(fan)`` at the --tol threshold."""
+
+    def command(args, fan, h):
+        form = getattr(module, name)(fan)
+        sig = form.signature(zero_threshold=args.tol)
+        results = {"signature": list(sig.as_tuple), "eigenvalues": form.eigenvalues().tolist()}
+        lines = [f"signature (+, 0, -) = {sig.as_tuple}",
+                 f"zero threshold: {args.tol:g} (relative)"]
+        return results, {"zero_threshold": args.tol}, lines
+    return command
+
+
+def _inequality_report(module, check, sample, residual_label, pairs_label):
+    """``check(fan, h, k, p)`` on --k (--p, default h), or on sampled pairs with p = h."""
+    def command(args, fan, h):
+        tolerances = {"equality": module.EQUALITY_TOL, "witness": module.WITNESS_TOL}
+        if args.k is not None:
+            k = _parse_vector(args.k, len(h), "--k")
+            p = h if getattr(args, "p", None) is None else _parse_vector(args.p, len(h), "--p")
+            res = check(fan, h, k, p)
+            results = {"residual": res.residual, "scale": res.scale,
+                       "equality": res.equality,
+                       "witness": None if res.witness_x is None else
+                       {"x": list(res.witness_x), "lambda": res.witness_lambda}}
+            lines = [f"{residual_label} = {res.residual:.6e}",
+                     f"scale: {res.scale:.6e}",
+                     f"equality case: {'yes' if res.equality else 'no'}"]
+            if res.witness_x is not None:
+                x = ", ".join(f"{c:.9g}" for c in res.witness_x)
+                lines.append(f"witness: h = support(x) + lambda k, x = ({x}), "
+                             f"lambda = {res.witness_lambda:.9g}")
+            return results, tolerances, lines
+        rng = np.random.default_rng(args.seed)
+        checked = [check(fan, sample(fan, h, rng), sample(fan, h, rng), h)
+                   for _ in range(args.samples)]
+        worst = min((res.residual / res.scale for res in checked), default=None)
+        n_equal = sum(bool(res.equality) for res in checked)
+        results = {"samples": args.samples, "min_relative_residual": worst,
+                   "equality_cases": n_equal}
+        lines = [f"checked {args.samples} random pairs{pairs_label}",
+                 f"min relative residual: {worst:.6e}" if worst is not None
+                 else "no samples drawn",
+                 f"equality cases: {n_equal}"]
+        return results, tolerances, lines
+    return command
 
 
 # =============================================================================
-# POLYGON COMMANDS
+# COMMANDS WITH THEIR OWN COMPUTATIONS
 # =============================================================================
 
-def _polygon_load(path):
-    data, digest = _load_json(path)
-    support = polygon.PolygonSupport.from_json_dict(data)
-    return support, digest
-
-
-def cmd_polygon_area_form(args):
-    support, digest = _polygon_load(args.file)
-    form = polygon.area_form(support.fan)
-    results = {"dim": form.dim, "entries": form.entries.tolist(),
-               "area": form.q(support.h)}
-    lines = [f"area form ({form.dim} x {form.dim}):"]
-    lines += _matrix_lines(form.entries)
-    lines.append(f"area(h) = {results['area']:.12g}")
-    return results, {}, digest, lines
-
-
-def cmd_polygon_signature(args):
-    support, digest = _polygon_load(args.file)
-    tol = args.tol if args.tol is not None else forms.DEFAULT_ZERO_THRESHOLD
-    form = polygon.area_form(support.fan)
-    sig = form.signature(zero_threshold=tol)
-    results = {"signature": list(sig.as_tuple), "eigenvalues": form.eigenvalues().tolist()}
-    lines = [f"signature (+, 0, -) = {sig.as_tuple}",
-             f"zero threshold: {tol:g} (relative)"]
-    return results, {"zero_threshold": tol}, digest, lines
-
-
-def cmd_polygon_minkowski(args):
-    support, digest = _polygon_load(args.file)
-    fan, h = support.fan, support.h
-    tolerances = {"equality": polygon.EQUALITY_TOL, "witness": polygon.WITNESS_TOL}
-    if args.k is not None:
-        k = _parse_vector(args.k, fan.n, "--k")
-        res = polygon.minkowski_check(fan, h, k)
-        results = {"residual": res.residual, "scale": res.scale,
-                   "equality": res.equality,
-                   "witness": None if res.witness_x is None else
-                   {"x": list(res.witness_x), "lambda": res.witness_lambda}}
-        lines = [f"mixed area inequality residual b(h,k)^2 - a(h)a(k) = {res.residual:.6e}",
-                 f"scale: {res.scale:.6e}",
-                 f"equality case: {'yes' if res.equality else 'no'}"]
-        if res.witness_x is not None:
-            lines.append(f"witness: h = support(x) + lambda k, x = "
-                         f"({res.witness_x[0]:.9g}, {res.witness_x[1]:.9g}), "
-                         f"lambda = {res.witness_lambda:.9g}")
-        return results, tolerances, digest, lines
-    rng = np.random.default_rng(args.seed)
-    worst = None
-    n_equal = 0
-    for _ in range(args.samples):
-        a = polygon.sample_interior(fan, rng)
-        b = polygon.sample_interior(fan, rng)
-        res = polygon.minkowski_check(fan, a, b)
-        rel = res.residual / res.scale
-        if worst is None or rel < worst:
-            worst = rel
-        n_equal += bool(res.equality)
-    results = {"samples": args.samples, "min_relative_residual": worst,
-               "equality_cases": n_equal}
-    lines = [f"checked {args.samples} random pairs",
-             f"min relative residual: {worst:.6e}" if worst is not None
-             else "no samples drawn",
-             f"equality cases: {n_equal}"]
-    return results, tolerances, digest, lines
-
-
-def cmd_polygon_embed(args):
-    support, digest = _polygon_load(args.file)
-    z, herm = polygon.double_chart_embedding(support.fan, support.h)
+def _polygon_embed(args, fan, h):
+    z, herm = polygon.double_chart_embedding(fan, h)
     sig = herm.signature()
     results = {"vertices": [[float(w.real), float(w.imag)] for w in z],
                "area": herm.q(z),
@@ -169,16 +155,10 @@ def cmd_polygon_embed(args):
     lines += [f"  {w.real: .12g}  {w.imag: .12g}" for w in z]
     lines.append(f"area from the chart form: {results['area']:.12g}")
     lines.append(f"chart form signature: {sig.as_tuple}")
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-# =============================================================================
-# SURFACE COMMANDS
-# =============================================================================
-
-def cmd_surface_check(args):
-    data, digest = _load_json(args.file)
-    mesh = surface.TriangleMesh.from_json_dict(data)
+def _surface_check(args, mesh, h):
     cone = surface.cone_data(mesh)
     results = {
         "triangles": mesh.num_triangles,
@@ -197,116 +177,39 @@ def cmd_surface_check(args):
              f"Gauss-Bonnet defect: {cone.gauss_bonnet_defect:.3e}",
              f"total area: {results['total_area']:.12g}"]
     return results, {"gauss_bonnet": surface.GAUSS_BONNET_TOL,
-                     "singular": surface.SINGULAR_TOL}, digest, lines
+                     "singular": surface.SINGULAR_TOL}, lines
 
 
-def cmd_surface_flip(args):
-    data, digest = _load_json(args.file)
-    mesh = surface.TriangleMesh.from_json_dict(data)
+def _surface_flip(args, mesh, h):
     flipped = surface.flip(mesh, (args.triangle, args.edge))
     results = {"mesh": flipped.to_json_dict(),
                "total_area": surface.total_area(flipped)}
     lines = [f"flipped edge ({args.triangle}, {args.edge})",
              json.dumps(flipped.to_json_dict(), sort_keys=True)]
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-# =============================================================================
-# POLYTOPE COMMANDS
-# =============================================================================
-
-def _polytope_load(path):
-    data, digest = _load_json(path)
-    fan, h = polytope.fan_from_json_dict(data)
-    return fan, h, digest
-
-
-def cmd_polytope_build(args):
-    fan, h, digest = _polytope_load(args.file)
+def _polytope_build(args, fan, h):
     results = dict(fan.metadata)
     results["volume"] = polytope.volume(fan, h)
     lines = [f"faces: {results['faces']}, vertices: {results['vertices']}, "
              f"edges: {results['edges']}",
              f"simple: {'yes' if results['simple'] else 'no'}",
              f"volume: {results['volume']:.12g}"]
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-def cmd_polytope_volume(args):
-    fan, h, digest = _polytope_load(args.file)
+def _polytope_volume(args, fan, h):
     direct = polytope.volume(fan, h)
     via_form = polytope.volume_form(fan).v(h, h, h)
     results = {"volume": direct, "volume_from_form": via_form,
                "route_difference": abs(direct - via_form)}
     lines = [f"volume: {direct:.12g}",
              f"from the mixed volume tensor: {via_form:.12g}"]
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-def cmd_polytope_area_form(args):
-    fan, h, digest = _polytope_load(args.file)
-    form = polytope.boundary_area_form(fan)
-    results = {"dim": form.dim, "entries": form.entries.tolist(),
-               "boundary_area": form.q(h)}
-    lines = [f"boundary area form ({form.dim} x {form.dim}):"]
-    lines += _matrix_lines(form.entries)
-    lines.append(f"boundary area(h) = {results['boundary_area']:.12g}")
-    return results, {}, digest, lines
-
-
-def cmd_polytope_signature(args):
-    fan, h, digest = _polytope_load(args.file)
-    tol = args.tol if args.tol is not None else forms.DEFAULT_ZERO_THRESHOLD
-    form = polytope.boundary_area_form(fan)
-    sig = form.signature(zero_threshold=tol)
-    results = {"signature": list(sig.as_tuple),
-               "eigenvalues": form.eigenvalues().tolist()}
-    lines = [f"signature (+, 0, -) = {sig.as_tuple}",
-             f"zero threshold: {tol:g} (relative)"]
-    return results, {"zero_threshold": tol}, digest, lines
-
-
-def cmd_polytope_af_check(args):
-    fan, h, digest = _polytope_load(args.file)
-    tolerances = {"equality": polytope.EQUALITY_TOL, "witness": polytope.WITNESS_TOL}
-    if args.k is not None:
-        k = _parse_vector(args.k, fan.m, "--k")
-        p = h if args.p is None else _parse_vector(args.p, fan.m, "--p")
-        res = polytope.alexandrov_fenchel_check(fan, h, k, p)
-        results = {"residual": res.residual, "scale": res.scale,
-                   "equality": res.equality,
-                   "witness": None if res.witness_x is None else
-                   {"x": list(res.witness_x), "lambda": res.witness_lambda}}
-        lines = [f"v(h,k,p)^2 - v(h,h,p)v(k,k,p) = {res.residual:.6e}",
-                 f"scale: {res.scale:.6e}",
-                 f"equality case: {'yes' if res.equality else 'no'}"]
-        if res.witness_x is not None:
-            lines.append(f"witness: h = support(x) + lambda k, "
-                         f"x = ({res.witness_x[0]:.9g}, {res.witness_x[1]:.9g}, "
-                         f"{res.witness_x[2]:.9g}), lambda = {res.witness_lambda:.9g}")
-        return results, tolerances, digest, lines
-    rng = np.random.default_rng(args.seed)
-    worst = None
-    n_equal = 0
-    for _ in range(args.samples):
-        a = polytope.sample_interior(fan, h, rng)
-        b = polytope.sample_interior(fan, h, rng)
-        res = polytope.alexandrov_fenchel_check(fan, a, b, h)
-        rel = res.residual / res.scale
-        if worst is None or rel < worst:
-            worst = rel
-        n_equal += bool(res.equality)
-    results = {"samples": args.samples, "min_relative_residual": worst,
-               "equality_cases": n_equal}
-    lines = [f"checked {args.samples} random pairs against the reference body",
-             f"min relative residual: {worst:.6e}" if worst is not None
-             else "no samples drawn",
-             f"equality cases: {n_equal}"]
-    return results, tolerances, digest, lines
-
-
-def cmd_polytope_measure(args):
-    fan, h, digest = _polytope_load(args.file)
+def _polytope_measure(args, fan, h):
     measure = polytope.first_area_measure(fan, h)
     results = {"arcs": [{"faces": list(a.faces), "arc_length": a.arc_length,
                          "weight": a.weight} for a in measure.arcs],
@@ -316,11 +219,10 @@ def cmd_polytope_measure(args):
     for a in measure.arcs:
         lines.append(f"  faces {a.faces}: arc {a.arc_length:.9g}, "
                      f"edge length {a.weight:.9g}")
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-def cmd_polytope_sphere_area(args):
-    fan, h, digest = _polytope_load(args.file)
+def _polytope_sphere_area(args, fan, h):
     value = polytope.area_via_sphere_integral(fan, h, depth=args.depth)
     exact = polytope.boundary_area_form(fan).q(h)
     results = {"depth": args.depth, "quadrature": value, "quadratic_form": exact,
@@ -328,11 +230,10 @@ def cmd_polytope_sphere_area(args):
     lines = [f"sphere quadrature at depth {args.depth}: {value:.12g}",
              f"boundary area form value: {exact:.12g}",
              f"difference: {results['difference']:.3e}"]
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-def cmd_polytope_boundary_metric(args):
-    fan, h, digest = _polytope_load(args.file)
+def _polytope_boundary_metric(args, fan, h):
     mesh = polytope.boundary_metric(fan, h)
     cone = surface.cone_data(mesh)
     results = {"mesh": mesh.to_json_dict(),
@@ -342,21 +243,10 @@ def cmd_polytope_boundary_metric(args):
     lines = [f"boundary mesh: {mesh.num_triangles} triangles, genus {cone.genus}",
              "cone angles: " + ", ".join(f"{a:.9g}" for a in cone.cone_angles),
              f"total area: {results['total_area']:.12g}"]
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-# =============================================================================
-# FUCHSIAN COMMANDS
-# =============================================================================
-
-def _fuchsian_load(path):
-    data, digest = _load_json(path)
-    fan, h = fuchsian.fan_from_json_dict(data)
-    return fan, h, digest
-
-
-def cmd_fuchsian_hessian(args):
-    fan, h, digest = _fuchsian_load(args.file)
+def _fuchsian_hessian(args, fan, h):
     hess = fuchsian.covolume_hessian(fan, h)
     eigs = hess.eigenvalues()
     J = hess.entries
@@ -368,67 +258,113 @@ def cmd_fuchsian_hessian(args):
     lines += _matrix_lines(J)
     lines.append(f"eigenvalue range: [{eigs[0]:.9g}, {eigs[-1]:.9g}]")
     lines.append(f"min diagonal dominance margin: {results['min_dominance_margin']:.9g}")
-    return results, {}, digest, lines
+    return results, {}, lines
 
 
-def cmd_fuchsian_area_form(args):
-    fan, h, digest = _fuchsian_load(args.file)
-    form = fuchsian.fuchsian_area_form(fan)
-    results = {"dim": form.dim, "entries": form.entries.tolist(),
-               "area": form.q(h)}
-    lines = [f"area form ({form.dim} x {form.dim}):"]
-    lines += _matrix_lines(form.entries)
-    lines.append(f"area(h) = {results['area']:.12g}")
-    return results, {}, digest, lines
-
-
-def cmd_fuchsian_check_pd(args):
-    fan, h, digest = _fuchsian_load(args.file)
-    tol = args.tol if args.tol is not None else forms.DEFAULT_ZERO_THRESHOLD
-    form = fuchsian.fuchsian_area_form(fan)
-    sig = form.signature(zero_threshold=tol)
-    eigs = form.eigenvalues()
-    if sig.as_tuple != (fan.m, 0, 0):
+def _fuchsian_check_pd(args, fan, h):
+    results, tolerances, _ = _signature_report(fuchsian, "fuchsian_area_form")(args, fan, h)
+    sig, eigs = tuple(results["signature"]), results["eigenvalues"]
+    if sig != (fan.m, 0, 0):
         raise InvariantFalsified(
-            f"Fuchsian area form signature {sig.as_tuple} at zero threshold "
-            f"{tol:g}; expected ({fan.m}, 0, 0).  Eigenvalues: "
+            f"Fuchsian area form signature {sig} at zero threshold "
+            f"{args.tol:g}; expected ({fan.m}, 0, 0).  Eigenvalues: "
             + ", ".join(f"{x:.6g}" for x in eigs))
-    results = {"signature": list(sig.as_tuple), "eigenvalues": eigs.tolist(),
-               "positive_definite": True}
-    lines = [f"positive definite: signature {sig.as_tuple}",
+    results["positive_definite"] = True
+    lines = [f"positive definite: signature {sig}",
              f"min eigenvalue: {eigs[0]:.9g}"]
-    return results, {"zero_threshold": tol}, digest, lines
+    return results, tolerances, lines
 
 
-def cmd_fuchsian_distance(args):
-    fan, h, digest = _fuchsian_load(args.file)
+def _fuchsian_distance(args, fan, h):
     k = _parse_vector(args.k, fan.m, "--k")
     dist = fuchsian.spherical_distance(fan, h, k)
     homothety = fuchsian.is_homothety_pair(fan, h, k)
     results = {"distance": dist, "homothety": homothety}
     lines = [f"spherical distance: {dist:.12g}",
              f"homothety pair: {'yes' if homothety else 'no'}"]
-    return results, {"homothety": fuchsian.HOMOTHETY_TOL}, digest, lines
+    return results, {"homothety": fuchsian.HOMOTHETY_TOL}, lines
+
+
+# =============================================================================
+# COMMAND TABLE
+# =============================================================================
+
+def _load_polygon(data):
+    support = polygon.PolygonSupport.from_json_dict(data)
+    return support.fan, support.h
+
+
+# family -> (help, JSON document -> (fan or mesh, h))
+LOADERS = {
+    "polygon": ("planar support-number computations", _load_polygon),
+    "surface": ("flat cone metrics from glued triangles",
+                lambda data: (surface.TriangleMesh.from_json_dict(data), None)),
+    "polytope": ("3D support-number computations",
+                 lambda data: polytope.fan_from_json_dict(data)),
+    "fuchsian": ("equivariant polyhedra modulo a lattice",
+                 lambda data: fuchsian.fan_from_json_dict(data)),
+}
+
+# option group -> [(flag, add_argument keywords)]
+OPTIONS = {
+    "tol": [("--tol", dict(type=float, default=forms.DEFAULT_ZERO_THRESHOLD,
+                           help="relative zero threshold for eigenvalue classification"))],
+    "samples": [("--samples", dict(type=int, default=0,
+                                   help="number of random checks (ignored with explicit vectors)")),
+                ("--seed", dict(type=int, default=0, help="RNG seed"))],
+    "depth": [("--depth", dict(type=int, default=4, help="geodesic subdivision depth"))],
+    "k": [("--k", dict(default=None, help="second support vector, comma separated"))],
+    "required k": [("--k", dict(required=True, help="second support vector, comma separated"))],
+    "p": [("--p", dict(default=None, help="reference support vector (default: file h)"))],
+    "edge": [("--triangle", dict(type=int, required=True)),
+             ("--edge", dict(type=int, required=True))],
+}
+
+# (family, op) -> (help, option groups, command)
+COMMANDS = {
+    ("polygon", "area-form"): (
+        "area as a quadratic form", (), _area_form_report(polygon, "area_form", "area")),
+    ("polygon", "signature"): (
+        "inertia of the area form", ("tol",), _signature_report(polygon, "area_form")),
+    ("polygon", "minkowski"): (
+        "mixed area inequality with witnesses", ("samples", "k"),
+        _inequality_report(polygon, lambda fan, h, k, p: polygon.minkowski_check(fan, h, k),
+                           lambda fan, h, rng: polygon.sample_interior(fan, rng),
+                           "mixed area inequality residual b(h,k)^2 - a(h)a(k)", "")),
+    ("polygon", "embed"): ("vertex chart and its Hermitian area form", (), _polygon_embed),
+    ("surface", "check"): ("cone angles, curvature, Gauss-Bonnet", (), _surface_check),
+    ("surface", "flip"): ("replace an edge by the cross diagonal", ("edge",), _surface_flip),
+    ("polytope", "build"): ("normal fan combinatorics from planes", (), _polytope_build),
+    ("polytope", "volume"): ("volume, two independent routes", (), _polytope_volume),
+    ("polytope", "area-form"): (
+        "boundary area as a quadratic form", (),
+        _area_form_report(polytope, "boundary_area_form", "boundary_area")),
+    ("polytope", "signature"): (
+        "inertia of the boundary area form", ("tol",),
+        _signature_report(polytope, "boundary_area_form")),
+    ("polytope", "af-check"): (
+        "mixed volume inequality with witnesses", ("samples", "k", "p"),
+        _inequality_report(polytope, lambda fan, h, k, p:
+                           polytope.alexandrov_fenchel_check(fan, h, k, p),
+                           lambda fan, h, rng: polytope.sample_interior(fan, h, rng),
+                           "v(h,k,p)^2 - v(h,h,p)v(k,k,p)", " against the reference body")),
+    ("polytope", "measure"): ("first area measure on the sphere", (), _polytope_measure),
+    ("polytope", "sphere-area"): (
+        "boundary area by spherical quadrature", ("depth",), _polytope_sphere_area),
+    ("polytope", "boundary-metric"): ("induced flat cone metric", (), _polytope_boundary_metric),
+    ("fuchsian", "hessian"): ("covolume Hessian at h", (), _fuchsian_hessian),
+    ("fuchsian", "area-form"): (
+        "total face area as a quadratic form", (),
+        _area_form_report(fuchsian, "fuchsian_area_form", "area")),
+    ("fuchsian", "check-pd"): ("assert positive definiteness", ("tol",), _fuchsian_check_pd),
+    ("fuchsian", "distance"): (
+        "spherical distance between supports", ("required k",), _fuchsian_distance),
+}
 
 
 # =============================================================================
 # PARSER AND DISPATCH
 # =============================================================================
-
-def _add_common(sp, tol=False, seedable=False, depth=False):
-    sp.add_argument("file", help="input JSON file")
-    sp.add_argument("--json", action="store_true", help="machine-readable report")
-    if tol:
-        sp.add_argument("--tol", type=float, default=None,
-                        help="relative zero threshold for eigenvalue classification")
-    if seedable:
-        sp.add_argument("--samples", type=int, default=0,
-                        help="number of random checks (ignored with explicit vectors)")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    if depth:
-        sp.add_argument("--depth", type=int, default=4,
-                        help="geodesic subdivision depth")
-
 
 def build_parser():
     parser = _Parser(prog="mixedform",
@@ -436,78 +372,17 @@ def build_parser():
                                  "and their Fuchsian quotients")
     parser.add_argument("--version", action="version", version=f"mixedform {__version__}")
     top = parser.add_subparsers(dest="family", required=True, metavar="FAMILY")
-
-    pg = top.add_parser("polygon", help="planar support-number computations")
-    pg_sub = pg.add_subparsers(dest="op", required=True, metavar="OP")
-    sp = pg_sub.add_parser("area-form", help="area as a quadratic form")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_polygon_area_form)
-    sp = pg_sub.add_parser("signature", help="inertia of the area form")
-    _add_common(sp, tol=True)
-    sp.set_defaults(func=cmd_polygon_signature)
-    sp = pg_sub.add_parser("minkowski", help="mixed area inequality with witnesses")
-    _add_common(sp, seedable=True)
-    sp.add_argument("--k", default=None, help="second support vector, comma separated")
-    sp.set_defaults(func=cmd_polygon_minkowski)
-    sp = pg_sub.add_parser("embed", help="vertex chart and its Hermitian area form")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_polygon_embed)
-
-    sf = top.add_parser("surface", help="flat cone metrics from glued triangles")
-    sf_sub = sf.add_subparsers(dest="op", required=True, metavar="OP")
-    sp = sf_sub.add_parser("check", help="cone angles, curvature, Gauss-Bonnet")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_surface_check)
-    sp = sf_sub.add_parser("flip", help="replace an edge by the cross diagonal")
-    _add_common(sp)
-    sp.add_argument("--triangle", type=int, required=True)
-    sp.add_argument("--edge", type=int, required=True)
-    sp.set_defaults(func=cmd_surface_flip)
-
-    pt = top.add_parser("polytope", help="3D support-number computations")
-    pt_sub = pt.add_subparsers(dest="op", required=True, metavar="OP")
-    sp = pt_sub.add_parser("build", help="normal fan combinatorics from planes")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_polytope_build)
-    sp = pt_sub.add_parser("volume", help="volume, two independent routes")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_polytope_volume)
-    sp = pt_sub.add_parser("area-form", help="boundary area as a quadratic form")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_polytope_area_form)
-    sp = pt_sub.add_parser("signature", help="inertia of the boundary area form")
-    _add_common(sp, tol=True)
-    sp.set_defaults(func=cmd_polytope_signature)
-    sp = pt_sub.add_parser("af-check", help="mixed volume inequality with witnesses")
-    _add_common(sp, seedable=True)
-    sp.add_argument("--k", default=None, help="second support vector, comma separated")
-    sp.add_argument("--p", default=None, help="reference support vector (default: file h)")
-    sp.set_defaults(func=cmd_polytope_af_check)
-    sp = pt_sub.add_parser("measure", help="first area measure on the sphere")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_polytope_measure)
-    sp = pt_sub.add_parser("sphere-area", help="boundary area by spherical quadrature")
-    _add_common(sp, depth=True)
-    sp.set_defaults(func=cmd_polytope_sphere_area)
-    sp = pt_sub.add_parser("boundary-metric", help="induced flat cone metric")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_polytope_boundary_metric)
-
-    fc = top.add_parser("fuchsian", help="equivariant polyhedra modulo a lattice")
-    fc_sub = fc.add_subparsers(dest="op", required=True, metavar="OP")
-    sp = fc_sub.add_parser("hessian", help="covolume Hessian at h")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fuchsian_hessian)
-    sp = fc_sub.add_parser("area-form", help="total face area as a quadratic form")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fuchsian_area_form)
-    sp = fc_sub.add_parser("check-pd", help="assert positive definiteness")
-    _add_common(sp, tol=True)
-    sp.set_defaults(func=cmd_fuchsian_check_pd)
-    sp = fc_sub.add_parser("distance", help="spherical distance between supports")
-    _add_common(sp)
-    sp.add_argument("--k", required=True, help="second support vector, comma separated")
-    sp.set_defaults(func=cmd_fuchsian_distance)
+    families = {family: top.add_parser(family, help=text).add_subparsers(
+                    dest="op", required=True, metavar="OP")
+                for family, (text, _) in LOADERS.items()}
+    for (family, op), (text, options, _) in COMMANDS.items():
+        sp = families[family].add_parser(op, help=text)
+        sp.add_argument("file", help="input JSON file")
+        sp.add_argument("--json", action="store_true", help="machine-readable report")
+        for option in options:
+            for flag, keywords in OPTIONS[option]:
+                sp.add_argument(flag, **keywords)
+        sp.set_defaults(usage_error=sp.error)
     return parser
 
 
@@ -515,11 +390,17 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "samples", 0) < 0:
+            args.usage_error(f"argument --samples: must not be negative, got {args.samples}")
+        if getattr(args, "p", None) is not None and args.k is None:
+            args.usage_error("argument --p: only allowed together with --k")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     start = time.perf_counter()
     try:
-        results, tolerances, digest, lines = args.func(args)
+        data, digest = _load_json(args.file)
+        fan, h = LOADERS[args.family][1](data)
+        results, tolerances, lines = COMMANDS[args.family, args.op][2](args, fan, h)
     except InvariantFalsified as exc:
         print(f"mixedform: invariant falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
@@ -532,14 +413,14 @@ def main(argv=None):
             "schema": 1,
             "command": f"{args.family} {args.op}",
             "input": {"path": args.file, "sha256": digest},
-            "results": _py(results),
-            "tolerances": _py(tolerances),
+            "results": results,
+            "tolerances": tolerances,
         }
-        if getattr(args, "seed", None) is not None and getattr(args, "samples", 0):
+        if getattr(args, "samples", 0):
             report["seed"] = args.seed
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=_plain))
     else:
-        print(_human(lines, elapsed))
+        print("\n".join([*lines, f"wall time: {elapsed:.3f}s"]))
     return EXIT_OK
 
 

@@ -12,9 +12,10 @@ Generic machinery shared by the geometry modules:
     (``mixedform.faces``), and the dense n^3 form serves ``polarize_cubic``
     and the tests as an independent reference;
   * Hermitian forms (area forms in complex unfolding coordinates);
-  * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality and
-    for the three-body A,B,C quadratic-in-lambda argument, with the
-    discriminant bound B^2 <= A*C.
+  * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality, its
+    equality witness h = h^x + lambda k (shared by the Minkowski and
+    Alexandrov-Fenchel checks), and the three-body A,B,C quadratic-in-lambda
+    argument, with the discriminant bound B^2 <= A*C.
 
 Eigenvalues come from LAPACK's symmetric/Hermitian solvers (numpy
 ``eigvalsh``/``eigh``); Hermitian forms use the complex solver directly.
@@ -23,6 +24,8 @@ kernels that occur (translation vectors) are exact in theory but the
 computed eigenvalues carry O(eps * ||M||) noise.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .errors import (
@@ -30,6 +33,7 @@ from .errors import (
     ContractViolation,
     DomainError,
     InvalidInput,
+    InvariantFalsified,
 )
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
@@ -437,6 +441,36 @@ def lorentz_cauchy_schwarz_residual(form, h, k):
     if qh <= 0.0:
         raise DomainError(f"q(h) = {qh:.6e} must be positive")
     return form.b(u, v) ** 2 - qh * form.q(v)
+
+
+InequalityResult = namedtuple("InequalityResult",
+                              ["residual", "scale", "equality", "witness_x", "witness_lambda"])
+
+
+def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals, equality_tol, witness_tol):
+    """Check b^2 >= q(h)q(k) and, at equality, find h = h^x + lambda k.
+
+    ``b``, ``qh`` and ``qk`` are the mixed value and the two diagonal
+    values of the form under test; ``normals`` (one row per coordinate)
+    spans the translations h^x.  A negative residual below -1e-12 x scale
+    falsifies the inequality named ``name``; an equality case whose least
+    squares fit over (x, lambda) misses h by witness_tol x |h| or more
+    falsifies the equality-case theorem.
+    """
+    residual = b * b - qh * qk
+    scale = max(b * b, abs(qh * qk))
+    if residual < -1e-12 * scale:
+        raise InvariantFalsified(
+            f"{name} inequality violated: residual {residual:.3e} at scale {scale:.3e}")
+    if residual > equality_tol * max(scale, 1e-300):
+        return InequalityResult(residual, scale, False, None, None)
+    A = np.column_stack([normals, k])
+    sol, *_ = np.linalg.lstsq(A, h, rcond=None)
+    fit = float(np.linalg.norm(h - A @ sol))
+    if fit >= witness_tol * float(np.linalg.norm(h)):
+        raise InvariantFalsified(
+            f"equality case without translate+homothety witness (fit residual {fit:.3e})")
+    return InequalityResult(residual, scale, True, np.array(sol[:-1]), float(sol[-1]))
 
 
 def abc_lemma_residuals(area, h1, h2, h3):

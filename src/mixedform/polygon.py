@@ -27,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, InvalidInput, InvariantFalsified
-from .forms import HermitianForm, SymmetricForm
+from .forms import HermitianForm, SymmetricForm, reversed_cauchy_schwarz_check
 
 TWO_PI = 2.0 * np.pi
 MEMBERSHIP_TOL = 1e-12
@@ -220,10 +220,6 @@ class PolygonSupport:
 # MINKOWSKI INEQUALITY
 # =============================================================================
 
-MinkowskiResult = namedtuple("MinkowskiResult",
-                             ["residual", "scale", "equality", "witness_x", "witness_lambda"])
-
-
 def minkowski_check(fan, h, k, equality_tol=EQUALITY_TOL, witness_tol=WITNESS_TOL):
     """Verify a(h,k)^2 >= a(h)a(k) and detect the equality case.
 
@@ -242,23 +238,8 @@ def minkowski_check(fan, h, k, equality_tol=EQUALITY_TOL, witness_tol=WITNESS_TO
     qk = form.q(v)
     if qh <= 0.0 or qk <= 0.0:
         raise DomainError(f"minkowski_check: needs positive areas, got {qh:.3e}, {qk:.3e}")
-    bhk = form.b(u, v)
-    residual = bhk * bhk - qh * qk
-    scale = max(bhk * bhk, abs(qh * qk))
-    if residual < -1e-12 * scale:
-        raise InvariantFalsified(
-            f"Minkowski inequality violated: residual {residual:.3e} at scale {scale:.3e}")
-    if residual > equality_tol * scale:
-        return MinkowskiResult(residual, scale, False, None, None)
-
-    # equality case: fit h = h^x + lambda k over (x, lambda)
-    A = np.column_stack([fan.normals[:, 0], fan.normals[:, 1], v])
-    sol, *_ = np.linalg.lstsq(A, u, rcond=None)
-    fit = float(np.linalg.norm(u - A @ sol))
-    if fit >= witness_tol * float(np.linalg.norm(u)):
-        raise InvariantFalsified(
-            f"equality case without translate+homothety witness (fit residual {fit:.3e})")
-    return MinkowskiResult(residual, scale, True, np.array(sol[:2]), float(sol[2]))
+    return reversed_cauchy_schwarz_check("Minkowski", form.b(u, v), qh, qk, u, v,
+                                         fan.normals, equality_tol, witness_tol)
 
 
 def hyperbolic_distance(fan, h, k):

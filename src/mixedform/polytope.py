@@ -44,13 +44,12 @@ from .errors import (
     ConsistencyError,
     DomainError,
     InvalidInput,
-    InvariantFalsified,
     RedundancyError,
     StructuralError,
     UnboundedRegionError,
 )
 from .faces import FaceAssembly, locate
-from .forms import SymmetricForm
+from .forms import SymmetricForm, reversed_cauchy_schwarz_check
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
@@ -446,10 +445,6 @@ def boundary_area_form(fan):
 # ALEXANDROV-FENCHEL
 # =============================================================================
 
-AFResult = namedtuple("AFResult",
-                      ["residual", "scale", "equality", "witness_x", "witness_lambda"])
-
-
 def alexandrov_fenchel_check(fan, h, k, p, equality_tol=EQUALITY_TOL, witness_tol=WITNESS_TOL):
     """Verify v(h,k,p)^2 >= v(h,h,p) v(k,k,p) and detect equality.
 
@@ -462,24 +457,9 @@ def alexandrov_fenchel_check(fan, h, k, p, equality_tol=EQUALITY_TOL, witness_to
     if cone_membership(fan, pv).status == "outside":
         raise DomainError("alexandrov_fenchel_check: p lies outside the closed cone")
     T = volume_form(fan)
-    vhkp = T.v(hv, kv, pv)
-    vhhp = T.v(hv, hv, pv)
-    vkkp = T.v(kv, kv, pv)
-    residual = vhkp * vhkp - vhhp * vkkp
-    scale = max(vhkp * vhkp, abs(vhhp * vkkp))
-    if residual < -1e-12 * scale:
-        raise InvariantFalsified(
-            f"Alexandrov-Fenchel inequality violated: residual {residual:.3e} "
-            f"at scale {scale:.3e}")
-    if residual > equality_tol * max(scale, 1e-300):
-        return AFResult(residual, scale, False, None, None)
-    A = np.column_stack([fan.normals, kv])
-    sol, *_ = np.linalg.lstsq(A, hv, rcond=None)
-    fit = float(np.linalg.norm(hv - A @ sol))
-    if fit >= witness_tol * float(np.linalg.norm(hv)):
-        raise InvariantFalsified(
-            f"equality case without translate+homothety witness (fit residual {fit:.3e})")
-    return AFResult(residual, scale, True, np.array(sol[:3]), float(sol[3]))
+    return reversed_cauchy_schwarz_check("Alexandrov-Fenchel", T.v(hv, kv, pv), T.v(hv, hv, pv),
+                                         T.v(kv, kv, pv), hv, kv, fan.normals,
+                                         equality_tol, witness_tol)
 
 
 # =============================================================================

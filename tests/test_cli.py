@@ -1,11 +1,34 @@
+"""CLI behaviour: exit codes, per-command reports and golden reports.
+
+The golden reports in ``cli_golden.json`` hold the ``--json`` results,
+tolerances and seed echo and the human lines (without the wall-time line)
+of every command on the small fixtures below.  To rewrite them from the
+current code:
+
+    PYTHONPATH=src:tests python tests/test_cli.py
+"""
+
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
 
 import geomfix
-from mixedform import cli, fuchsian
+from mixedform import cli, fuchsian, polytope
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+
+SQUARE = {"normals_deg": [0, 90, 180, 270], "h": [1, 1, 1, 1]}
+CUBE = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [0.5] * 6}
+# doubled equilateral triangle: the flip across the seam is admissible
+MESH = {"triangles": [{"lengths": [1, 1, 1]}, {"lengths": [1, 1, 1]}],
+        "gluing": [[0, 0, 1, 0], [0, 1, 1, 2], [0, 2, 1, 1]]}
 
 
 def run(capsys, *argv):
@@ -22,28 +45,27 @@ def write_json(tmp_path, name, data):
 
 @pytest.fixture()
 def square_file(tmp_path):
-    return write_json(tmp_path, "square.json",
-                      {"normals_deg": [0, 90, 180, 270], "h": [1, 1, 1, 1]})
+    return write_json(tmp_path, "square.json", SQUARE)
 
 
 @pytest.fixture()
 def cube_file(tmp_path):
-    return write_json(tmp_path, "cube.json",
-                      {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [0.5] * 6})
+    return write_json(tmp_path, "cube.json", CUBE)
 
 
 @pytest.fixture()
 def mesh_file(tmp_path):
-    # doubled equilateral triangle: the flip across the seam is admissible
-    return write_json(tmp_path, "mesh.json",
-                      {"triangles": [{"lengths": [1, 1, 1]}, {"lengths": [1, 1, 1]}],
-                       "gluing": [[0, 0, 1, 0], [0, 1, 1, 2], [0, 2, 1, 1]]})
+    return write_json(tmp_path, "mesh.json", MESH)
+
+
+def genus2_base_fan_and_h():
+    fan = geomfix.fan_from_triangulation(geomfix.genus2_base_mesh())
+    return fan, geomfix.find_interior_h(fan)
 
 
 @pytest.fixture(scope="module")
 def base_fan_and_h():
-    fan = geomfix.fan_from_triangulation(geomfix.genus2_base_mesh())
-    return fan, geomfix.find_interior_h(fan)
+    return genus2_base_fan_and_h()
 
 
 @pytest.fixture()
@@ -337,3 +359,175 @@ def test_json_reports_byte_identical(capsys, cube_file):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# =============================================================================
+# USAGE ERRORS AND LIBRARY LOOKUP
+# =============================================================================
+
+@pytest.mark.parametrize("command", [("polygon", "minkowski", "square_file"),
+                                     ("polytope", "af-check", "cube_file")])
+def test_negative_samples_is_usage_error(capsys, request, command):
+    family, op, fixture = command
+    path = request.getfixturevalue(fixture)
+    code, out, err = run(capsys, family, op, path, "--samples", "-5", "--json")
+    assert code == 64
+    assert out == ""
+    assert "--samples" in err
+
+
+def test_af_check_p_without_k_is_usage_error(capsys, cube_file):
+    code, out, err = run(capsys, "polytope", "af-check", cube_file, "--samples", "5",
+                         "--seed", "2", "--p", "1,1,1,1,1,3", "--json")
+    assert code == 64
+    assert out == ""
+    assert "--p" in err
+
+
+def test_commands_look_up_library_functions_at_call_time(capsys, monkeypatch, cube_file):
+    # per-layer tracing wraps library functions after the CLI is imported;
+    # a command bound to the original function object would bypass it
+    calls = []
+    original = polytope.boundary_area_form
+
+    def counting(fan):
+        calls.append(fan.m)
+        return original(fan)
+
+    monkeypatch.setattr(polytope, "boundary_area_form", counting)
+    code, _, _ = run(capsys, "polytope", "signature", cube_file, "--json")
+    assert code == 0
+    assert calls == [6]
+
+
+# =============================================================================
+# GOLDEN REPORTS
+# =============================================================================
+
+# (family, op, fixture, extra arguments); "@2h" stands for twice the
+# quotient fan's support vector
+GOLDEN_CASES = [
+    ("polygon", "area-form", "square", []),
+    ("polygon", "signature", "square", []),
+    ("polygon", "signature", "square", ["--tol", "1e-3"]),
+    ("polygon", "minkowski", "square", ["--k", "2,2,2,2"]),
+    ("polygon", "minkowski", "square", ["--k", "1,2,1,2"]),
+    ("polygon", "minkowski", "square", ["--samples", "5", "--seed", "7"]),
+    ("polygon", "minkowski", "square", ["--samples", "0", "--seed", "7"]),
+    ("polygon", "embed", "square", []),
+    ("surface", "check", "mesh", []),
+    ("surface", "flip", "mesh", ["--triangle", "0", "--edge", "0"]),
+    ("polytope", "build", "cube", []),
+    ("polytope", "volume", "cube", []),
+    ("polytope", "area-form", "cube", []),
+    ("polytope", "signature", "cube", []),
+    ("polytope", "signature", "cube", ["--tol", "1e-6"]),
+    ("polytope", "af-check", "cube", ["--k", "1,1,1,1,1,1"]),
+    ("polytope", "af-check", "cube", ["--k", "1,1,1,1,1,2", "--p", "1,1,1,1,1,1"]),
+    ("polytope", "af-check", "cube", ["--samples", "10", "--seed", "3"]),
+    ("polytope", "measure", "cube", []),
+    ("polytope", "sphere-area", "cube", ["--depth", "3"]),
+    ("polytope", "boundary-metric", "cube", []),
+    ("fuchsian", "hessian", "fuchsian", []),
+    ("fuchsian", "area-form", "fuchsian", []),
+    ("fuchsian", "check-pd", "fuchsian", []),
+    ("fuchsian", "distance", "fuchsian", ["--k", "@2h"]),
+]
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _case_id(case):
+    family, op, fixture, extra = case
+    return " ".join([family, op, fixture, *extra])
+
+
+def write_golden_inputs(directory):
+    """Write the golden fixtures; map fixture names (and "@2h") to arguments."""
+    fan, h = genus2_base_fan_and_h()
+    docs = {"square": SQUARE, "cube": CUBE, "mesh": MESH, "fuchsian": fan.to_json_dict(h=h)}
+    inputs = {"@2h": ",".join(f"{2.0 * x:.17g}" for x in h)}
+    for name, doc in docs.items():
+        inputs[name] = os.path.join(directory, name + ".json")
+        with open(inputs[name], "w") as fh:
+            json.dump(doc, fh)
+    return inputs
+
+
+def golden_report(inputs, case):
+    """results, tolerances and seed of the --json run, and the human lines."""
+    family, op, fixture, extra = case
+    argv = [family, op, inputs[fixture], *(inputs.get(a, a) for a in extra)]
+    outputs = []
+    for flags in (["--json"], []):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv + flags) == 0
+        outputs.append(out.getvalue())
+    report = json.loads(outputs[0])
+    lines = outputs[1].splitlines()
+    assert lines[-1].startswith("wall time: ")
+    golden = {key: report[key] for key in ("results", "tolerances", "seed") if key in report}
+    golden["lines"] = lines[:-1]
+    return golden
+
+
+def _assert_close(actual, expected, where):
+    # rel 1e-12; the absolute floor only admits rounding noise around zero
+    assert type(actual) is type(expected), where
+    if isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=1e-15), where
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key in expected:
+            _assert_close(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_close(a, e, f"{where}[{i}]")
+    else:
+        assert actual == expected, where
+
+
+def _assert_line_close(actual, expected, where):
+    assert _NUMBER.split(actual) == _NUMBER.split(expected), where
+    _assert_close([float(x) for x in _NUMBER.findall(actual)],
+                  [float(x) for x in _NUMBER.findall(expected)], where)
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    return write_golden_inputs(str(tmp_path_factory.mktemp("golden")))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_every_command(golden):
+    assert set(golden) == {_case_id(case) for case in GOLDEN_CASES}
+    assert {(family, op) for family, op, _, _ in GOLDEN_CASES} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=_case_id)
+def test_golden_report(golden, golden_inputs, case):
+    expected = golden[_case_id(case)]
+    actual = golden_report(golden_inputs, case)
+    assert actual.keys() == expected.keys()
+    for key in ("results", "tolerances", "seed"):
+        if key in expected:
+            _assert_close(actual[key], expected[key], key)
+    assert len(actual["lines"]) == len(expected["lines"])
+    for i, (a, e) in enumerate(zip(actual["lines"], expected["lines"])):
+        _assert_line_close(a, e, f"line {i}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        inputs = write_golden_inputs(directory)
+        reports = {_case_id(case): golden_report(inputs, case) for case in GOLDEN_CASES}
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(reports, fh, indent=1, sort_keys=True)
+        fh.write("\n")

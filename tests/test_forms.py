@@ -271,6 +271,22 @@ def test_lorentz_rejects_negative_q():
             _lorentz_form(), np.array([0.1, 1.0, 0.0]), np.ones(3))
 
 
+def test_reversed_cauchy_schwarz_check_paths():
+    # square normals: translations span (1,0,-1,0) and (0,1,0,-1)
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    k = np.ones(4)
+    check = forms.reversed_cauchy_schwarz_check
+    with pytest.raises(errors.InvariantFalsified, match="Minkowski inequality violated"):
+        check("Minkowski", 1.0, 2.0, 2.0, k, k, normals, 1e-10, 1e-7)
+    assert check("X", 3.0, 2.0, 2.0, k, k, normals, 1e-10, 1e-7) == (5.0, 9.0, False, None, None)
+    h = 2.0 * k + normals @ np.array([0.3, -0.1])
+    res = check("X", 2.0, 2.0, 2.0, h, k, normals, 1e-10, 1e-7)
+    assert res.equality and res.witness_lambda == pytest.approx(2.0)
+    assert np.allclose(res.witness_x, [0.3, -0.1])
+    with pytest.raises(errors.InvariantFalsified, match="without translate"):
+        check("X", 2.0, 2.0, 2.0, np.array([1.0, 0.0, 0.0, 0.0]), k, normals, 1e-10, 1e-7)
+
+
 def test_abc_residuals_discriminant_bound():
     # Lorentzian diag(1,-1,-1): pairwise reversed Cauchy-Schwarz holds on the
     # cone, so B^2 <= A C with A, C >= 0
