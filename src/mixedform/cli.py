@@ -13,8 +13,9 @@ JSON documents described in the README.  Exit codes:
 
 Reports are printed to stdout.  With ``--json`` the report is a single
 deterministic JSON object (sorted keys, no timing information, the input
-digest and any seed echoed back), so identical invocations produce
-byte-identical output.  The human-readable form adds wall time.
+digest, and the seed when random pairs were drawn), so identical
+invocations produce byte-identical output.  The human-readable form adds
+wall time.
 """
 
 import argparse
@@ -416,7 +417,7 @@ def main(argv=None):
             "results": results,
             "tolerances": tolerances,
         }
-        if getattr(args, "samples", 0):
+        if getattr(args, "samples", 0) and args.k is None:      # random pairs were drawn
             report["seed"] = args.seed
         print(json.dumps(report, indent=2, sort_keys=True, default=_plain))
     else:

@@ -5,9 +5,11 @@ the class is the halfspace intersection { x : <x, u_i> <= h_i }.  The
 combinatorics (vertices, face cycles, adjacency) are computed from a
 reference h as the facets of a Qhull convex hull of the dual points
 u_i / (h_i - <u_i, x0>) around an interior point x0, with tolerances
-relative to the inradius; the Gauss image -- the tessellation of the
-unit sphere whose cell at a polytope vertex collects the normals of its
-faces -- is built alongside and must tile the full sphere.
+relative to the inradius (scipy's Qhull is loaded on the first
+``build_fan``, so the other modules never import scipy); the Gauss
+image -- the tessellation of the unit sphere whose cell at a polytope
+vertex collects the normals of its faces -- is built alongside and must
+tile the full sphere.
 
 Within a face i, the neighbors j induce a 2D normal fan; the in-plane
 support numbers are linear in h:
@@ -36,8 +38,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
 
 from . import polygon as poly
 from .errors import (
@@ -150,15 +150,25 @@ class PolytopeFan:
         return float(self.assembly.lengths(self._vector(h, "edge_length"))[e])
 
 
+def _hull_equations(points, error, message):
+    """Facet equations n.p + d = 0 of the Qhull convex hull of ``points``.
+
+    The one place that calls Qhull; scipy is imported on first use.  A Qhull
+    failure is raised as ``error(f"{message} ({qhull message})")``.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        return ConvexHull(points).equations
+    except QhullError as exc:
+        raise error(f"{message} ({exc})") from exc
+
+
 def _check_bounded(normals):
     """Bounded iff the origin is strictly inside the hull of the normals."""
-    try:
-        hull = ConvexHull(normals)
-    except QhullError as exc:
-        raise UnboundedRegionError(
-            f"normals do not span 3-space; halfspace intersection is unbounded ({exc})"
-        ) from exc
-    offsets = hull.equations[:, 3]
+    offsets = _hull_equations(
+        normals, UnboundedRegionError,
+        "normals do not span 3-space; halfspace intersection is unbounded")[:, 3]
     if np.any(offsets > -1e-9):
         raise UnboundedRegionError(
             "origin is not strictly inside the hull of the normals: "
@@ -191,11 +201,9 @@ def _dual_hull_vertices(A, b, center):
     vertex simplex; its vertex is center - n / d.  A non-simple vertex
     comes back once per simplex of its triangulated dual facet.
     """
-    try:
-        hull = ConvexHull(A / (b - A @ center)[:, None])
-    except QhullError as exc:
-        raise StructuralError(f"degenerate halfspace arrangement ({exc})") from exc
-    return center - hull.equations[:, :-1] / hull.equations[:, -1:]
+    equations = _hull_equations(A / (b - A @ center)[:, None], StructuralError,
+                                "degenerate halfspace arrangement")
+    return center - equations[:, :-1] / equations[:, -1:]
 
 
 def build_fan(normals, h):

@@ -14,6 +14,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -376,6 +378,21 @@ def test_negative_samples_is_usage_error(capsys, request, command):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("command", [("polygon", "minkowski", "square_file", "2,2,2,2"),
+                                     ("polytope", "af-check", "cube_file", "1,1,1,1,1,2")])
+def test_seed_echoed_only_when_pairs_are_drawn(capsys, request, command):
+    family, op, fixture, k = command
+    path = request.getfixturevalue(fixture)
+    code, out, _ = run(capsys, family, op, path, "--samples", "3", "--seed", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 5
+    # --k replaces the sampled pairs: no random numbers, so no seed
+    code, out, _ = run(capsys, family, op, path, "--samples", "3", "--seed", "5",
+                       "--k", k, "--json")
+    assert code == 0
+    assert "seed" not in json.loads(out)
+
+
 def test_af_check_p_without_k_is_usage_error(capsys, cube_file):
     code, out, err = run(capsys, "polytope", "af-check", cube_file, "--samples", "5",
                          "--seed", "2", "--p", "1,1,1,1,1,3", "--json")
@@ -398,6 +415,27 @@ def test_commands_look_up_library_functions_at_call_time(capsys, monkeypatch, cu
     code, _, _ = run(capsys, "polytope", "signature", cube_file, "--json")
     assert code == 0
     assert calls == [6]
+
+
+def test_scipy_loaded_only_by_polytope_fans(square_file, mesh_file, fuchsian_file,
+                                           cube_file):
+    calls = [["--version"], ["polygon", "signature", square_file, "--json"],
+             ["surface", "check", mesh_file, "--json"],
+             ["fuchsian", "hessian", fuchsian_file, "--json"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from mixedform import cli\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+        "assert 'scipy' not in sys.modules, loaded[:5]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['polytope', 'build', {cube_file!r}]) == 0\n"
+        "assert 'scipy.spatial' in sys.modules, 'polytope build did not load Qhull'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=geomfix.child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # =============================================================================

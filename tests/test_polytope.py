@@ -68,6 +68,25 @@ def test_unbounded_raises():
         polytope.build_fan(up, np.ones(4))
 
 
+def test_coplanar_normals_raise_with_qhull_message():
+    # Qhull finds the hull of the normals flat; its message is kept in the error
+    angles = np.radians([0.0, 80.0, 170.0, 260.0])
+    flat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
+    with pytest.raises(errors.UnboundedRegionError) as err:
+        polytope.build_fan(flat, np.ones(4))
+    assert str(err.value).startswith(
+        "normals do not span 3-space; halfspace intersection is unbounded (QH")
+
+
+def test_huge_scale_is_a_degenerate_arrangement():
+    # the lifted dual points of a cube at h = 1e200 have coordinates of about
+    # 1e-200; Qhull's 4 x 4 determinants of them underflow to zero, so it
+    # finds the initial simplex flat
+    with pytest.raises(errors.StructuralError) as err:
+        polytope.build_fan(CUBE, np.full(6, 1e200))
+    assert str(err.value).startswith("degenerate halfspace arrangement (QH")
+
+
 def test_redundant_halfspace_lists_faces():
     # a seventh plane far outside the unit cube touches nothing
     normals = np.vstack([CUBE, [[0, 0, 1]]])
