@@ -1,6 +1,6 @@
 """Deformation spaces of convex bodies in support-number coordinates.
 
-Subpackages by geometry:
+Modules by geometry:
 
   * :mod:`mixedform.forms`    -- symmetric / trilinear / Hermitian forms,
     LAPACK eigenvalues, signatures, polarization, inequality residuals;

@@ -107,10 +107,10 @@ def _signature_report(module, name):
     return command
 
 
-def _inequality_report(module, check, sample, residual_label, pairs_label):
+def _inequality_report(check, sample, residual_label, pairs_label):
     """``check(fan, h, k, p)`` on --k (--p, default h), or on sampled pairs with p = h."""
     def command(args, fan, h):
-        tolerances = {"equality": module.EQUALITY_TOL, "witness": module.WITNESS_TOL}
+        tolerances = {"equality": forms.EQUALITY_TOL, "witness": forms.WITNESS_TOL}
         if args.k is not None:
             k = _parse_vector(args.k, len(h), "--k")
             p = h if getattr(args, "p", None) is None else _parse_vector(args.p, len(h), "--p")
@@ -329,7 +329,7 @@ COMMANDS = {
         "inertia of the area form", ("tol",), _signature_report(polygon, "area_form")),
     ("polygon", "minkowski"): (
         "mixed area inequality with witnesses", ("samples", "k"),
-        _inequality_report(polygon, lambda fan, h, k, p: polygon.minkowski_check(fan, h, k),
+        _inequality_report(lambda fan, h, k, p: polygon.minkowski_check(fan, h, k),
                            lambda fan, h, rng: polygon.sample_interior(fan, rng),
                            "mixed area inequality residual b(h,k)^2 - a(h)a(k)", "")),
     ("polygon", "embed"): ("vertex chart and its Hermitian area form", (), _polygon_embed),
@@ -345,8 +345,7 @@ COMMANDS = {
         _signature_report(polytope, "boundary_area_form")),
     ("polytope", "af-check"): (
         "mixed volume inequality with witnesses", ("samples", "k", "p"),
-        _inequality_report(polytope, lambda fan, h, k, p:
-                           polytope.alexandrov_fenchel_check(fan, h, k, p),
+        _inequality_report(lambda fan, h, k, p: polytope.alexandrov_fenchel_check(fan, h, k, p),
                            lambda fan, h, rng: polytope.sample_interior(fan, h, rng),
                            "v(h,k,p)^2 - v(h,h,p)v(k,k,p)", " against the reference body")),
     ("polytope", "measure"): ("first area measure on the sphere", (), _polytope_measure),

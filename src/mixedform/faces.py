@@ -44,6 +44,11 @@ SYMMETRY_TOL = 1e-10
 _PERMUTATIONS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
+def _clamp(x):
+    """x clamped to [-1, 1], the domain of acos."""
+    return min(1.0, max(-1.0, x))
+
+
 class FaceAssembly:
     """Per-directed-edge arrays of a fan and the face sums built from them.
 

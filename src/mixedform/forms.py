@@ -14,8 +14,11 @@ Generic machinery shared by the geometry modules:
   * Hermitian forms (area forms in complex unfolding coordinates);
   * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality, its
     equality witness h = h^x + lambda k (shared by the Minkowski and
-    Alexandrov-Fenchel checks), and the three-body A,B,C quadratic-in-lambda
-    argument, with the discriminant bound B^2 <= A*C.
+    Alexandrov-Fenchel checks, with their tolerances EQUALITY_TOL and
+    WITNESS_TOL), and the three-body A,B,C quadratic-in-lambda argument,
+    with the discriminant bound B^2 <= A*C;
+  * ``support_vector``, the length and finiteness check of a fan's support
+    vectors.
 
 Eigenvalues come from LAPACK's symmetric/Hermitian solvers (numpy
 ``eigvalsh``/``eigh``); Hermitian forms use the complex solver directly.
@@ -41,6 +44,9 @@ HOMOGENEITY_SAMPLES = 16
 HOMOGENEITY_FACTORS = (0.5, 2.0)
 HOMOGENEITY_TOL = 1e-8
 POLARIZE_CHECK_TOL = 1e-10
+# reversed Cauchy-Schwarz: relative equality threshold and witness fit bound
+EQUALITY_TOL = 1e-10
+WITNESS_TOL = 1e-7
 
 
 def _as_square_matrix(entries, what):
@@ -58,6 +64,16 @@ def _as_vector(h, dim, what):
         raise InvalidInput(f"{what}: expected a vector of length {dim}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{what}: vector must be finite")
+    return v
+
+
+def support_vector(h, n, what):
+    """``h`` as a finite float vector of length n; errors name ``what``."""
+    v = np.asarray(h, dtype=float)
+    if v.shape != (n,):
+        raise InvalidInput(f"{what}: expected a support vector of length {n}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInput(f"{what}: support vector must be finite")
     return v
 
 
@@ -81,27 +97,14 @@ def jacobi_eigenvalues(matrix, want_vectors=False):
 # SIGNATURE
 # =============================================================================
 
-class Signature:
+class Signature(namedtuple("Signature", ["positive", "zero", "negative"])):
     """Eigenvalue sign counts (positive, zero, negative) of a form."""
 
-    def __init__(self, positive, zero, negative, zero_threshold):
-        self.positive = int(positive)
-        self.zero = int(zero)
-        self.negative = int(negative)
-        self.zero_threshold = float(zero_threshold)
+    __slots__ = ()
 
     @property
     def as_tuple(self):
-        return (self.positive, self.zero, self.negative)
-
-    def __eq__(self, other):
-        if isinstance(other, Signature):
-            return self.as_tuple == other.as_tuple
-        return self.as_tuple == tuple(other)
-
-    def __repr__(self):
-        return (f"Signature(positive={self.positive}, zero={self.zero}, "
-                f"negative={self.negative})")
+        return tuple(self)
 
 
 def _signature_from_eigenvalues(vals, zero_threshold, dim):
@@ -112,16 +115,7 @@ def _signature_from_eigenvalues(vals, zero_threshold, dim):
     pos = int(np.sum(vals > tau))
     neg = int(np.sum(vals < -tau))
     zero = dim - pos - neg
-    return Signature(pos, zero, neg, zero_threshold)
-
-
-def signature(form, zero_threshold=DEFAULT_ZERO_THRESHOLD):
-    """Signature (positive, zero, negative) with a relative zero-threshold.
-
-    The threshold is tau = zero_threshold * spectral radius (absolute when
-    the form is identically zero).
-    """
-    return form.signature(zero_threshold)
+    return Signature(pos, zero, neg)
 
 
 # =============================================================================
@@ -162,9 +156,6 @@ class SymmetricForm:
         v = _as_vector(k, self.dim, "b")
         return float(u @ self._M @ v)
 
-    def __call__(self, h, k=None):
-        return self.q(h) if k is None else self.b(h, k)
-
     def eigenvalues(self):
         """Eigenvalues (ascending), computed once and cached."""
         if self._eigen is None:
@@ -188,21 +179,6 @@ class SymmetricForm:
         if B.ndim != 2 or B.shape[0] != self.dim:
             raise InvalidInput("restrict: basis must be dim x r")
         return SymmetricForm(B.T @ self._M @ B, symmetry_tol=1e-10)
-
-    def to_json_dict(self):
-        return {"dim": self.dim, "entries": self._M.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        try:
-            dim = int(data["dim"])
-            entries = data["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"SymmetricForm JSON: {exc}") from exc
-        form = cls(entries)
-        if form.dim != dim:
-            raise InvalidInput(f"SymmetricForm JSON: dim {dim} != matrix size {form.dim}")
-        return form
 
 
 class TrilinearForm:
@@ -252,21 +228,6 @@ class TrilinearForm:
         """The symmetric matrix of the bilinear form v(., ., p)."""
         c = _as_vector(p, self.dim, "contract")
         return SymmetricForm(np.einsum("ijk,k->ij", self._T, c), symmetry_tol=1e-10)
-
-    def to_json_dict(self):
-        return {"dim": self.dim, "entries": self._T.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        try:
-            dim = int(data["dim"])
-            entries = data["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"TrilinearForm JSON: {exc}") from exc
-        form = cls(entries)
-        if form.dim != dim:
-            raise InvalidInput(f"TrilinearForm JSON: dim {dim} != tensor size {form.dim}")
-        return form
 
 
 class HermitianForm:
@@ -320,20 +281,13 @@ class HermitianForm:
             raise InvalidInput("restrict: basis must be dim x r")
         return HermitianForm(B.conj().T @ self._M @ B, symmetry_tol=1e-10)
 
-    def to_json_dict(self):
-        re = self._M.real.tolist()
-        im = self._M.imag.tolist()
-        n = self.dim
-        return {"dim": n,
-                "entries": [[[re[i][j], im[i][j]] for j in range(n)] for i in range(n)]}
-
 
 # =============================================================================
 # POLARIZATION
 # =============================================================================
 
-def _check_homogeneity(values, dim, degree, rng, tol):
-    """Stochastic check |f(t h) - t^degree f(h)| <= tol * scale."""
+def _check_homogeneity(values, dim, degree, rng):
+    """Stochastic check |f(t h) - t^degree f(h)| <= HOMOGENEITY_TOL * scale."""
     for _ in range(HOMOGENEITY_SAMPLES):
         h = rng.standard_normal(dim)
         fh = float(values(h))
@@ -341,21 +295,21 @@ def _check_homogeneity(values, dim, degree, rng, tol):
             fth = float(values(t * h))
             expected = (t ** degree) * fh
             scale = max(1.0, abs(fh), abs(fth))
-            if abs(fth - expected) > tol * scale:
+            if abs(fth - expected) > HOMOGENEITY_TOL * scale:
                 raise ContractViolation(
                     f"evaluator is not homogeneous of degree {degree}: "
                     f"f({t}*h) = {fth:.6e}, expected {expected:.6e}")
 
 
-def polarize(q_values, dim, rng=None, homogeneity_tol=HOMOGENEITY_TOL):
+def polarize(q_values, dim):
     """Symmetric bilinear form of a homogeneous quadratic evaluator.
 
     b(e_i, e_j) = (q(e_i + e_j) - q(e_i) - q(e_j)) / 2.
     """
     if dim < 1:
         raise InvalidInput("polarize: dim must be positive")
-    rng = np.random.default_rng(0) if rng is None else rng
-    _check_homogeneity(q_values, dim, 2, rng, homogeneity_tol)
+    rng = np.random.default_rng(0)
+    _check_homogeneity(q_values, dim, 2, rng)
 
     eye = np.eye(dim)
     qe = np.array([float(q_values(eye[i])) for i in range(dim)])
@@ -379,7 +333,7 @@ def polarize(q_values, dim, rng=None, homogeneity_tol=HOMOGENEITY_TOL):
     return form
 
 
-def polarize_cubic(v_values, dim, rng=None, homogeneity_tol=HOMOGENEITY_TOL):
+def polarize_cubic(v_values, dim):
     """Symmetric trilinear form of a homogeneous cubic evaluator.
 
     Inclusion-exclusion:
@@ -388,8 +342,8 @@ def polarize_cubic(v_values, dim, rng=None, homogeneity_tol=HOMOGENEITY_TOL):
     """
     if dim < 1:
         raise InvalidInput("polarize_cubic: dim must be positive")
-    rng = np.random.default_rng(0) if rng is None else rng
-    _check_homogeneity(v_values, dim, 3, rng, homogeneity_tol)
+    rng = np.random.default_rng(0)
+    _check_homogeneity(v_values, dim, 3, rng)
 
     eye = np.eye(dim)
     cache = {}
@@ -447,27 +401,28 @@ InequalityResult = namedtuple("InequalityResult",
                               ["residual", "scale", "equality", "witness_x", "witness_lambda"])
 
 
-def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals, equality_tol, witness_tol):
+def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals):
     """Check b^2 >= q(h)q(k) and, at equality, find h = h^x + lambda k.
 
     ``b``, ``qh`` and ``qk`` are the mixed value and the two diagonal
     values of the form under test; ``normals`` (one row per coordinate)
     spans the translations h^x.  A negative residual below -1e-12 x scale
-    falsifies the inequality named ``name``; an equality case whose least
-    squares fit over (x, lambda) misses h by witness_tol x |h| or more
-    falsifies the equality-case theorem.
+    falsifies the inequality named ``name``; a residual up to EQUALITY_TOL x
+    scale is an equality case, and one whose least squares fit over
+    (x, lambda) misses h by WITNESS_TOL x |h| or more falsifies the
+    equality-case theorem.
     """
     residual = b * b - qh * qk
     scale = max(b * b, abs(qh * qk))
     if residual < -1e-12 * scale:
         raise InvariantFalsified(
             f"{name} inequality violated: residual {residual:.3e} at scale {scale:.3e}")
-    if residual > equality_tol * max(scale, 1e-300):
+    if residual > EQUALITY_TOL * max(scale, 1e-300):
         return InequalityResult(residual, scale, False, None, None)
     A = np.column_stack([normals, k])
     sol, *_ = np.linalg.lstsq(A, h, rcond=None)
     fit = float(np.linalg.norm(h - A @ sol))
-    if fit >= witness_tol * float(np.linalg.norm(h)):
+    if fit >= WITNESS_TOL * float(np.linalg.norm(h)):
         raise InvariantFalsified(
             f"equality case without translate+homothety witness (fit residual {fit:.3e})")
     return InequalityResult(residual, scale, True, np.array(sol[:-1]), float(sol[-1]))

@@ -46,8 +46,8 @@ from .errors import (
     InvalidInput,
     InvariantFalsified,
 )
-from .faces import FaceAssembly, locate
-from .forms import SymmetricForm
+from .faces import FaceAssembly, _clamp, locate
+from .forms import SymmetricForm, support_vector
 
 TWO_PI = 2.0 * math.pi
 PAIRING_TOL = 1e-9
@@ -152,13 +152,9 @@ class QuotientFan:
         self._covolume_form = None
         self._area_form = None
 
-    def _vector(self, h, what, positive=True):
-        v = np.asarray(h, dtype=float)
-        if v.shape != (self.m,):
-            raise InvalidInput(f"{what}: expected a support vector of length {self.m}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput(f"{what}: support vector must be finite")
-        if positive and np.any(v <= 0.0):
+    def _vector(self, h, what):
+        v = support_vector(h, self.m, what)
+        if np.any(v <= 0.0):
             raise DomainError(f"{what}: support numbers must be strictly positive")
         return v
 
@@ -324,31 +320,11 @@ def spherical_distance(fan, h, k):
     return float(math.acos(_clamp(arg)))
 
 
-def is_homothety_pair(fan, h, k, tol=HOMOTHETY_TOL):
-    """Whether k = lambda h within tol * ||k|| (lambda = b(h,k)/q(h))."""
+def is_homothety_pair(fan, h, k):
+    """Whether k = lambda h within HOMOTHETY_TOL * ||k|| (lambda = b(h,k)/q(h))."""
     u = fan._vector(h, "is_homothety_pair")
     v = fan._vector(k, "is_homothety_pair")
     form = fuchsian_area_form(fan)
     lam = form.b(u, v) / form.q(u)
-    return float(np.linalg.norm(v - lam * u)) <= tol * float(np.linalg.norm(v))
+    return float(np.linalg.norm(v - lam * u)) <= HOMOTHETY_TOL * float(np.linalg.norm(v))
 
-
-def _clamp(x):
-    return min(1.0, max(-1.0, x))
-
-
-class FuchsianSupport:
-    """A quotient fan with a positive support vector in its closed cone."""
-
-    def __init__(self, fan, h):
-        self.fan = fan
-        self.h = fan._vector(h, "FuchsianSupport")
-        self.membership = cone_membership(fan, self.h)
-        if self.membership.status == "outside":
-            raise DomainError(
-                f"support vector lies outside the cone: negative edges "
-                f"{self.membership.edges}")
-
-    @property
-    def interior(self):
-        return self.membership.status == "interior"

@@ -27,15 +27,16 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, InvalidInput, InvariantFalsified
-from .forms import HermitianForm, SymmetricForm, reversed_cauchy_schwarz_check
+from .forms import HermitianForm, SymmetricForm, reversed_cauchy_schwarz_check, support_vector
 
 TWO_PI = 2.0 * np.pi
 MEMBERSHIP_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 EMBED_AREA_TOL = 1e-12
-EQUALITY_TOL = 1e-10
-WITNESS_TOL = 1e-7
 ARCCOSH_SLACK = 1e-12
+SAMPLE_SPREAD = 0.5
+SAMPLE_MARGIN = 1e-6
+SAMPLE_SHRINKS = 80
 
 
 # =============================================================================
@@ -112,14 +113,6 @@ class NormalFan2D:
             self._L = L
         return self._L
 
-    def _vector(self, h, what):
-        v = np.asarray(h, dtype=float)
-        if v.shape != (self.n,):
-            raise InvalidInput(f"{what}: expected a support vector of length {self.n}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput(f"{what}: support vector must be finite")
-        return v
-
 
 ConeLocation = namedtuple("ConeLocation", ["status", "edges"])
 
@@ -130,7 +123,7 @@ ConeLocation = namedtuple("ConeLocation", ["status", "edges"])
 
 def edge_lengths(fan, h):
     """Side lengths l_i(h); linear in h, negative values allowed."""
-    return fan.length_matrix @ fan._vector(h, "edge_lengths")
+    return fan.length_matrix @ support_vector(h, fan.n, "edge_lengths")
 
 
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
@@ -140,7 +133,7 @@ def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     "boundary", "outside"; edges lists the degenerate (boundary) or
     violated (outside) side indices.
     """
-    v = fan._vector(h, "cone_membership")
+    v = support_vector(h, fan.n, "cone_membership")
     lengths = fan.length_matrix @ v
     tau = tol * float(np.linalg.norm(v))
     negative = np.flatnonzero(lengths < -tau)
@@ -173,7 +166,7 @@ def point_support_vector(fan, x):
 
 def vertices(fan, h):
     """Polygon vertices: vertex i is the meet of support lines i and i+1."""
-    v = fan._vector(h, "vertices")
+    v = support_vector(h, fan.n, "vertices")
     c = fan.normals[:, 0]
     s = fan.normals[:, 1]
     cn = np.roll(c, -1)
@@ -190,7 +183,7 @@ class PolygonSupport:
 
     def __init__(self, fan, h):
         self.fan = fan
-        self.h = fan._vector(h, "PolygonSupport")
+        self.h = support_vector(h, fan.n, "PolygonSupport")
         self.membership = cone_membership(fan, self.h)
         if self.membership.status == "outside":
             raise DomainError(
@@ -199,9 +192,6 @@ class PolygonSupport:
     @property
     def interior(self):
         return self.membership.status == "interior"
-
-    def edge_lengths(self):
-        return edge_lengths(self.fan, self.h)
 
     @classmethod
     def from_json_dict(cls, data):
@@ -220,7 +210,7 @@ class PolygonSupport:
 # MINKOWSKI INEQUALITY
 # =============================================================================
 
-def minkowski_check(fan, h, k, equality_tol=EQUALITY_TOL, witness_tol=WITNESS_TOL):
+def minkowski_check(fan, h, k):
     """Verify a(h,k)^2 >= a(h)a(k) and detect the equality case.
 
     Both vectors must lie in the closed cone with positive area.  When the
@@ -228,8 +218,8 @@ def minkowski_check(fan, h, k, equality_tol=EQUALITY_TOL, witness_tol=WITNESS_TO
     h = h^x + lambda k is recovered by least squares; an equality without a
     witness would falsify the equality-case theorem and raises.
     """
-    u = fan._vector(h, "minkowski_check")
-    v = fan._vector(k, "minkowski_check")
+    u = support_vector(h, fan.n, "minkowski_check")
+    v = support_vector(k, fan.n, "minkowski_check")
     for name, w in (("h", u), ("k", v)):
         if cone_membership(fan, w).status == "outside":
             raise DomainError(f"minkowski_check: {name} lies outside the closed cone")
@@ -238,8 +228,7 @@ def minkowski_check(fan, h, k, equality_tol=EQUALITY_TOL, witness_tol=WITNESS_TO
     qk = form.q(v)
     if qh <= 0.0 or qk <= 0.0:
         raise DomainError(f"minkowski_check: needs positive areas, got {qh:.3e}, {qk:.3e}")
-    return reversed_cauchy_schwarz_check("Minkowski", form.b(u, v), qh, qk, u, v,
-                                         fan.normals, equality_tol, witness_tol)
+    return reversed_cauchy_schwarz_check("Minkowski", form.b(u, v), qh, qk, u, v, fan.normals)
 
 
 def hyperbolic_distance(fan, h, k):
@@ -247,8 +236,8 @@ def hyperbolic_distance(fan, h, k):
 
     Well-defined by the Minkowski inequality; zero exactly at homotheties.
     """
-    u = fan._vector(h, "hyperbolic_distance")
-    v = fan._vector(k, "hyperbolic_distance")
+    u = support_vector(h, fan.n, "hyperbolic_distance")
+    v = support_vector(k, fan.n, "hyperbolic_distance")
     for name, w in (("h", u), ("k", v)):
         if cone_membership(fan, w).status != "interior":
             raise DomainError(f"hyperbolic_distance: {name} is not interior")
@@ -287,7 +276,7 @@ def double_chart_embedding(fan, h):
     Hermitian area of z reproduces the polygon area a(h); the double of the
     polygon (two copies glued along the boundary) has total area 2 a(h).
     """
-    u = fan._vector(h, "double_chart_embedding")
+    u = support_vector(h, fan.n, "double_chart_embedding")
     if cone_membership(fan, u).status != "interior":
         raise DomainError("double_chart_embedding: h is not interior")
     lengths = fan.length_matrix @ u
@@ -310,20 +299,22 @@ def double_chart_embedding(fan, h):
 # SAMPLING
 # =============================================================================
 
-def sample_interior(fan, rng, spread=0.5, margin=1e-6):
+def sample_interior(fan, rng):
     """Random interior support vector near h = 1 (which is always interior).
 
-    The perturbation is shrunk geometrically until every side length
-    clears a small positive margin, so the draw always succeeds.
+    The perturbation is halved until every side length clears
+    SAMPLE_MARGIN x max(1, |h|); a DomainError is raised when none of the
+    SAMPLE_SHRINKS sizes does (the fan has a side too short for the margin).
     """
     ones = np.ones(fan.n)
     delta = rng.standard_normal(fan.n)
     L = fan.length_matrix
-    s = spread
-    for _ in range(80):
+    s = SAMPLE_SPREAD
+    for _ in range(SAMPLE_SHRINKS):
         h = ones + s * delta
         lengths = L @ h
-        if np.min(lengths) > margin * max(1.0, float(np.linalg.norm(h))):
+        if np.min(lengths) > SAMPLE_MARGIN * max(1.0, float(np.linalg.norm(h))):
             return h
         s *= 0.5
-    return ones
+    raise DomainError(f"sample_interior: no draw clears the side margin {SAMPLE_MARGIN:g} "
+                      f"after {SAMPLE_SHRINKS} shrinks")

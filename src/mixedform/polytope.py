@@ -5,8 +5,9 @@ the class is the halfspace intersection { x : <x, u_i> <= h_i }.  The
 combinatorics (vertices, face cycles, adjacency) are computed from a
 reference h as the facets of a Qhull convex hull of the dual points
 u_i / (h_i - <u_i, x0>) around an interior point x0, with tolerances
-relative to the inradius (scipy's Qhull is loaded on the first
-``build_fan``, so the other modules never import scipy); the Gauss
+relative to the inradius; Qhull sees h / max|h|, so the construction works
+at any support scale (scipy's Qhull is loaded on the first ``build_fan``,
+so the other modules never import scipy); the Gauss
 image -- the tessellation of the unit sphere whose cell at a polytope
 vertex collects the normals of its faces -- is built alongside and must
 tile the full sphere.
@@ -48,49 +49,38 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .faces import FaceAssembly, locate
-from .forms import SymmetricForm, reversed_cauchy_schwarz_check
+from .faces import FaceAssembly, _clamp, locate
+from .forms import SymmetricForm, reversed_cauchy_schwarz_check, support_vector
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
 ACTIVE_TOL = 1e-8
 SPHERE_TILING_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-12
-EQUALITY_TOL = 1e-10
-WITNESS_TOL = 1e-7
 MAX_QUADRATURE_DEPTH = 10
-
-
-def _clamp(x):
-    return min(1.0, max(-1.0, x))
+SAMPLE_SPREAD = 0.25
+SAMPLE_MARGIN = 1e-9
+SAMPLE_SHRINKS = 60
 
 
 # =============================================================================
 # FAN CONSTRUCTION
 # =============================================================================
 
-class VertexCell:
-    """A polytope vertex with its Gauss-image cell (cyclic face list)."""
-
-    def __init__(self, faces, position, area):
-        self.faces = list(faces)          # cyclic, oriented outward-CCW
-        self.position = np.asarray(position, dtype=float)
-        self.area = float(area)           # spherical area of the cell
-
-    def __repr__(self):
-        return f"VertexCell(faces={self.faces}, area={self.area:.6f})"
+#: a polytope vertex: its Gauss-image cell (faces cyclic, outward-CCW), its
+#: position at the reference h and the cell's spherical area
+VertexCell = namedtuple("VertexCell", ["faces", "position", "area"])
 
 
 class PolytopeFan:
     """Combinatorics of a 3-polytope: normals, adjacency, per-face 2D fans."""
 
-    def __init__(self, normals, face_cycles, face_frames, face_fans, face_vertices,
+    def __init__(self, normals, face_cycles, face_fans, face_vertices,
                  vertex_cells, phi, reference_h):
         self.normals = normals
         self.m = normals.shape[0]
         #: per face, the cyclic list of neighboring face indices
         self.face_cycles = face_cycles
-        self.face_frames = face_frames
         #: per face, the induced NormalFan2D (indices aligned with face_cycles)
         self.face_fans = face_fans
         #: per face, the cyclic list of vertex ids (vertex k meets edge k)
@@ -124,17 +114,9 @@ class PolytopeFan:
         """Matrix S_i with h_{i.} = S_i h (rows follow face i's cycle)."""
         return self.assembly.support_map(i)
 
-    def _vector(self, h, what):
-        v = np.asarray(h, dtype=float)
-        if v.shape != (self.m,):
-            raise InvalidInput(f"{what}: expected a support vector of length {self.m}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput(f"{what}: support vector must be finite")
-        return v
-
     def vertex_positions(self, h):
         """Vertex coordinates for support vector h (least squares per vertex)."""
-        v = self._vector(h, "vertex_positions")
+        v = support_vector(h, self.m, "vertex_positions")
         out = np.empty((len(self.vertex_cells), 3))
         for idx, cell in enumerate(self.vertex_cells):
             U = self.normals[cell.faces]
@@ -147,7 +129,7 @@ class PolytopeFan:
     def edge_length(self, i, j, h):
         """Length of the polytope edge between adjacent faces i and j."""
         e = self.assembly.offsets[i] + self.face_cycles[i].index(j)
-        return float(self.assembly.lengths(self._vector(h, "edge_length"))[e])
+        return float(self.assembly.lengths(support_vector(h, self.m, "edge_length"))[e])
 
 
 def _hull_equations(points, error, message):
@@ -175,22 +157,13 @@ def _check_bounded(normals):
             "the halfspace intersection is unbounded")
 
 
-def _spherical_polygon_area(units):
-    """Area of a convex spherical polygon by angle excess."""
-    d = len(units)
-    total = 0.0
-    for k in range(d):
-        u = units[k]
-        prv = units[(k - 1) % d]
-        nxt = units[(k + 1) % d]
-        t1 = prv - np.dot(prv, u) * u
-        t2 = nxt - np.dot(nxt, u) * u
-        n1 = np.linalg.norm(t1)
-        n2 = np.linalg.norm(t2)
-        if n1 == 0.0 or n2 == 0.0:
-            raise StructuralError("degenerate Gauss cell: coincident normals")
-        total += math.acos(_clamp(float(np.dot(t1, t2)) / (n1 * n2)))
-    return total - (d - 2) * math.pi
+def _frame(u):
+    """Deterministic unit e1, e2 with (e1, e2, u) a right-handed frame (u a unit vector)."""
+    a = np.zeros(3)
+    a[int(np.argmin(np.abs(u)))] = 1.0
+    e1 = a - np.dot(a, u) * u
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(u, e1)
 
 
 def _dual_hull_vertices(A, b, center):
@@ -209,11 +182,13 @@ def _dual_hull_vertices(A, b, center):
 def build_fan(normals, h):
     """Extract the combinatorics of { x : <x, u_i> <= h_i }.
 
-    An interior point x0 and the inradius r come from the top vertex of
-    the lifted region { (x, rho) : <u_i, x> + rho <= h_i, rho >= rho_low },
-    found by Qhull on its dual points around the known interior point
-    (0, min h - max|h|).  The vertices are then the facets of the 3D hull
-    of the dual points u_i / (h_i - <u_i, x0>).  Every tolerance is
+    Both Qhull calls see the unit-scale g = h / max|h|.  An interior point
+    x0 and the inradius r come from the top vertex of the lifted region
+    { (x, rho) : <u_i, x> + rho <= g_i, rho >= rho_low }, found by Qhull on
+    its dual points around the known interior point (0, min g - 1).  The
+    vertices are then the facets of the 3D hull of the dual points
+    u_i / (g_i - <u_i, x0>); positions (and the inradius and slack that
+    error messages report) are scaled back by max|h|.  Every tolerance is
     relative to r, so the result does not change under scaling,
     translation, rotation or a permutation of the faces.  Facets with the
     same active-plane set merge into one vertex, which is how non-simple
@@ -248,33 +223,35 @@ def build_fan(normals, h):
     scale = float(np.max(np.abs(hv)))
     if scale == 0.0:
         raise StructuralError("h = 0: the region is a single point")
+    hn = hv / scale
 
     # ---- interior point and inradius: top vertex of the lifted region ----
-    rho_c = float(np.min(hv)) - scale
+    rho_c = float(np.min(hn)) - 1.0
     lift = _dual_hull_vertices(
         np.vstack([np.column_stack([U, np.ones(m)]), [0.0, 0.0, 0.0, -1.0]]),
-        np.append(hv, scale - rho_c),
+        np.append(hn, 1.0 - rho_c),
         np.array([0.0, 0.0, 0.0, rho_c]))
     top = lift[np.argmax(lift[:, 3])]
     x0, r = top[:3], float(top[3])
-    if r < -FEASIBILITY_TOL * scale:
+    if r < -FEASIBILITY_TOL:
         raise RedundancyError(list(range(m)), "no feasible vertices: empty region")
-    if r <= FEASIBILITY_TOL * scale:
-        raise StructuralError(f"region has no interior: inradius {r!r} at support scale {scale!r}")
+    if r <= FEASIBILITY_TOL:
+        raise StructuralError(
+            f"region has no interior: inradius {r * scale!r} at support scale {scale!r}")
 
     # ---- vertices: facets of the dual hull, merged by active-plane set ----
-    corners = _dual_hull_vertices(U, hv, x0)
-    slack = corners @ U.T - hv
+    corners = _dual_hull_vertices(U, hn, x0)
+    slack = corners @ U.T - hn
     if np.max(slack) > FEASIBILITY_TOL * r:
-        raise ConsistencyError(
-            f"dual-hull vertex violates a halfspace by {np.max(slack):.3e} (inradius {r:.3e})")
+        raise ConsistencyError(f"dual-hull vertex violates a halfspace by "
+                               f"{np.max(slack) * scale:.3e} (inradius {r * scale:.3e})")
     groups = {}
     for x, row in zip(corners, slack):
         groups.setdefault(tuple(np.flatnonzero(row >= -ACTIVE_TOL * r).tolist()), []).append(x)
     active_sets = sorted(groups)
     if any(len(active) < 3 for active in active_sets):
         raise StructuralError("vertex with fewer than 3 active planes")
-    positions = [np.mean(groups[active], axis=0) for active in active_sets]
+    positions = [scale * np.mean(groups[active], axis=0) for active in active_sets]
     active_sets = [set(active) for active in active_sets]
 
     face_to_vertices = [[] for _ in range(m)]
@@ -285,17 +262,7 @@ def build_fan(normals, h):
     if empty:
         raise RedundancyError(empty)
 
-    # ---- deterministic face frames: right-handed (e1, e2, u) ----
-    frames = []
-    for i in range(m):
-        u = U[i]
-        axis = int(np.argmin(np.abs(u)))
-        a = np.zeros(3)
-        a[axis] = 1.0
-        e1 = a - np.dot(a, u) * u
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(u, e1)
-        frames.append((e1, e2))
+    frames = [_frame(u) for u in U]
 
     # ---- face cycles (vertices CCW seen from outside) ----
     face_vertex_cycles = []
@@ -355,17 +322,12 @@ def build_fan(normals, h):
         nd = np.linalg.norm(d)
         if nd == 0.0:
             raise StructuralError(f"vertex {vid}: normals average to zero")
-        d /= nd
-        axis = int(np.argmin(np.abs(d)))
-        a = np.zeros(3)
-        a[axis] = 1.0
-        f1 = a - np.dot(a, d) * d
-        f1 /= np.linalg.norm(f1)
-        f2 = np.cross(d, f1)
+        f1, f2 = _frame(d / nd)
         ang = [math.atan2(float(np.dot(U[f], f2)), float(np.dot(U[f], f1))) for f in faces]
         order = np.argsort(ang)
         cyc = [faces[o] for o in order]
-        area = _spherical_polygon_area([U[f] for f in cyc])
+        fan_triangles = [[cyc[0], cyc[k], cyc[k + 1]] for k in range(1, len(cyc) - 1)]
+        area = float(np.sum(_spherical_triangle_areas(U[fan_triangles])))
         cells.append(VertexCell(cyc, positions[vid], area))
         total_area += area
     if abs(total_area - 4.0 * math.pi) > SPHERE_TILING_TOL:
@@ -373,9 +335,7 @@ def build_fan(normals, h):
             f"Gauss image does not tile the sphere: total cell area {total_area!r}")
 
     U.setflags(write=False)
-    fan = PolytopeFan(U, face_cycles, frames, face_fans, face_vertex_cycles,
-                      cells, phi, hv.copy())
-    return fan
+    return PolytopeFan(U, face_cycles, face_fans, face_vertex_cycles, cells, phi, hv.copy())
 
 
 # =============================================================================
@@ -386,7 +346,7 @@ def face_support_numbers(fan, h, i):
     """In-plane support numbers h_{i.} of face i (cycle order)."""
     if not (0 <= i < fan.m):
         raise InvalidInput(f"face_support_numbers: no face {i}")
-    return fan.support_map(i) @ fan._vector(h, "face_support_numbers")
+    return fan.support_map(i) @ support_vector(h, fan.m, "face_support_numbers")
 
 
 def point_support_vector(fan, x):
@@ -399,7 +359,7 @@ def point_support_vector(fan, x):
 
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     """Classify h by the signs of all edge lengths l_ij(h), each edge once as i < j."""
-    v = fan._vector(h, "cone_membership")
+    v = support_vector(h, fan.m, "cone_membership")
     F = fan.assembly
     edges = fan._edges
     return locate(F.lengths(v)[edges], tol * float(np.linalg.norm(v)),
@@ -408,7 +368,7 @@ def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
 
 def volume(fan, h):
     """v(h) = (1/3) sum_i h_i a_i(h_{i.}) -- the Euclidean volume on the cone."""
-    return float(fan.assembly.cubic(fan._vector(h, "volume")))
+    return float(fan.assembly.cubic(support_vector(h, fan.m, "volume")))
 
 
 def volume_form(fan):
@@ -453,21 +413,20 @@ def boundary_area_form(fan):
 # ALEXANDROV-FENCHEL
 # =============================================================================
 
-def alexandrov_fenchel_check(fan, h, k, p, equality_tol=EQUALITY_TOL, witness_tol=WITNESS_TOL):
+def alexandrov_fenchel_check(fan, h, k, p):
     """Verify v(h,k,p)^2 >= v(h,h,p) v(k,k,p) and detect equality.
 
     p must lie in the closed cone.  In the equality case the witness
     h = h^x + lambda k is recovered over (x, lambda) by least squares.
     """
-    hv = fan._vector(h, "alexandrov_fenchel_check")
-    kv = fan._vector(k, "alexandrov_fenchel_check")
-    pv = fan._vector(p, "alexandrov_fenchel_check")
+    hv = support_vector(h, fan.m, "alexandrov_fenchel_check")
+    kv = support_vector(k, fan.m, "alexandrov_fenchel_check")
+    pv = support_vector(p, fan.m, "alexandrov_fenchel_check")
     if cone_membership(fan, pv).status == "outside":
         raise DomainError("alexandrov_fenchel_check: p lies outside the closed cone")
     T = volume_form(fan)
     return reversed_cauchy_schwarz_check("Alexandrov-Fenchel", T.v(hv, kv, pv), T.v(hv, hv, pv),
-                                         T.v(kv, kv, pv), hv, kv, fan.normals,
-                                         equality_tol, witness_tol)
+                                         T.v(kv, kv, pv), hv, kv, fan.normals)
 
 
 # =============================================================================
@@ -485,7 +444,7 @@ def first_area_measure(fan, h):
     (spherical length phi_ij) weighted by the edge length l_ij(h).  The
     weighted total sum l_ij * phi_ij (total mean curvature) is informational.
     """
-    v = fan._vector(h, "first_area_measure")
+    v = support_vector(h, fan.m, "first_area_measure")
     if cone_membership(fan, v).status == "outside":
         raise DomainError("first_area_measure: h lies outside the closed cone")
     F = fan.assembly
@@ -543,7 +502,7 @@ def area_via_sphere_integral(fan, h, depth):
     depth = int(depth)
     if not (0 <= depth <= MAX_QUADRATURE_DEPTH):
         raise InvalidInput(f"depth must be in [0, {MAX_QUADRATURE_DEPTH}]")
-    v = fan._vector(h, "area_via_sphere_integral")
+    v = support_vector(h, fan.m, "area_via_sphere_integral")
     positions = fan.vertex_positions(v)
 
     total = 0.0
@@ -580,7 +539,7 @@ def boundary_metric(fan, h):
     corners carry the polytope vertex ids as labels.  The cone curvature at
     a vertex equals the spherical area of its Gauss cell.
     """
-    v = fan._vector(h, "boundary_metric")
+    v = support_vector(h, fan.m, "boundary_metric")
     if cone_membership(fan, v).status != "interior":
         raise DomainError("boundary_metric: h is not interior")
     positions = fan.vertex_positions(v)
@@ -596,22 +555,25 @@ def boundary_metric(fan, h):
 # SAMPLING AND INPUT
 # =============================================================================
 
-def sample_interior(fan, reference, rng, spread=0.25, margin=1e-9):
+def sample_interior(fan, reference, rng):
     """Random support vector near an interior ``reference``.
 
-    Multiplicative perturbation, shrunk geometrically until the candidate
-    clears the cone interior with a positive margin; always succeeds.
+    Multiplicative perturbation, halved until the candidate is interior at
+    the membership tolerance SAMPLE_MARGIN; a DomainError is raised when
+    none of the SAMPLE_SHRINKS sizes is (the reference is too close to the
+    cone's boundary for the margin).
     """
-    base = fan._vector(reference, "sample_interior")
+    base = support_vector(reference, fan.m, "sample_interior")
     if cone_membership(fan, base).status != "interior":
         raise DomainError("sample_interior: reference must be interior")
-    s = spread
-    for _ in range(60):
+    s = SAMPLE_SPREAD
+    for _ in range(SAMPLE_SHRINKS):
         cand = base * (1.0 + s * rng.uniform(-1.0, 1.0, fan.m))
-        if cone_membership(fan, cand, tol=margin).status == "interior":
+        if cone_membership(fan, cand, tol=SAMPLE_MARGIN).status == "interior":
             return cand
         s *= 0.5
-    return base.copy()
+    raise DomainError(f"sample_interior: no draw clears the cone margin {SAMPLE_MARGIN:g} "
+                      f"after {SAMPLE_SHRINKS} shrinks")
 
 
 def fan_from_json_dict(data):

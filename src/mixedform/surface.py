@@ -21,6 +21,7 @@ This changes the triangulation but not the metric.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -200,19 +201,9 @@ def mesh_from_indexed_triangles(points, triangles):
 # CONE DATA
 # =============================================================================
 
-class ConeData:
-    """Cone angles and curvatures per vertex, genus, singularity count."""
-
-    def __init__(self, cone_angles, curvatures, genus, n_singular, gauss_bonnet_defect):
-        self.cone_angles = np.asarray(cone_angles, dtype=float)
-        self.curvatures = np.asarray(curvatures, dtype=float)
-        self.genus = int(genus)
-        self.n_singular = int(n_singular)
-        self.gauss_bonnet_defect = float(gauss_bonnet_defect)
-
-    def __repr__(self):
-        return (f"ConeData(genus={self.genus}, n_singular={self.n_singular}, "
-                f"total_curvature={self.curvatures.sum():.6f})")
+#: cone angles and curvatures per vertex, genus, singularity count, Gauss-Bonnet defect
+ConeData = namedtuple("ConeData", ["cone_angles", "curvatures", "genus", "n_singular",
+                                   "gauss_bonnet_defect"])
 
 
 def cone_data(mesh):

@@ -116,8 +116,6 @@ def test_q_b_polarization_identity():
     lhs = form.b(h, k)
     rhs = 0.5 * (form.q(h + k) - form.q(h) - form.q(k))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-    assert form(h) == form.q(h)
-    assert form(h, k) == form.b(h, k)
 
 
 def test_kernel_of_rank_deficient_form():
@@ -133,12 +131,6 @@ def test_restrict_diag():
     form = forms.SymmetricForm(np.diag([1.0, 2.0, 3.0]))
     sub = form.restrict(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     assert np.allclose(sub.entries, np.diag([1.0, 3.0]))
-
-
-def test_symmetric_form_json_roundtrip():
-    form = forms.SymmetricForm([[2.0, -1.0], [-1.0, 2.0]])
-    again = forms.SymmetricForm.from_json_dict(form.to_json_dict())
-    assert np.array_equal(form.entries, again.entries)
 
 
 # =============================================================================
@@ -277,14 +269,14 @@ def test_reversed_cauchy_schwarz_check_paths():
     k = np.ones(4)
     check = forms.reversed_cauchy_schwarz_check
     with pytest.raises(errors.InvariantFalsified, match="Minkowski inequality violated"):
-        check("Minkowski", 1.0, 2.0, 2.0, k, k, normals, 1e-10, 1e-7)
-    assert check("X", 3.0, 2.0, 2.0, k, k, normals, 1e-10, 1e-7) == (5.0, 9.0, False, None, None)
+        check("Minkowski", 1.0, 2.0, 2.0, k, k, normals)
+    assert check("X", 3.0, 2.0, 2.0, k, k, normals) == (5.0, 9.0, False, None, None)
     h = 2.0 * k + normals @ np.array([0.3, -0.1])
-    res = check("X", 2.0, 2.0, 2.0, h, k, normals, 1e-10, 1e-7)
+    res = check("X", 2.0, 2.0, 2.0, h, k, normals)
     assert res.equality and res.witness_lambda == pytest.approx(2.0)
     assert np.allclose(res.witness_x, [0.3, -0.1])
     with pytest.raises(errors.InvariantFalsified, match="without translate"):
-        check("X", 2.0, 2.0, 2.0, np.array([1.0, 0.0, 0.0, 0.0]), k, normals, 1e-10, 1e-7)
+        check("X", 2.0, 2.0, 2.0, np.array([1.0, 0.0, 0.0, 0.0]), k, normals)
 
 
 def test_abc_residuals_discriminant_bound():

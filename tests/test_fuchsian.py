@@ -178,9 +178,6 @@ def test_support_outside_cone(base_fan, base_interior):
             lo = mid
     bad[0] = base_interior[0] * (hi + 0.5)
     assert fuchsian.cone_membership(base_fan, bad).status == "outside"
-    with pytest.raises(errors.DomainError):
-        fuchsian.FuchsianSupport(base_fan, bad)
-    assert fuchsian.FuchsianSupport(base_fan, base_interior).interior
 
 
 def test_subdivided_fan_shape():

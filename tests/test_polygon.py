@@ -153,6 +153,13 @@ def test_polygon_support_rejects_outside():
         polygon.PolygonSupport(fan, [1.0, -5.0, 1.0, 1.0])
 
 
+def test_sampler_raises_when_no_draw_clears_the_margin():
+    # two sides of about 1e-7 even at h = 1, below the 1e-6 side margin
+    fan = polygon.NormalFan2D([0.0, 1e-7, 2e-7, 2.1, 4.2])
+    with pytest.raises(errors.DomainError, match="margin 1e-06 after 80 shrinks"):
+        polygon.sample_interior(fan, np.random.default_rng(1))
+
+
 @settings(max_examples=50, deadline=None)
 @given(fan_and_interior_h())
 def test_sampled_vectors_are_interior(pair):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 import geomfix
-from mixedform import errors, forms, polytope, surface
+from mixedform import cli, errors, forms, polytope, surface
 
 CUBE = geomfix.CUBE_NORMALS
 OCTA = geomfix.OCTAHEDRON_NORMALS
@@ -78,13 +79,21 @@ def test_coplanar_normals_raise_with_qhull_message():
         "normals do not span 3-space; halfspace intersection is unbounded (QH")
 
 
-def test_huge_scale_is_a_degenerate_arrangement():
-    # the lifted dual points of a cube at h = 1e200 have coordinates of about
-    # 1e-200; Qhull's 4 x 4 determinants of them underflow to zero, so it
-    # finds the initial simplex flat
-    with pytest.raises(errors.StructuralError) as err:
-        polytope.build_fan(CUBE, np.full(6, 1e200))
-    assert str(err.value).startswith("degenerate halfspace arrangement (QH")
+def test_cube_builds_at_extreme_scales(cube_fan, tmp_path, capsys):
+    # Qhull sees h / max|h|: at h = 1e200 the lifted dual points used to be
+    # about 1e-200 (a flat initial simplex), and from 1e-105 down they were
+    # NaN, which escaped as a bare ValueError
+    for s in (1e-120, 1e-105, 1e85, 1e200):
+        fan = polytope.build_fan(CUBE, np.full(6, s))
+        assert fan.metadata == cube_fan.metadata
+        assert fan.face_cycles == cube_fan.face_cycles
+    path = tmp_path / "tiny_cube.json"
+    path.write_text(json.dumps({"normals": CUBE.tolist(), "h": [1e-120] * 6}))
+    assert cli.main(["polytope", "build", str(path), "--json"]) == 0
+    capsys.readouterr()
+    # the slab 1 <= x <= 1 at the largest finite scale: a typed error
+    with pytest.raises(errors.StructuralError, match="region has no interior"):
+        polytope.build_fan(CUBE, [1e308, -1e308, 1.0, 1.0, 1.0, 1.0])
 
 
 def test_redundant_halfspace_lists_faces():
@@ -193,7 +202,7 @@ def _same_cycle(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=6, max_value=30), st.floats(min_value=-12.0, max_value=12.0),
+@given(st.integers(min_value=6, max_value=30), st.floats(min_value=-100.0, max_value=100.0),
        st.floats(min_value=0.0, max_value=3.0), st.integers(min_value=0, max_value=2**31))
 def test_build_fan_invariance(m, log_scale, shift, seed):
     # scale, translate (shift > 1 puts the origin outside), permute, rotate
@@ -366,6 +375,26 @@ def test_af_mixed_point_body_vanishes(cube_fan):
         k = polytope.sample_interior(cube_fan, np.ones(6), rng)
         p = polytope.sample_interior(cube_fan, np.ones(6), rng)
         assert abs(T.v(hx, k, p)) < 1e-12
+
+
+class _PushCutOutward:
+    """An rng whose perturbation raises only the support number of face 6."""
+
+    def uniform(self, low, high, size):
+        return np.eye(size)[6]
+
+
+def test_sampler_raises_when_no_draw_clears_the_margin():
+    # a cube with one corner cut: at cut support sqrt(3) - 1e-10 the cut
+    # triangle's sides are about 1e-10, interior at the membership tolerance
+    # 1e-12 but not at the sampler's margin 1e-9; pushing the cut outward
+    # only shrinks them, so no draw is accepted
+    normals = np.vstack([CUBE, np.ones(3) / math.sqrt(3.0)])
+    fan = polytope.build_fan(normals, np.append(np.ones(6), math.sqrt(3.0) - 1e-3))
+    reference = np.append(np.ones(6), math.sqrt(3.0) - 1e-10)
+    assert polytope.cone_membership(fan, reference).status == "interior"
+    with pytest.raises(errors.DomainError, match="margin 1e-09 after 60 shrinks"):
+        polytope.sample_interior(fan, reference, _PushCutOutward())
 
 
 def test_af_rejects_outside_reference(cube_fan):
