@@ -399,7 +399,10 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         data, digest = _load_json(args.file)
-        fan, h = LOADERS[args.family][1](data)
+        try:
+            fan, h = LOADERS[args.family][1](data)
+        except (TypeError, ValueError) as exc:      # a JSON value of the wrong type
+            raise InvalidInput(f"{args.file}: wrongly typed value: {exc}") from exc
         results, tolerances, lines = COMMANDS[args.family, args.op][2](args, fan, h)
     except InvariantFalsified as exc:
         print(f"mixedform: invariant falsified: {exc}", file=sys.stderr)

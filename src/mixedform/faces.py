@@ -151,6 +151,7 @@ class FaceAssembly:
         _, values, face, cell = self._slices
         return np.bincount(cell, weights=values * w[face], minlength=m * m).reshape(m, m)
 
+    @cached_property
     def trilinear_form(self):
         """The symmetrized mixed form, once the raw slices pass their symmetry check.
 
@@ -212,6 +213,17 @@ class FaceTrilinearForm:
         R = F.jacobian(F.lengths(c)) / 6.0
         P = F.gram_sum(c) / 3.0
         return SymmetricForm((R + R.T + P) / 3.0, symmetry_tol=1e-10)
+
+
+def agreeing_form(M, reference, what):
+    """SymmetricForm(M), once M agrees entrywise with ``reference`` (the same matrix
+    as k v(., ., p)) within 1e-10 * max(1, max |M|); ``what`` names both routes."""
+    scale = max(1.0, float(np.max(np.abs(M))))
+    defect = float(np.max(np.abs(M - reference)))
+    if defect > 1e-10 * scale:
+        raise ConsistencyError(
+            f"{what} disagree: entrywise defect {defect:.3e} at scale {scale:.3e}")
+    return SymmetricForm(M, symmetry_tol=1e-10)
 
 
 def locate(lengths, tau, first, second):

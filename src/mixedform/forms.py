@@ -11,7 +11,8 @@ Generic machinery shared by the geometry modules:
     the geometry modules evaluate their mixed volumes face by face
     (``mixedform.faces``), and the dense n^3 form serves ``polarize_cubic``
     and the tests as an independent reference;
-  * Hermitian forms (area forms in complex unfolding coordinates);
+  * Hermitian forms (area forms in complex unfolding coordinates): a
+    ``SymmetricForm`` over complex entries, q(z) = z*Mz, b(z,w) = Re z*Mw;
   * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality, its
     equality witness h = h^x + lambda k (shared by the Minkowski and
     Alexandrov-Fenchel checks, with their tolerances EQUALITY_TOL and
@@ -21,7 +22,7 @@ Generic machinery shared by the geometry modules:
     vectors.
 
 Eigenvalues come from LAPACK's symmetric/Hermitian solvers (numpy
-``eigvalsh``/``eigh``); Hermitian forms use the complex solver directly.
+``eigvalsh``/``eigh``); a complex matrix goes to the complex solver.
 The signature zero-threshold is *relative* to the spectral radius: the
 kernels that occur (translation vectors) are exact in theory but the
 computed eigenvalues carry O(eps * ||M||) noise.
@@ -49,8 +50,8 @@ EQUALITY_TOL = 1e-10
 WITNESS_TOL = 1e-7
 
 
-def _as_square_matrix(entries, what):
-    M = np.asarray(entries, dtype=float)
+def _as_square_matrix(entries, what, dtype=float):
+    M = np.asarray(entries, dtype=dtype)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInput(f"{what}: expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -58,8 +59,8 @@ def _as_square_matrix(entries, what):
     return M
 
 
-def _as_vector(h, dim, what):
-    v = np.asarray(h, dtype=float)
+def _as_vector(h, dim, what, dtype=float):
+    v = np.asarray(h, dtype=dtype)
     if v.shape != (dim,):
         raise InvalidInput(f"{what}: expected a vector of length {dim}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -82,14 +83,15 @@ def support_vector(h, n, what):
 # =============================================================================
 
 def jacobi_eigenvalues(matrix, want_vectors=False):
-    """Eigenvalues of a real symmetric matrix, by LAPACK (``eigvalsh``/``eigh``).
+    """Eigenvalues of a real symmetric or complex Hermitian matrix, by LAPACK.
 
     Returns eigenvalues sorted ascending; with ``want_vectors=True`` returns
     ``(values, vectors)`` where column j of ``vectors`` is the eigenvector
     of ``values[j]``.  Only the lower triangle is read.  The name predates
     the switch from cyclic Jacobi rotations and is kept for callers.
     """
-    M = _as_square_matrix(matrix, "jacobi_eigenvalues")
+    M = _as_square_matrix(matrix, "jacobi_eigenvalues",
+                          complex if np.iscomplexobj(matrix) else float)
     return np.linalg.eigh(M) if want_vectors else np.linalg.eigvalsh(M)
 
 
@@ -107,15 +109,12 @@ class Signature(namedtuple("Signature", ["positive", "zero", "negative"])):
         return tuple(self)
 
 
-def _signature_from_eigenvalues(vals, zero_threshold, dim):
+def _zero_tau(vals, zero_threshold):
+    """Absolute zero threshold tau: ``zero_threshold`` x the spectral radius of ``vals``."""
     if not (0.0 < zero_threshold < 1.0):
         raise InvalidInput("zero_threshold must lie strictly between 0 and 1")
     radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    tau = zero_threshold * radius if radius > 0.0 else zero_threshold
-    pos = int(np.sum(vals > tau))
-    neg = int(np.sum(vals < -tau))
-    zero = dim - pos - neg
-    return Signature(pos, zero, neg)
+    return zero_threshold * radius if radius > 0.0 else zero_threshold
 
 
 # =============================================================================
@@ -123,17 +122,19 @@ def _signature_from_eigenvalues(vals, zero_threshold, dim):
 # =============================================================================
 
 class SymmetricForm:
-    """Dense real symmetric bilinear form q(h) = h' M h."""
+    """Dense symmetric form q(h) = h* M h (* the conjugate transpose) over ``dtype`` entries."""
+
+    dtype = float
 
     def __init__(self, entries, symmetry_tol=1e-12):
-        M = _as_square_matrix(entries, "SymmetricForm")
+        M = _as_square_matrix(entries, type(self).__name__, self.dtype)
         scale = float(np.max(np.abs(M))) if M.size else 0.0
-        defect = float(np.max(np.abs(M - M.T))) if M.size else 0.0
+        defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
         if defect > symmetry_tol * max(scale, 1.0):
             raise ConsistencyError(
                 f"matrix is not symmetric: max asymmetry {defect:.3e} "
                 f"exceeds {symmetry_tol:.1e} x scale {scale:.3e}")
-        self._M = 0.5 * (M + M.T)
+        self._M = 0.5 * (M + M.conj().T)
         self._M.setflags(write=False)
         self._eigen = None
 
@@ -146,15 +147,15 @@ class SymmetricForm:
         return self._M
 
     def q(self, h):
-        """Quadratic evaluation q(h)."""
-        v = _as_vector(h, self.dim, "q")
-        return float(v @ self._M @ v)
+        """Quadratic evaluation q(h) (real-valued)."""
+        v = _as_vector(h, self.dim, "q", self.dtype)
+        return float(((v.conj() @ self._M) @ v).real)
 
     def b(self, h, k):
-        """Bilinear evaluation b(h, k)."""
-        u = _as_vector(h, self.dim, "b")
-        v = _as_vector(k, self.dim, "b")
-        return float(u @ self._M @ v)
+        """Bilinear evaluation b(h, k) = Re h* M k, the polarization of q."""
+        u = _as_vector(h, self.dim, "b", self.dtype)
+        v = _as_vector(k, self.dim, "b", self.dtype)
+        return float(((u.conj() @ self._M) @ v).real)
 
     def eigenvalues(self):
         """Eigenvalues (ascending), computed once and cached."""
@@ -163,22 +164,23 @@ class SymmetricForm:
         return self._eigen
 
     def signature(self, zero_threshold=DEFAULT_ZERO_THRESHOLD):
-        return _signature_from_eigenvalues(self.eigenvalues(), zero_threshold, self.dim)
+        vals = self.eigenvalues()
+        tau = _zero_tau(vals, zero_threshold)
+        pos = int(np.sum(vals > tau))
+        neg = int(np.sum(vals < -tau))
+        return Signature(pos, self.dim - pos - neg, neg)
 
     def kernel(self, zero_threshold=DEFAULT_ZERO_THRESHOLD):
         """Orthonormal basis (columns) of the numerical kernel."""
         vals, vecs = jacobi_eigenvalues(self._M, want_vectors=True)
-        radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        tau = zero_threshold * radius if radius > 0.0 else zero_threshold
-        keep = np.abs(vals) <= tau
-        return vecs[:, keep]
+        return vecs[:, np.abs(vals) <= _zero_tau(vals, zero_threshold)]
 
     def restrict(self, basis):
-        """Restriction B' M B to the column span of ``basis``."""
-        B = np.asarray(basis, dtype=float)
+        """Restriction B* M B to the column span of ``basis``, of the same type."""
+        B = np.asarray(basis, dtype=self.dtype)
         if B.ndim != 2 or B.shape[0] != self.dim:
             raise InvalidInput("restrict: basis must be dim x r")
-        return SymmetricForm(B.T @ self._M @ B, symmetry_tol=1e-10)
+        return type(self)(B.conj().T @ self._M @ B, symmetry_tol=1e-10)
 
 
 class TrilinearForm:
@@ -230,56 +232,10 @@ class TrilinearForm:
         return SymmetricForm(np.einsum("ijk,k->ij", self._T, c), symmetry_tol=1e-10)
 
 
-class HermitianForm:
+class HermitianForm(SymmetricForm):
     """Dense Hermitian form q(z) = z* M z (always real-valued)."""
 
-    def __init__(self, entries, symmetry_tol=1e-12):
-        M = np.asarray(entries, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InvalidInput(f"HermitianForm: expected a square matrix, got {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise InvalidInput("HermitianForm: entries must be finite")
-        scale = float(np.max(np.abs(M))) if M.size else 0.0
-        defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-        if defect > symmetry_tol * max(scale, 1.0):
-            raise ConsistencyError(
-                f"matrix is not Hermitian: max defect {defect:.3e} "
-                f"exceeds {symmetry_tol:.1e} x scale {scale:.3e}")
-        self._M = 0.5 * (M + M.conj().T)
-        self._M.setflags(write=False)
-        self._eigen = None
-
-    @property
-    def dim(self):
-        return self._M.shape[0]
-
-    @property
-    def entries(self):
-        return self._M
-
-    def q(self, z):
-        """Real value z* M z."""
-        v = np.asarray(z, dtype=complex)
-        if v.shape != (self.dim,):
-            raise InvalidInput(f"q: expected a vector of length {self.dim}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput("q: vector must be finite")
-        return float((v.conj() @ self._M @ v).real)
-
-    def eigenvalues(self):
-        if self._eigen is None:
-            self._eigen = np.linalg.eigvalsh(self._M)
-        return self._eigen
-
-    def signature(self, zero_threshold=DEFAULT_ZERO_THRESHOLD):
-        return _signature_from_eigenvalues(self.eigenvalues(), zero_threshold, self.dim)
-
-    def restrict(self, basis):
-        """Restriction B* M B to the column span of ``basis``."""
-        B = np.asarray(basis, dtype=complex)
-        if B.ndim != 2 or B.shape[0] != self.dim:
-            raise InvalidInput("restrict: basis must be dim x r")
-        return HermitianForm(B.conj().T @ self._M @ B, symmetry_tol=1e-10)
+    dtype = complex
 
 
 # =============================================================================
@@ -299,6 +255,16 @@ def _check_homogeneity(values, dim, degree, rng):
                 raise ContractViolation(
                     f"evaluator is not homogeneous of degree {degree}: "
                     f"f({t}*h) = {fth:.6e}, expected {expected:.6e}")
+
+
+def _check_reproduces(values, through_form, dim, rng, what):
+    """Stochastic check |values(h) - through_form(h)| <= POLARIZE_CHECK_TOL * scale."""
+    for _ in range(HOMOGENEITY_SAMPLES):
+        h = rng.standard_normal(dim)
+        direct = float(values(h))
+        through = through_form(h)
+        if abs(direct - through) > POLARIZE_CHECK_TOL * max(abs(direct), abs(through), 1.0):
+            raise ContractViolation(f"polarized {what}: {through:.6e} vs {direct:.6e}")
 
 
 def polarize(q_values, dim):
@@ -321,15 +287,7 @@ def polarize(q_values, dim):
             M[i, j] = bij
             M[j, i] = bij
     form = SymmetricForm(M)
-
-    for _ in range(HOMOGENEITY_SAMPLES):
-        h = rng.standard_normal(dim)
-        direct = float(q_values(h))
-        through = form.q(h)
-        scale = max(abs(direct), abs(through), 1e-300)
-        if abs(direct - through) > POLARIZE_CHECK_TOL * max(scale, 1.0):
-            raise ContractViolation(
-                f"polarized form does not reproduce q: {through:.6e} vs {direct:.6e}")
+    _check_reproduces(q_values, form.q, dim, rng, "form does not reproduce q")
     return form
 
 
@@ -364,15 +322,7 @@ def polarize_cubic(v_values, dim):
                                 (j, k, i), (k, i, j), (k, j, i)):
                     T[a, b, c] = val
     form = TrilinearForm(T)
-
-    for _ in range(HOMOGENEITY_SAMPLES):
-        h = rng.standard_normal(dim)
-        direct = float(v_values(h))
-        through = form.diagonal(h)
-        scale = max(abs(direct), abs(through), 1e-300)
-        if abs(direct - through) > POLARIZE_CHECK_TOL * max(scale, 1.0):
-            raise ContractViolation(
-                f"polarized tensor does not reproduce v: {through:.6e} vs {direct:.6e}")
+    _check_reproduces(v_values, form.diagonal, dim, rng, "tensor does not reproduce v")
     return form
 
 

@@ -46,8 +46,8 @@ from .errors import (
     InvalidInput,
     InvariantFalsified,
 )
-from .faces import FaceAssembly, _clamp, locate
-from .forms import SymmetricForm, support_vector
+from .faces import FaceAssembly, _clamp, agreeing_form, locate
+from .forms import support_vector
 
 TWO_PI = 2.0 * math.pi
 PAIRING_TOL = 1e-9
@@ -149,7 +149,6 @@ class QuotientFan:
         self.assembly = FaceAssembly(self.face_fans, [e.to for e in entries],
                                      [math.cosh(e.phi) / math.sinh(e.phi) for e in entries],
                                      [-1.0 / math.sinh(e.phi) for e in entries])
-        self._covolume_form = None
         self._area_form = None
 
     def _vector(self, h, what):
@@ -157,10 +156,6 @@ class QuotientFan:
         if np.any(v <= 0.0):
             raise DomainError(f"{what}: support numbers must be strictly positive")
         return v
-
-    def support_map(self, i):
-        """Matrix S_i with h_{i.} = S_i h (rows follow face i's entries)."""
-        return self.assembly.support_map(i)
 
     def to_json_dict(self, h=None):
         data = {
@@ -183,7 +178,7 @@ class QuotientFan:
                      for f in data["faces"]]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"fuchsian JSON needs 'genus' and 'faces': {exc}") from exc
-        return cls(faces, int(genus), vertices=data.get("vertices"))
+        return cls(faces, genus, vertices=data.get("vertices"))
 
 
 def fan_from_json_dict(data):
@@ -216,7 +211,7 @@ def face_support_numbers_lorentz(fan, h, i):
     """In-face support numbers h_{i.} = S_i h for face class i."""
     if not (0 <= i < fan.m):
         raise InvalidInput(f"face_support_numbers_lorentz: no face class {i}")
-    return fan.support_map(i) @ fan._vector(h, "face_support_numbers_lorentz")
+    return fan.assembly.support_map(i) @ fan._vector(h, "face_support_numbers_lorentz")
 
 
 def cone_membership(fan, h, tol=1e-12):
@@ -238,17 +233,15 @@ def covolume_form(fan):
     symmetry is a theorem and doubles as a data-integrity check (entrywise,
     within 1e-10) before the form is returned.
     """
-    if fan._covolume_form is None:
-        fan._covolume_form = fan.assembly.trilinear_form()
-    return fan._covolume_form
+    return fan.assembly.trilinear_form
 
 
 def covolume_hessian(fan, h):
     """Hessian of the covolume at h: the Jacobian of the face areas.
 
     Assembled entrywise from the edge lengths (see the module docstring);
-    checked to be symmetric and to equal 6 covol(., ., h) from the
-    covolume form, then returned as a SymmetricForm.  Strict diagonal
+    checked to equal 6 covol(., ., h) from the covolume form and returned
+    as a SymmetricForm, which checks its symmetry.  Strict diagonal
     dominance with positive diagonal (hence positive definiteness) holds
     on the open cone.
     """
@@ -260,19 +253,8 @@ def covolume_hessian(fan, h):
         raise DomainError(
             f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has a "
             f"non-positive edge)")
-    J = F.jacobian(lengths)
-
-    scale = max(1.0, float(np.max(np.abs(J))))
-    defect = float(np.max(np.abs(J - J.T)))
-    if defect > 1e-10 * scale:
-        raise ConsistencyError(
-            f"covolume Hessian is not symmetric: defect {defect:.3e} at scale {scale:.3e}")
-    via_form = 6.0 * covolume_form(fan).contract(v).entries
-    cross = float(np.max(np.abs(J - via_form)))
-    if cross > 1e-10 * scale:
-        raise ConsistencyError(
-            f"covolume Hessian disagrees with 6 covol(.,.,h): defect {cross:.3e}")
-    return SymmetricForm(J, symmetry_tol=1e-10)
+    return agreeing_form(F.jacobian(lengths), 6.0 * covolume_form(fan).contract(v).entries,
+                         "covolume Hessian and 6 covol(.,.,h)")
 
 
 def fuchsian_area_form(fan):
@@ -284,14 +266,9 @@ def fuchsian_area_form(fan):
     """
     if fan._area_form is None:
         ones = np.ones(fan.m)
-        M = fan.assembly.gram_sum(ones)
-        form = SymmetricForm(M, symmetry_tol=1e-10)
-        via_form = 3.0 * covolume_form(fan).contract(ones).entries
-        scale = max(1.0, float(np.max(np.abs(M))))
-        defect = float(np.max(np.abs(form.entries - via_form)))
-        if defect > 1e-10 * scale:
-            raise ConsistencyError(
-                f"area form disagrees with 3 covol(1,.,.): defect {defect:.3e}")
+        form = agreeing_form(fan.assembly.gram_sum(ones),
+                             3.0 * covolume_form(fan).contract(ones).entries,
+                             "area form and 3 covol(1,.,.)")
         min_eig = float(form.eigenvalues()[0])
         if min_eig <= 0.0:
             raise InvariantFalsified(

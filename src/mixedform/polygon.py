@@ -200,10 +200,7 @@ class PolygonSupport:
             h = data["h"]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"polygon JSON needs 'normals_deg' and 'h': {exc}") from exc
-        fan = NormalFan2D.from_degrees(normals_deg)
-        if len(h) != fan.n:
-            raise InvalidInput(f"polygon JSON: h has length {len(h)}, fan has {fan.n} normals")
-        return cls(fan, h)
+        return cls(NormalFan2D.from_degrees(normals_deg), h)
 
 
 # =============================================================================

@@ -49,7 +49,7 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .faces import FaceAssembly, _clamp, locate
+from .faces import FaceAssembly, _clamp, agreeing_form, locate
 from .forms import SymmetricForm, reversed_cauchy_schwarz_check, support_vector
 from .surface import mesh_from_indexed_triangles
 
@@ -107,12 +107,7 @@ class PolytopeFan:
                                      [1.0 / math.sin(phi[e]) for e in edges])
         #: the directed edges with i < j: each polytope edge once
         self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
-        self._volume_form = None
         self._area_form = None
-
-    def support_map(self, i):
-        """Matrix S_i with h_{i.} = S_i h (rows follow face i's cycle)."""
-        return self.assembly.support_map(i)
 
     def vertex_positions(self, h):
         """Vertex coordinates for support vector h (least squares per vertex)."""
@@ -346,7 +341,7 @@ def face_support_numbers(fan, h, i):
     """In-plane support numbers h_{i.} of face i (cycle order)."""
     if not (0 <= i < fan.m):
         raise InvalidInput(f"face_support_numbers: no face {i}")
-    return fan.support_map(i) @ support_vector(h, fan.m, "face_support_numbers")
+    return fan.assembly.support_map(i) @ support_vector(h, fan.m, "face_support_numbers")
 
 
 def point_support_vector(fan, x):
@@ -378,34 +373,27 @@ def volume_form(fan):
     face i and its neighbors) are never stored densely; their total
     symmetry is a theorem and is asserted entrywise (within 1e-10) first.
     """
-    if fan._volume_form is None:
-        if not fan.simple:
-            # with a non-simple vertex the frozen-combinatorics cubic stops
-            # being the volume off the cone, and the slices lose symmetry
-            raise DomainError(
-                "volume_form: fan has a non-simple vertex; the volume is not "
-                "a single cubic polynomial around this combinatorics")
-        fan._volume_form = fan.assembly.trilinear_form()
-    return fan._volume_form
+    if not fan.simple:
+        # with a non-simple vertex the frozen-combinatorics cubic stops
+        # being the volume off the cone, and the slices lose symmetry
+        raise DomainError(
+            "volume_form: fan has a non-simple vertex; the volume is not "
+            "a single cubic polynomial around this combinatorics")
+    return fan.assembly.trilinear_form
 
 
 def boundary_area_form(fan):
     """area(h) = sum_i a_i(h_{i.}) as an m x m symmetric form.
 
-    Summed from the face-local grams G_i and cross-checked entrywise
-    against 3 v(1, ., .) from the volume form.
+    Summed from the face-local grams G_i and, on a simple fan,
+    cross-checked entrywise against 3 v(1, ., .) from the volume form.
     """
     if fan._area_form is None:
         ones = np.ones(fan.m)
-        form = SymmetricForm(fan.assembly.gram_sum(ones), symmetry_tol=1e-10)
-        if fan.simple:
-            via_volume = 3.0 * volume_form(fan).contract(ones).entries
-            scale = max(1.0, float(np.max(np.abs(form.entries))))
-            defect = float(np.max(np.abs(form.entries - via_volume)))
-            if defect > 1e-10 * scale:
-                raise ConsistencyError(
-                    f"area form disagrees with 3 v(1,.,.): entrywise defect {defect:.3e}")
-        fan._area_form = form
+        M = fan.assembly.gram_sum(ones)
+        fan._area_form = (agreeing_form(M, 3.0 * volume_form(fan).contract(ones).entries,
+                                        "area form and 3 v(1,.,.)")
+                          if fan.simple else SymmetricForm(M, symmetry_tol=1e-10))
     return fan._area_form
 
 

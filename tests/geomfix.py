@@ -296,7 +296,7 @@ def find_interior_h(fan, floor=0.2, cap=1.0, min_margin=1e-4):
     """Max-margin support vector: all edge lengths >= t, h in [floor, cap]."""
     rows = []
     for i in range(fan.m):
-        rows.extend(fan.face_fans[i].length_matrix @ fan.support_map(i))
+        rows.extend(fan.face_fans[i].length_matrix @ fan.assembly.support_map(i))
     A = np.array(rows)
     n_rows, m = A.shape
     A_ub = np.hstack([-A, np.ones((n_rows, 1))])
@@ -341,7 +341,7 @@ def batched_covolume(fan, H):
     H = np.asarray(H, dtype=float)
     total = np.zeros(H.shape[0])
     for i in range(fan.m):
-        X = H @ fan.support_map(i).T
+        X = H @ fan.assembly.support_map(i).T
         A = polygon.area_form(fan.face_fans[i]).entries
         total += H[:, i] * np.einsum("nd,de,ne->n", X, A, X)
     return total / 3.0

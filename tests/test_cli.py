@@ -143,6 +143,41 @@ def test_wrong_vector_length(capsys, square_file):
     assert run(capsys, "polygon", "minkowski", square_file, "--k", "1,2")[0] == 2
 
 
+def _fuchsian_doc(**changes):
+    doc = fuchsian.regular_genus2_fan().to_json_dict(h=[1.0])
+    doc.update(changes)
+    return doc
+
+
+def _with_bad_target():
+    doc = _fuchsian_doc()
+    doc["faces"][0]["adjacencies"][3]["to"] = "x"
+    return doc
+
+
+@pytest.mark.parametrize("family, doc", [
+    ("polygon", {**SQUARE, "h": 5}),
+    ("polygon", {**SQUARE, "normals_deg": "abc"}),
+    ("polytope", {**CUBE, "normals": "abc"}),
+    ("surface", {**MESH, "triangles": [{"lengths": ["a", 1, 1]}, {"lengths": [1, 1, 1]}]}),
+    ("surface", {**MESH, "gluing": [[0, 0, 1], [0, 1, 1, 2], [0, 2, 1, 1]]}),
+    ("fuchsian", _fuchsian_doc(genus="two")),
+    ("fuchsian", _fuchsian_doc(genus=2.7)),
+    ("fuchsian", _fuchsian_doc(genus=2.0)),
+    ("fuchsian", _fuchsian_doc(vertices="six")),
+    ("fuchsian", _with_bad_target()),
+], ids=["polygon-h-scalar", "polygon-normals-string", "polytope-normals-string",
+        "surface-length-string", "surface-short-gluing-row", "fuchsian-genus-string",
+        "fuchsian-genus-fraction", "fuchsian-genus-float", "fuchsian-vertices-string",
+        "fuchsian-target-string"])
+def test_wrongly_typed_json_value_is_bad_input(capsys, tmp_path, family, doc):
+    op = {"polygon": "area-form", "surface": "check", "polytope": "build",
+          "fuchsian": "area-form"}[family]
+    code, out, err = run(capsys, family, op, write_json(tmp_path, "typed.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("mixedform:") and "Traceback" not in err
+
+
 # =============================================================================
 # POLYGON
 # =============================================================================

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import geomfix
-from mixedform import errors, forms, fuchsian, polygon, polytope
+from mixedform import errors, faces, forms, fuchsian, polygon, polytope
 
 REL_TOL = 1e-10
 
@@ -62,17 +62,28 @@ def test_sparse_symmetry_check_reports_the_dense_defect():
     face0 = [(1, 1.0, np.pi / 4.0)] * 8
     face1 = [(0, 1.0, np.pi / 4.0 + 0.3), (0, 1.0, np.pi / 4.0 - 0.3)] * 4
     fan = fuchsian.QuotientFan([face0, face1], genus=2)
-    slices = [fan.support_map(i).T @ polygon.area_form(fan.face_fans[i]).entries
-              @ fan.support_map(i) for i in range(fan.m)]
+    slices = [fan.assembly.support_map(i).T @ polygon.area_form(fan.face_fans[i]).entries
+              @ fan.assembly.support_map(i) for i in range(fan.m)]
     with pytest.raises(errors.ConsistencyError) as dense:
         forms.TrilinearForm(np.stack(slices) / 3.0, symmetry_tol=1e-10)
     with pytest.raises(errors.ConsistencyError) as sparse:
-        fan.assembly.trilinear_form()
+        fan.assembly.trilinear_form
     assert str(sparse.value) == str(dense.value)
 
 
+def test_agreeing_form_bound_is_relative_to_max_one_and_the_matrix():
+    M = np.array([[2.0e3, 1.0], [1.0, -5.0]])
+    assert np.array_equal(faces.agreeing_form(M, M + 1.9e-7, "M and R").entries, M)
+    with pytest.raises(errors.ConsistencyError, match="M and R disagree"):
+        faces.agreeing_form(M, M + 2.1e-7, "M and R")
+    small = 1e-4 * M
+    faces.agreeing_form(small, small + 0.9e-10, "m and r")
+    with pytest.raises(errors.ConsistencyError, match="m and r disagree"):
+        faces.agreeing_form(small, small + 1.1e-10, "m and r")
+
+
 def _loop_lengths(fan, h):
-    return np.concatenate([polygon.edge_lengths(fan.face_fans[i], fan.support_map(i) @ h)
+    return np.concatenate([polygon.edge_lengths(fan.face_fans[i], fan.assembly.support_map(i) @ h)
                            for i in range(fan.m)])
 
 

@@ -92,6 +92,13 @@ def test_signature_threshold_validation():
         form.signature(zero_threshold=1.5)
 
 
+def test_kernel_threshold_validation():
+    form = forms.SymmetricForm(np.diag([1.0, -2.0, 0.0]))
+    for bad in (0.0, 1.0, 5.0):
+        with pytest.raises(errors.InvalidInput):
+            form.kernel(zero_threshold=bad)
+
+
 # =============================================================================
 # SYMMETRIC FORM BASICS
 # =============================================================================
@@ -187,6 +194,29 @@ def test_hermitian_pauli_y_oracle():
 def test_hermitian_rejects_non_hermitian():
     with pytest.raises(errors.ConsistencyError):
         forms.HermitianForm([[0.0, 1j], [1j, 0.0]])
+
+
+def test_hermitian_b_polarizes_q():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    H = forms.HermitianForm(A + A.conj().T)
+    for _ in range(8):
+        z, w = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        lhs = H.b(z, w)
+        rhs = 0.5 * (H.q(z + w) - H.q(z) - H.q(w))
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+def test_hermitian_kernel_and_restrict():
+    H = forms.HermitianForm([[1.0, 1j], [-1j, 1.0]])
+    K = H.kernel()
+    assert K.shape == (2, 1)
+    # spanned by (1, i)/sqrt(2): a unit vector that differs from it by a phase
+    assert abs(abs(np.vdot(np.array([1.0, 1j]) / np.sqrt(2.0), K[:, 0])) - 1.0) < 1e-12
+    # on the complementary line (1, -i)/sqrt(2) the form is 2
+    sub = H.restrict(np.array([[1.0], [-1j]]) / np.sqrt(2.0))
+    assert isinstance(sub, forms.HermitianForm)
+    assert np.allclose(sub.entries, [[2.0]], atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)

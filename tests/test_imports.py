@@ -1,0 +1,36 @@
+"""Every name that a module of the package or of the tests imports is used in it.
+
+The package ``__init__.py`` is left out: its imports are the public exports.
+"""
+
+import ast
+import glob
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _unused_imports(path):
+    """Names bound by an import in ``path`` that no expression of it reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_no_unused_imports():
+    paths = glob.glob(os.path.join(ROOT, "src", "mixedform", "*.py"))
+    paths += glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    assert len(paths) > 10
+    unused = {}
+    for path in sorted(paths):
+        names = _unused_imports(path)
+        if names and os.path.basename(path) != "__init__.py":
+            unused[os.path.relpath(path, ROOT)] = names
+    assert unused == {}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geomfix
-from mixedform import errors, forms, polygon
+from mixedform import errors, polygon
 
 
 def shoelace_area(pts):
