@@ -28,6 +28,7 @@ kernels that occur (translation vectors) are exact in theory but the
 computed eigenvalues carry O(eps * ||M||) noise.
 """
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -66,6 +67,27 @@ def _as_vector(h, dim, what, dtype=float):
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{what}: vector must be finite")
     return v
+
+
+def json_numbers(value, what):
+    """``value`` unchanged if it is a JSON number or a (nested) list of numbers.
+
+    Strings and booleans raise TypeError (``float()`` and numpy would read
+    ``"1"`` and ``true`` as numbers), as any other wrongly typed value does.
+    """
+    if isinstance(value, list):
+        for x in value:
+            json_numbers(x, what)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what}: expected a number, got {value!r}")
+    return value
+
+
+def as_index(x, what):
+    """``x`` as an int if it is an integer other than a bool, else InvalidInput."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise InvalidInput(f"{what}: expected an integer index, got {x!r}")
+    return int(x)
 
 
 def support_vector(h, n, what):

@@ -47,7 +47,7 @@ from .errors import (
     InvariantFalsified,
 )
 from .faces import FaceAssembly, _clamp, agreeing_form, locate
-from .forms import support_vector
+from .forms import as_index, json_numbers, support_vector
 
 TWO_PI = 2.0 * math.pi
 PAIRING_TOL = 1e-9
@@ -84,7 +84,7 @@ class QuotientFan:
                 raise InvalidInput(f"QuotientFan: face {i} needs at least 3 adjacency entries")
             face = []
             for e in entries:
-                to, phi, omega = int(e[0]), float(e[1]), float(e[2])
+                to, phi, omega = as_index(e[0], f"QuotientFan: face {i}"), float(e[1]), float(e[2])
                 if not (0 <= to < m):
                     raise InvalidInput(f"QuotientFan: face {i} refers to missing class {to}")
                 if not (math.isfinite(phi) and phi > 0.0):
@@ -178,6 +178,8 @@ class QuotientFan:
                      for f in data["faces"]]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"fuchsian JSON needs 'genus' and 'faces': {exc}") from exc
+        json_numbers([[phi, omega] for face in faces for _, phi, omega in face],
+                     "fuchsian JSON phi and omega")
         return cls(faces, genus, vertices=data.get("vertices"))
 
 
@@ -188,7 +190,7 @@ def fan_from_json_dict(data):
         h = data["h"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"fuchsian JSON needs 'h': {exc}") from exc
-    return fan, fan._vector(h, "fuchsian JSON h")
+    return fan, fan._vector(json_numbers(h, "fuchsian JSON h"), "fuchsian JSON h")
 
 
 def regular_genus2_fan():

@@ -27,7 +27,13 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, InvalidInput, InvariantFalsified
-from .forms import HermitianForm, SymmetricForm, reversed_cauchy_schwarz_check, support_vector
+from .forms import (
+    HermitianForm,
+    SymmetricForm,
+    json_numbers,
+    reversed_cauchy_schwarz_check,
+    support_vector,
+)
 
 TWO_PI = 2.0 * np.pi
 MEMBERSHIP_TOL = 1e-12
@@ -200,7 +206,8 @@ class PolygonSupport:
             h = data["h"]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"polygon JSON needs 'normals_deg' and 'h': {exc}") from exc
-        return cls(NormalFan2D.from_degrees(normals_deg), h)
+        return cls(NormalFan2D.from_degrees(json_numbers(normals_deg, "polygon JSON normals_deg")),
+                   json_numbers(h, "polygon JSON h"))
 
 
 # =============================================================================

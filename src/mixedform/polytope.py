@@ -3,14 +3,13 @@
 A polytope class is fixed by its m outward unit face normals; a member of
 the class is the halfspace intersection { x : <x, u_i> <= h_i }.  The
 combinatorics (vertices, face cycles, adjacency) are computed from a
-reference h as the facets of a Qhull convex hull of the dual points
-u_i / (h_i - <u_i, x0>) around an interior point x0, with tolerances
-relative to the inradius; Qhull sees h / max|h|, so the construction works
-at any support scale (scipy's Qhull is loaded on the first ``build_fan``,
-so the other modules never import scipy); the Gauss
-image -- the tessellation of the unit sphere whose cell at a polytope
-vertex collects the normals of its faces -- is built alongside and must
-tile the full sphere.
+reference h as the facets of the convex hull of the dual points
+u_i / (h_i - <u_i, x0>) around an interior point x0 (a numpy
+beneath-beyond hull, ``_hull``), with tolerances relative to the inradius;
+the hulls see h / max|h|, so the construction works at any support scale.
+The Gauss image -- the tessellation of the unit sphere whose cell at a
+polytope vertex collects the normals of its faces -- is built alongside
+and must tile the full sphere.
 
 Within a face i, the neighbors j induce a 2D normal fan; the in-plane
 support numbers are linear in h:
@@ -50,7 +49,7 @@ from .errors import (
     UnboundedRegionError,
 )
 from .faces import FaceAssembly, _clamp, agreeing_form, locate
-from .forms import SymmetricForm, reversed_cauchy_schwarz_check, support_vector
+from .forms import SymmetricForm, json_numbers, reversed_cauchy_schwarz_check, support_vector
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
@@ -61,6 +60,7 @@ MAX_QUADRATURE_DEPTH = 10
 SAMPLE_SPREAD = 0.25
 SAMPLE_MARGIN = 1e-9
 SAMPLE_SHRINKS = 60
+HULL_TOL = 1e-12
 
 
 # =============================================================================
@@ -127,18 +127,138 @@ class PolytopeFan:
         return float(self.assembly.lengths(support_vector(h, self.m, "edge_length"))[e])
 
 
-def _hull_equations(points, error, message):
-    """Facet equations n.p + d = 0 of the Qhull convex hull of ``points``.
+def _simplex(P, tol):
+    """Indices of affinely independent points of P, each the farthest from the span so far.
 
-    The one place that calls Qhull; scipy is imported on first use.  A Qhull
-    failure is raised as ``error(f"{message} ({qhull message})")``.
+    Stops early (fewer than d + 1 indices) when no point lies farther than
+    ``tol`` from the affine span of those chosen.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    chosen = [int(np.argmin(P[:, 0]))]
+    R = P - P[chosen[0]]
+    for _ in range(P.shape[1]):
+        heights = np.linalg.norm(R, axis=1)
+        k = int(np.argmax(heights))
+        if heights[k] <= tol:
+            break
+        chosen.append(k)
+        axis = R[k] / heights[k]
+        R = R - np.outer(R @ axis, axis)
+    return chosen
 
-    try:
-        return ConvexHull(points).equations
-    except QhullError as exc:
-        raise error(f"{message} ({exc})") from exc
+
+def _planes(P, facets, inside, others):
+    """Equations (n, c) of the hyperplanes through the rows of ``facets``, n a unit vector.
+
+    Each normal is the generalized cross product of the facet's edge
+    vectors (its k-th entry the signed minor on the columns ``others[k]``),
+    oriented so that n.x + c < 0 at the homogeneous point ``inside`` = (x, 1).
+    """
+    V = P[facets]
+    E = V[:, 1:] - V[:, :1]
+    n = np.linalg.det(E[:, :, others].transpose(0, 2, 1, 3))
+    n[:, 1::2] *= -1.0
+    n /= np.sqrt(np.einsum("fj,fj->f", n, n))[:, None]
+    H = np.column_stack([n, np.einsum("fkj,fj->f", V, n) / -len(others)])
+    return H * np.where(H @ inside > 0.0, -1.0, 1.0)[:, None]
+
+
+def _ridges(facets, others, n_points):
+    """Each facet's ridges (its vertices ``others[k]``) as sorted rows, and an integer key each.
+
+    The keys are exact while n_points ** (d - 1) < 2 ** 63.
+    """
+    ridges = np.sort(facets[:, others].reshape(-1, others.shape[1]), axis=1)
+    return ridges, ridges @ n_points ** np.arange(others.shape[1], dtype=np.int64)
+
+
+def _hull(points, error, message):
+    """Facets of the convex hull of ``points``: vertex indices (F, d), equations (F, d + 1).
+
+    An equation n.p + c = 0 has the outward unit normal n (n.p + c <= 0
+    inside).  Beneath-beyond in any dimension d, in Quickhull order
+    (Barber, Dobkin and Huhdanpaa 1996): from a simplex of extreme points,
+    the point farthest above its facet is added next, the facets it sees
+    give way to the cone from it over their horizon ridges, and the points
+    above a removed facet are handed to the new ones.  Facets are
+    simplices, so a face with more than d coplanar points comes back
+    triangulated, one equation per simplex.  All tolerances are
+    HULL_TOL * max|p|.  Flat input is raised as
+    ``error(f"{message} (<reason>)")``; a result that is not a closed
+    simplicial surface with every point beneath every facet raises
+    ConsistencyError.
+    """
+    P = np.asarray(points, dtype=float)
+    n_points, d = P.shape
+    if not np.all(np.isfinite(P)):
+        raise error(f"{message} (non-finite point)")
+    tol = HULL_TOL * float(np.max(np.abs(P)))
+    simplex = _simplex(P, tol)
+    if len(simplex) <= d:
+        raise error(f"{message} (flat input: the {n_points} points span "
+                    f"{len(simplex) - 1} of {d} dimensions)")
+    inside = np.append(P[simplex].mean(axis=0), 1.0)
+    others = np.array([[j for j in range(d) if j != k] for k in range(d)])
+    facets = np.array([simplex[:k] + simplex[k + 1:] for k in range(d + 1)])
+    H = _planes(P, facets, inside, others)
+    # each point above the hull has an owner facet and its height over it;
+    # every other point has height -inf
+    Q = np.column_stack([P, np.ones(n_points)])
+    rise = Q @ H.T
+    owner = np.argmax(rise, axis=1)
+    height = np.max(rise, axis=1)
+    height[height <= tol] = -np.inf
+
+    # facets go to buffers that double when full; a removed facet keeps its
+    # row with the equation 0.p - inf, which no point is above
+    removed = np.append(np.zeros(d), -np.inf)
+    size = d + 1
+    for _ in range(n_points):
+        apex = int(np.argmax(height))
+        if height[apex] == -np.inf:
+            break
+        height[apex] = -np.inf
+        visible = H[:size] @ Q[apex] > tol
+        if not np.any(visible):         # its height was within rounding of tol
+            continue
+        # horizon: the ridges of exactly one visible facet
+        ridges, keys = _ridges(facets[:size][visible], others, n_points)
+        order = np.argsort(keys)
+        keys = keys[order]
+        once = np.ones(len(keys) + 1, dtype=bool)
+        once[1:-1] = keys[1:] != keys[:-1]
+        horizon = ridges[order[once[1:] & once[:-1]]]
+        new = np.column_stack([horizon, np.full(len(horizon), apex)])
+        new_H = _planes(P, new, inside, others)
+        # the points above a removed facet move to the new facet they are farthest above
+        orphans = np.flatnonzero(visible[owner] & (height > tol))
+        rise = Q[orphans] @ new_H.T
+        owner[orphans] = size + np.argmax(rise, axis=1)
+        top = np.max(rise, axis=1, initial=-np.inf)
+        height[orphans] = np.where(top > tol, top, -np.inf)
+        H[:size][visible] = removed
+        end = size + len(new)
+        if end > len(H):
+            facets = np.resize(facets, (2 * end, d))
+            H = np.resize(H, (2 * end, d + 1))
+        facets[size:end], H[size:end] = new, new_H
+        size = end
+    live = np.isfinite(H[:size, -1])
+    facets, H = facets[:size][live], H[:size][live]
+
+    _, count = np.unique(_ridges(facets, others, n_points)[1], return_counts=True)
+    if np.any(count != 2):
+        raise ConsistencyError(f"convex hull in {d}-space is not closed: "
+                               f"{np.count_nonzero(count != 2)} ridges not in exactly two facets")
+    excess = float(np.max(Q @ H.T))
+    if not excess <= tol:
+        raise ConsistencyError(f"convex hull in {d}-space: a point lies {excess:.3e} above "
+                               f"a facet (tolerance {tol:.3e})")
+    return facets, H
+
+
+def _hull_equations(points, error, message):
+    """Facet equations n.p + c = 0 (n.p + c <= 0 inside) of the convex hull of ``points``."""
+    return _hull(points, error, message)[1]
 
 
 def _check_bounded(normals):
@@ -162,7 +282,7 @@ def _frame(u):
 
 
 def _dual_hull_vertices(A, b, center):
-    """Vertices of { y : A y <= b } from Qhull on its dual points.
+    """Vertices of { y : A y <= b } from the convex hull of its dual points.
 
     ``center`` must lie strictly inside.  The hull of the points
     a_j / (b_j - <a_j, center>) has one simplicial facet n.p + d = 0 per
@@ -177,10 +297,10 @@ def _dual_hull_vertices(A, b, center):
 def build_fan(normals, h):
     """Extract the combinatorics of { x : <x, u_i> <= h_i }.
 
-    Both Qhull calls see the unit-scale g = h / max|h|.  An interior point
+    Both dual hulls see the unit-scale g = h / max|h|.  An interior point
     x0 and the inradius r come from the top vertex of the lifted region
-    { (x, rho) : <u_i, x> + rho <= g_i, rho >= rho_low }, found by Qhull on
-    its dual points around the known interior point (0, min g - 1).  The
+    { (x, rho) : <u_i, x> + rho <= g_i, rho >= rho_low }, found by the 4D
+    hull of its dual points around the known interior point (0, min g - 1).  The
     vertices are then the facets of the 3D hull of the dual points
     u_i / (g_i - <u_i, x0>); positions (and the inradius and slack that
     error messages report) are scaled back by max|h|.  Every tolerance is
@@ -571,5 +691,6 @@ def fan_from_json_dict(data):
         h = data["h"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"polytope JSON needs 'normals' and 'h': {exc}") from exc
-    fan = build_fan(normals, h)
+    fan = build_fan(json_numbers(normals, "polytope JSON normals"),
+                    json_numbers(h, "polytope JSON h"))
     return fan, np.asarray(h, dtype=float)

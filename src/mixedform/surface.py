@@ -31,6 +31,7 @@ from .errors import (
     InvalidInput,
     StructuralError,
 )
+from .forms import as_index, json_numbers
 
 GLUED_LENGTH_TOL = 1e-12
 SINGULAR_TOL = 1e-8
@@ -68,7 +69,7 @@ class TriangleMesh:
 
         sigma = {}
         for row in gluing:
-            t, e, t2, e2 = (int(x) for x in row)
+            t, e, t2, e2 = (as_index(x, "TriangleMesh: gluing") for x in row)
             for tt, ee in ((t, e), (t2, e2)):
                 if not (0 <= tt < T and 0 <= ee < 3):
                     raise InvalidInput(f"TriangleMesh: gluing refers to missing slot ({tt},{ee})")
@@ -164,7 +165,7 @@ class TriangleMesh:
             gluing = data["gluing"]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"mesh JSON needs 'triangles' and 'gluing': {exc}") from exc
-        return cls(lengths, gluing)
+        return cls(json_numbers(lengths, "mesh JSON lengths"), gluing)
 
 
 def mesh_from_indexed_triangles(points, triangles):

@@ -149,9 +149,17 @@ def _fuchsian_doc(**changes):
     return doc
 
 
-def _with_bad_target():
+def _with_adjacency(key, value):
     doc = _fuchsian_doc()
-    doc["faces"][0]["adjacencies"][3]["to"] = "x"
+    doc["faces"][0]["adjacencies"][3][key] = value
+    return doc
+
+
+def _with_numeric_strings(key):
+    """Every adjacency's ``key`` as the string of its exact value."""
+    doc = _fuchsian_doc()
+    for entry in doc["faces"][0]["adjacencies"]:
+        entry[key] = repr(entry[key])
     return doc
 
 
@@ -165,17 +173,45 @@ def _with_bad_target():
     ("fuchsian", _fuchsian_doc(genus=2.7)),
     ("fuchsian", _fuchsian_doc(genus=2.0)),
     ("fuchsian", _fuchsian_doc(vertices="six")),
-    ("fuchsian", _with_bad_target()),
+    ("fuchsian", _with_adjacency("to", "x")),
+    # numeric strings and booleans where the schema says number
+    ("polygon", {"normals_deg": ["0", "90", "180", "270"], "h": ["1", "1", "1", "1"]}),
+    ("polygon", {**SQUARE, "h": [1, 1, True, 1]}),
+    ("polytope", {**CUBE, "h": ["0.5"] * 6}),
+    ("polytope", {**CUBE, "normals": [[str(x) for x in row] for row in CUBE["normals"]]}),
+    ("surface", {**MESH, "triangles": [{"lengths": ["1", 1, 1]}, {"lengths": [1, 1, 1]}]}),
+    ("fuchsian", _with_numeric_strings("phi")),
+    ("fuchsian", _with_numeric_strings("omega")),
+    ("fuchsian", _fuchsian_doc(h=["1.0"])),
 ], ids=["polygon-h-scalar", "polygon-normals-string", "polytope-normals-string",
         "surface-length-string", "surface-short-gluing-row", "fuchsian-genus-string",
         "fuchsian-genus-fraction", "fuchsian-genus-float", "fuchsian-vertices-string",
-        "fuchsian-target-string"])
+        "fuchsian-target-string", "polygon-numeric-strings", "polygon-h-boolean",
+        "polytope-h-numeric-string", "polytope-normals-numeric-string",
+        "surface-length-numeric-string", "fuchsian-phi-numeric-string",
+        "fuchsian-omega-numeric-string", "fuchsian-h-numeric-string"])
 def test_wrongly_typed_json_value_is_bad_input(capsys, tmp_path, family, doc):
     op = {"polygon": "area-form", "surface": "check", "polytope": "build",
           "fuchsian": "area-form"}[family]
     code, out, err = run(capsys, family, op, write_json(tmp_path, "typed.json", doc))
     assert (code, out) == (2, "")
     assert err.startswith("mixedform:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family, doc", [
+    ("surface", {**MESH, "gluing": [[0.5, 0, 1, 0], [0, 1, 1, 2], [0, 2, 1, 1]]}),
+    ("surface", {**MESH, "gluing": [[0, 0, 1, 0], [0, 1, True, 2], [0, 2, 1, 1]]}),
+    ("fuchsian", _with_adjacency("to", 0.7)),
+    ("fuchsian", _with_adjacency("to", 0.0)),
+    ("fuchsian", _with_adjacency("to", False)),
+], ids=["surface-gluing-fraction", "surface-gluing-boolean", "fuchsian-target-fraction",
+        "fuchsian-target-float", "fuchsian-target-boolean"])
+def test_non_integer_index_is_bad_input(capsys, tmp_path, family, doc):
+    # an index is a JSON integer: 0.5, 0.0 or false is rejected, not read as 0
+    op = {"surface": "check", "fuchsian": "area-form"}[family]
+    code, out, err = run(capsys, family, op, write_json(tmp_path, "index.json", doc))
+    assert (code, out) == (2, "")
+    assert "expected an integer index" in err and "Traceback" not in err
 
 
 # =============================================================================
@@ -452,11 +488,11 @@ def test_commands_look_up_library_functions_at_call_time(capsys, monkeypatch, cu
     assert calls == [6]
 
 
-def test_scipy_loaded_only_by_polytope_fans(square_file, mesh_file, fuchsian_file,
-                                           cube_file):
+def test_no_command_loads_scipy(square_file, mesh_file, fuchsian_file, cube_file):
     calls = [["--version"], ["polygon", "signature", square_file, "--json"],
              ["surface", "check", mesh_file, "--json"],
-             ["fuchsian", "hessian", fuchsian_file, "--json"]]
+             ["fuchsian", "hessian", fuchsian_file, "--json"],
+             ["polytope", "build", cube_file], ["polytope", "signature", cube_file, "--json"]]
     code = (
         "import contextlib, io, sys\n"
         "from mixedform import cli\n"
@@ -464,10 +500,7 @@ def test_scipy_loaded_only_by_polytope_fans(square_file, mesh_file, fuchsian_fil
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
-        "assert 'scipy' not in sys.modules, loaded[:5]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['polytope', 'build', {cube_file!r}]) == 0\n"
-        "assert 'scipy.spatial' in sys.modules, 'polytope build did not load Qhull'\n")
+        "assert not loaded, loaded[:5]\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=geomfix.child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr

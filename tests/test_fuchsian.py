@@ -79,6 +79,14 @@ def test_rejects_small_genus():
         fuchsian.QuotientFan([_octagon_entries()], genus=1)
 
 
+@pytest.mark.parametrize("to", [0.7, 0.0, False])
+def test_rejects_non_integer_target(to):
+    # int(0.7) used to read the target as class 0
+    entries = [(to, 1.0, math.pi / 4.0)] + _octagon_entries()[1:]
+    with pytest.raises(errors.InvalidInput, match="expected an integer index"):
+        fuchsian.QuotientFan([entries], genus=2)
+
+
 def test_rejects_short_face():
     with pytest.raises(errors.InvalidInput):
         fuchsian.QuotientFan([[(0, 1.0, math.pi)] * 2], genus=2)

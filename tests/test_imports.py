@@ -1,11 +1,15 @@
-"""Every name that a module of the package or of the tests imports is used in it.
+"""Imports of the package and of the tests.
 
-The package ``__init__.py`` is left out: its imports are the public exports.
+Every name that a module of the package or of the tests imports is used in
+it (the package ``__init__.py`` is left out: its imports are the public
+exports), and the package imports nothing but the standard library, numpy
+and itself.
 """
 
 import ast
 import glob
 import os
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,3 +38,23 @@ def test_no_unused_imports():
         if names and os.path.basename(path) != "__init__.py":
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mixedform"}
+    paths = glob.glob(os.path.join(ROOT, "src", "mixedform", "*.py"))
+    assert len(paths) > 5
+    foreign = []
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue        # relative imports stay inside the package
+            foreign += [f"{os.path.basename(path)}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []

@@ -69,18 +69,18 @@ def test_unbounded_raises():
         polytope.build_fan(up, np.ones(4))
 
 
-def test_coplanar_normals_raise_with_qhull_message():
-    # Qhull finds the hull of the normals flat; its message is kept in the error
+def test_coplanar_normals_raise_with_flat_hull_message():
+    # the hull of the normals is flat; the reason is kept in the error
     angles = np.radians([0.0, 80.0, 170.0, 260.0])
     flat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
     with pytest.raises(errors.UnboundedRegionError) as err:
         polytope.build_fan(flat, np.ones(4))
-    assert str(err.value).startswith(
-        "normals do not span 3-space; halfspace intersection is unbounded (QH")
+    assert str(err.value) == ("normals do not span 3-space; halfspace intersection is "
+                              "unbounded (flat input: the 4 points span 2 of 3 dimensions)")
 
 
 def test_cube_builds_at_extreme_scales(cube_fan, tmp_path, capsys):
-    # Qhull sees h / max|h|: at h = 1e200 the lifted dual points used to be
+    # the hulls see h / max|h|: at h = 1e200 the lifted dual points used to be
     # about 1e-200 (a flat initial simplex), and from 1e-105 down they were
     # NaN, which escaped as a bare ValueError
     for s in (1e-120, 1e-105, 1e85, 1e200):
@@ -146,6 +146,83 @@ def test_scipy_optimize_not_imported():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=geomfix.child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# =============================================================================
+# CONVEX HULL
+# =============================================================================
+
+def _distinct_planes(equations, tol=1e-9):
+    """The facet planes with coplanar facets (equal equations within tol) merged."""
+    planes = []
+    for row in equations:
+        if not any(np.max(np.abs(row - q)) <= tol for q in planes):
+            planes.append(row)
+    return np.array(planes)
+
+
+def _lift(normals):
+    """The 4-D dual points of the lifted region at h = 1, as ``build_fan`` forms them.
+
+    All but the last lie on the hyperplane of the top facet.
+    """
+    return np.vstack([np.column_stack([normals, np.ones(len(normals))]), [0.0, 0.0, 0.0, -1.0]])
+
+
+# the dual points u / h of the cube (an octahedron) and of the octahedron at
+# h = 1 / sqrt(3) (a cube, 4 coplanar points per facet), lifts, and seeded sets
+HULL_CASES = {
+    "cube-dual": lambda rng: CUBE.copy(),
+    "octahedron-dual": lambda rng: OCTA * math.sqrt(3.0),
+    "cube-lift": lambda rng: _lift(CUBE),
+    "tesseract": lambda rng: np.array(list(itertools.product((-1.0, 1.0), repeat=4))),
+    "grid-3d": lambda rng: rng.integers(-2, 3, size=(120, 3)).astype(float),
+    "grid-4d": lambda rng: rng.integers(-2, 3, size=(200, 4)).astype(float),
+    "gaussian-3d": lambda rng: rng.normal(size=(150, 3)),
+    "gaussian-4d": lambda rng: rng.normal(size=(150, 4)),
+    "fibonacci-96": lambda rng: geomfix.fibonacci_sphere(96),
+    "fibonacci-96-lift": lambda rng: _lift(geomfix.fibonacci_sphere(96)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_CASES))
+def test_hull_matches_qhull(name):
+    rng = np.random.default_rng(sorted(HULL_CASES).index(name))
+    base = HULL_CASES[name](rng)
+    reference = _distinct_planes(ConvexHull(base).equations)
+    for points in (base, base[rng.permutation(len(base))], base[rng.permutation(len(base))]):
+        facets, equations = polytope._hull(points, errors.StructuralError, "hull")
+        planes = _distinct_planes(equations)
+        gap = np.max(np.abs(planes[:, None, :] - reference[None, :, :]), axis=2)
+        assert len(planes) == len(reference)
+        assert np.all(gap.min(axis=0) <= 1e-9) and np.all(gap.min(axis=1) <= 1e-9)
+        # a closed simplicial surface: every ridge in exactly two facets
+        d = points.shape[1]
+        assert facets.shape == (len(equations), d)
+        ridges = {}
+        for facet in facets.tolist():
+            for ridge in itertools.combinations(sorted(facet), d - 1):
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        assert set(ridges.values()) == {2}
+        # unit normals, each facet's vertices on its plane, every point beneath
+        normals, offsets = equations[:, :-1], equations[:, -1]
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-14)
+        on_plane = np.einsum("fkj,fj->fk", points[facets], normals) + offsets[:, None]
+        assert np.max(np.abs(on_plane)) <= 1e-12 * np.max(np.abs(points))
+        assert np.max(points @ normals.T + offsets) <= 1e-12 * np.max(np.abs(points))
+
+
+@pytest.mark.parametrize("points, span", [
+    (np.column_stack([np.random.default_rng(7).normal(size=(20, 2)), np.zeros(20)]), 2),
+    (np.outer(np.arange(6.0), [1.0, 2.0, -1.0, 0.5]), 1),
+    (np.ones((5, 4)), 0),
+], ids=["plane-in-3d", "line-in-4d", "point-in-4d"])
+def test_hull_of_flat_points_raises_typed_error(points, span):
+    d = points.shape[1]
+    with pytest.raises(errors.UnboundedRegionError) as err:
+        polytope._hull_equations(points, errors.UnboundedRegionError, "flat")
+    assert str(err.value) == (f"flat (flat input: the {len(points)} points span "
+                              f"{span} of {d} dimensions)")
 
 
 def _triple_vertices(normals, h, tol=1e-9):

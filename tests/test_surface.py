@@ -44,6 +44,19 @@ def test_rejects_length_mismatch():
         surface.TriangleMesh(lengths, gluing)
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, np.float64(1.0)])
+def test_rejects_non_integer_gluing_index(index):
+    # a fractional index used to be truncated to a valid slot
+    gluing = [(index, 0, 1, 0), (0, 1, 1, 2), (0, 2, 1, 1)]
+    with pytest.raises(errors.InvalidInput, match="expected an integer index"):
+        surface.TriangleMesh([[1, 1, 1], [1, 1, 1]], gluing)
+
+
+def test_accepts_numpy_integer_gluing_index():
+    gluing = [(np.int64(0), 0, 1, 0), (0, 1, 1, 2), (0, 2, 1, 1)]
+    assert surface.TriangleMesh([[1, 1, 1], [1, 1, 1]], gluing).sigma[(0, 0)] == (1, 0)
+
+
 def test_rejects_boundary():
     with pytest.raises(errors.StructuralError):
         surface.TriangleMesh([[1, 1, 1], [1, 1, 1]], [(0, 0, 1, 0)])
