@@ -8,14 +8,20 @@ JSON documents described in the README.  Exit codes:
     2   bad input: malformed JSON, schema violations, infeasible or
         degenerate geometry, internal consistency failures
     3   a claimed mathematical invariant was falsified on valid input
-    64  usage error (unknown command, bad flags, a negative --samples,
-        --p without --k)
+    64  usage error (unknown command, bad flags, a negative --samples or
+        --seed, --p without --k)
 
 Reports are printed to stdout.  With ``--json`` the report is a single
 deterministic JSON object (sorted keys, no timing information, the input
 digest, and the seed when random pairs were drawn), so identical
 invocations produce byte-identical output.  The human-readable form adds
 wall time.
+
+``--samples S`` checks S random pairs: pair i is rows 2i and 2i+1 of the
+vectors drawn in a row from ``numpy.random.default_rng(--seed)``.  They are
+drawn and checked in chunks of at most SAMPLE_BATCH_ELEMENTS vector entries,
+one sampler call and one check call per chunk, so memory stays bounded for
+any S and the report does not depend on the chunk size.
 """
 
 import argparse
@@ -33,6 +39,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FALSIFIED = 3
 EXIT_USAGE = 64
+#: bound on the entries of the sampled vectors drawn and checked at once
+SAMPLE_BATCH_ELEMENTS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +116,11 @@ def _signature_report(module, name):
 
 
 def _inequality_report(check, sample, residual_label, pairs_label):
-    """``check(fan, h, k, p)`` on --k (--p, default h), or on sampled pairs with p = h."""
+    """``check(fan, h, k, p)`` on --k (--p, default h), or on sampled pairs with p = h.
+
+    ``sample(fan, h, rng, size)`` draws a (size, n) stack; ``check`` takes
+    row-aligned stacks of h and k.  Both run once per chunk of pairs.
+    """
     def command(args, fan, h):
         tolerances = {"equality": forms.EQUALITY_TOL, "witness": forms.WITNESS_TOL}
         if args.k is not None:
@@ -128,10 +140,14 @@ def _inequality_report(check, sample, residual_label, pairs_label):
                              f"lambda = {res.witness_lambda:.9g}")
             return results, tolerances, lines
         rng = np.random.default_rng(args.seed)
-        checked = [check(fan, sample(fan, h, rng), sample(fan, h, rng), h)
-                   for _ in range(args.samples)]
-        worst = min((res.residual / res.scale for res in checked), default=None)
-        n_equal = sum(bool(res.equality) for res in checked)
+        chunk = max(1, SAMPLE_BATCH_ELEMENTS // (2 * len(h)))
+        worst, n_equal = None, 0
+        for start in range(0, args.samples, chunk):
+            rows = sample(fan, h, rng, 2 * min(chunk, args.samples - start))
+            res = check(fan, rows[0::2], rows[1::2], h)
+            low = float(np.min(res.residual / res.scale))
+            worst = low if worst is None else min(worst, low)
+            n_equal += int(np.count_nonzero(res.equality))
         results = {"samples": args.samples, "min_relative_residual": worst,
                    "equality_cases": n_equal}
         lines = [f"checked {args.samples} random pairs{pairs_label}",
@@ -330,7 +346,7 @@ COMMANDS = {
     ("polygon", "minkowski"): (
         "mixed area inequality with witnesses", ("samples", "k"),
         _inequality_report(lambda fan, h, k, p: polygon.minkowski_check(fan, h, k),
-                           lambda fan, h, rng: polygon.sample_interior(fan, rng),
+                           lambda fan, h, rng, size: polygon.sample_interior(fan, rng, size),
                            "mixed area inequality residual b(h,k)^2 - a(h)a(k)", "")),
     ("polygon", "embed"): ("vertex chart and its Hermitian area form", (), _polygon_embed),
     ("surface", "check"): ("cone angles, curvature, Gauss-Bonnet", (), _surface_check),
@@ -346,7 +362,8 @@ COMMANDS = {
     ("polytope", "af-check"): (
         "mixed volume inequality with witnesses", ("samples", "k", "p"),
         _inequality_report(lambda fan, h, k, p: polytope.alexandrov_fenchel_check(fan, h, k, p),
-                           lambda fan, h, rng: polytope.sample_interior(fan, h, rng),
+                           lambda fan, h, rng, size: np.array(
+                               [polytope.sample_interior(fan, h, rng) for _ in range(size)]),
                            "v(h,k,p)^2 - v(h,h,p)v(k,k,p)", " against the reference body")),
     ("polytope", "measure"): ("first area measure on the sphere", (), _polytope_measure),
     ("polytope", "sphere-area"): (
@@ -390,8 +407,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "samples", 0) < 0:
-            args.usage_error(f"argument --samples: must not be negative, got {args.samples}")
+        for flag in ("samples", "seed"):
+            if getattr(args, flag, 0) < 0:
+                args.usage_error(f"argument --{flag}: must not be negative, "
+                                 f"got {getattr(args, flag)}")
         if getattr(args, "p", None) is not None and args.k is None:
             args.usage_error("argument --p: only allowed together with --k")
     except SystemExit as exc:

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError
-from .forms import SymmetricForm, _as_vector
+from .forms import SymmetricForm, _as_vector, row_dot, scalar_or_rows
 from .polygon import ConeLocation
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
@@ -189,18 +189,22 @@ class FaceTrilinearForm:
         return self._faces.m
 
     def v(self, h, k, p):
-        """Trilinear evaluation (r(h,k,p) + r(k,h,p) + r(p,h,k)) / 3."""
+        """Trilinear evaluation (r(h,k,p) + r(k,h,p) + r(p,h,k)) / 3.
+
+        Any argument may be an (S, m) stack (stacks row-aligned): the result
+        is then the (S,) array of row values, each rounded as alone.
+        """
         F = self._faces
-        a = _as_vector(h, F.m, "v")
-        b = _as_vector(k, F.m, "v")
-        c = _as_vector(p, F.m, "v")
+        a = _as_vector(h, F.m, "v", stack=True)
+        b = _as_vector(k, F.m, "v", stack=True)
+        c = _as_vector(p, F.m, "v", stack=True)
         hs_a = F.face_support(a)
         hs_b = F.face_support(b)
         l_b = F.edge_lengths(hs_b)
         l_c = F.lengths(c)
         src = F.src
-        return float(np.dot(a[src] * hs_b + b[src] * hs_a, l_c)
-                     + np.dot(c[src] * hs_a, l_b)) / 18.0
+        return scalar_or_rows((row_dot(a[..., src] * hs_b + b[..., src] * hs_a, l_c)
+                               + row_dot(c[..., src] * hs_a, l_b)) / 18.0)
 
     def diagonal(self, h):
         """Cubic evaluation v(h, h, h)."""

@@ -19,7 +19,9 @@ Generic machinery shared by the geometry modules:
     WITNESS_TOL), and the three-body A,B,C quadratic-in-lambda argument,
     with the discriminant bound B^2 <= A*C;
   * ``support_vector``, the length and finiteness check of a fan's support
-    vectors.
+    vectors;
+  * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
+    also take (S, n) stacks, and each row rounds exactly as it would alone.
 
 Eigenvalues come from LAPACK's symmetric/Hermitian solvers (numpy
 ``eigvalsh``/``eigh``); a complex matrix goes to the complex solver.
@@ -60,13 +62,29 @@ def _as_square_matrix(entries, what, dtype=float):
     return M
 
 
-def _as_vector(h, dim, what, dtype=float):
+def _as_vector(h, dim, what, dtype=float, stack=False):
+    """``h`` as a finite vector of length dim; with ``stack``, also an (S, dim) stack."""
     v = np.asarray(h, dtype=dtype)
-    if v.shape != (dim,):
+    if v.shape[-1:] != (dim,) or v.ndim > 1 + stack:
         raise InvalidInput(f"{what}: expected a vector of length {dim}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{what}: vector must be finite")
     return v
+
+
+def row_dot(x, y):
+    """x . y for vectors, or row by row for (S, n) stacks (either side may be one vector).
+
+    Every row is one 1 x n by n x 1 matmul on contiguous rows, so it rounds
+    exactly as the vector product ``x @ y`` does, whatever the stack.
+    """
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def scalar_or_rows(x):
+    """A float for a 0-d result, else the (S,) array of row results."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def json_numbers(value, what):
@@ -90,10 +108,11 @@ def as_index(x, what):
     return int(x)
 
 
-def support_vector(h, n, what):
-    """``h`` as a finite float vector of length n; errors name ``what``."""
+def support_vector(h, n, what, stack=False):
+    """``h`` as a finite float vector of length n (with ``stack``, also an (S, n)
+    stack of them); errors name ``what``."""
     v = np.asarray(h, dtype=float)
-    if v.shape != (n,):
+    if v.shape[-1:] != (n,) or v.ndim > 1 + stack:
         raise InvalidInput(f"{what}: expected a support vector of length {n}")
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{what}: support vector must be finite")
@@ -169,15 +188,20 @@ class SymmetricForm:
         return self._M
 
     def q(self, h):
-        """Quadratic evaluation q(h) (real-valued)."""
-        v = _as_vector(h, self.dim, "q", self.dtype)
-        return float(((v.conj() @ self._M) @ v).real)
+        """Quadratic evaluation q(h) (real-valued); a stack h gives one value per row."""
+        v = _as_vector(h, self.dim, "q", self.dtype, stack=True)
+        return self._b(v, v)
 
     def b(self, h, k):
-        """Bilinear evaluation b(h, k) = Re h* M k, the polarization of q."""
-        u = _as_vector(h, self.dim, "b", self.dtype)
-        v = _as_vector(k, self.dim, "b", self.dtype)
-        return float(((u.conj() @ self._M) @ v).real)
+        """Bilinear evaluation b(h, k) = Re h* M k, the polarization of q; row-aligned
+        stacks (or a stack and a vector) give one value per row."""
+        u = _as_vector(h, self.dim, "b", self.dtype, stack=True)
+        v = _as_vector(k, self.dim, "b", self.dtype, stack=True)
+        return self._b(u, v)
+
+    def _b(self, u, v):
+        uM = (np.ascontiguousarray(u.conj())[..., None, :] @ self._M)[..., 0, :]
+        return scalar_or_rows(row_dot(uM, v).real)
 
     def eigenvalues(self):
         """Eigenvalues (ascending), computed once and cached."""
@@ -383,21 +407,43 @@ def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals):
     scale is an equality case, and one whose least squares fit over
     (x, lambda) misses h by WITNESS_TOL x |h| or more falsifies the
     equality-case theorem.
+
+    Row-aligned stacks (``b``, ``qh``, ``qk`` of shape (S,), ``h`` and ``k``
+    of shape (S, n)) check S pairs at once: the fields of the result are
+    then (S,) arrays and an (S, d) ``witness_x``, NaN where a pair has no
+    witness, and the first failing pair raises as it would alone.
     """
-    residual = b * b - qh * qk
-    scale = max(b * b, abs(qh * qk))
+    bb = np.multiply(b, b)
+    qq = np.multiply(qh, qk)
+    residual = bb - qq
+    scale = np.maximum(bb, abs(qq))
+    near = ~(residual > EQUALITY_TOL * np.maximum(scale, 1e-300))
+    if residual.ndim == 0:
+        if not near:
+            return InequalityResult(float(residual), float(scale), False, None, None)
+        x, lam = _witness(name, float(residual), float(scale), h, k, normals)
+        return InequalityResult(float(residual), float(scale), True, x, lam)
+    witness_x = np.full((len(residual), normals.shape[1]), np.nan)
+    witness_lambda = np.full(len(residual), np.nan)
+    for i in np.flatnonzero(near):
+        witness_x[i], witness_lambda[i] = _witness(name, residual[i], scale[i], h[i], k[i],
+                                                   normals)
+    return InequalityResult(residual, scale, near, witness_x, witness_lambda)
+
+
+def _witness(name, residual, scale, h, k, normals):
+    """(x, lambda) with h = h^x + lambda k for one pair whose residual is within
+    EQUALITY_TOL x scale; raises on a violated inequality or a poor fit."""
     if residual < -1e-12 * scale:
         raise InvariantFalsified(
             f"{name} inequality violated: residual {residual:.3e} at scale {scale:.3e}")
-    if residual > EQUALITY_TOL * max(scale, 1e-300):
-        return InequalityResult(residual, scale, False, None, None)
     A = np.column_stack([normals, k])
     sol, *_ = np.linalg.lstsq(A, h, rcond=None)
     fit = float(np.linalg.norm(h - A @ sol))
     if fit >= WITNESS_TOL * float(np.linalg.norm(h)):
         raise InvariantFalsified(
             f"equality case without translate+homothety witness (fit residual {fit:.3e})")
-    return InequalityResult(residual, scale, True, np.array(sol[:-1]), float(sol[-1]))
+    return np.array(sol[:-1]), float(sol[-1])
 
 
 def abc_lemma_residuals(area, h1, h2, h3):

@@ -526,15 +526,23 @@ def alexandrov_fenchel_check(fan, h, k, p):
 
     p must lie in the closed cone.  In the equality case the witness
     h = h^x + lambda k is recovered over (x, lambda) by least squares.
+    ``h`` and ``k`` may be row-aligned (S, m) stacks against the one p: the
+    result then holds arrays (see ``forms.reversed_cauchy_schwarz_check``).
     """
-    hv = support_vector(h, fan.m, "alexandrov_fenchel_check")
-    kv = support_vector(k, fan.m, "alexandrov_fenchel_check")
+    hv = support_vector(h, fan.m, "alexandrov_fenchel_check", stack=True)
+    kv = support_vector(k, fan.m, "alexandrov_fenchel_check", stack=True)
     pv = support_vector(p, fan.m, "alexandrov_fenchel_check")
+    if hv.shape != kv.shape:
+        raise InvalidInput(f"alexandrov_fenchel_check: h and k differ in shape, "
+                           f"{hv.shape} vs {kv.shape}")
     if cone_membership(fan, pv).status == "outside":
         raise DomainError("alexandrov_fenchel_check: p lies outside the closed cone")
-    T = volume_form(fan)
-    return reversed_cauchy_schwarz_check("Alexandrov-Fenchel", T.v(hv, kv, pv), T.v(hv, hv, pv),
-                                         T.v(kv, kv, pv), hv, kv, fan.normals)
+    h2, k2 = hv.reshape(-1, fan.m), kv.reshape(-1, fan.m)
+    # v(h,k,p), v(h,h,p) and v(k,k,p) as one stack
+    v = volume_form(fan).v(np.concatenate([h2, h2, k2]), np.concatenate([k2, h2, k2]), pv)
+    v = v.reshape(3, *hv.shape[:-1])
+    return reversed_cauchy_schwarz_check("Alexandrov-Fenchel", v[0], v[1], v[2], hv, kv,
+                                         fan.normals)
 
 
 # =============================================================================

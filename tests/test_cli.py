@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import geomfix
-from mixedform import cli, fuchsian, polytope
+from mixedform import cli, fuchsian, polygon, polytope
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
@@ -449,6 +449,17 @@ def test_negative_samples_is_usage_error(capsys, request, command):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("command", [("polygon", "minkowski", "square_file"),
+                                     ("polytope", "af-check", "cube_file")])
+def test_negative_seed_is_usage_error(capsys, request, command):
+    family, op, fixture = command
+    path = request.getfixturevalue(fixture)
+    code, out, err = run(capsys, family, op, path, "--samples", "2", "--seed", "-1", "--json")
+    assert code == 64
+    assert out == ""
+    assert "argument --seed: must not be negative, got -1" in err
+
+
 @pytest.mark.parametrize("command", [("polygon", "minkowski", "square_file", "2,2,2,2"),
                                      ("polytope", "af-check", "cube_file", "1,1,1,1,1,2")])
 def test_seed_echoed_only_when_pairs_are_drawn(capsys, request, command):
@@ -486,6 +497,45 @@ def test_commands_look_up_library_functions_at_call_time(capsys, monkeypatch, cu
     code, _, _ = run(capsys, "polytope", "signature", cube_file, "--json")
     assert code == 0
     assert calls == [6]
+
+
+@pytest.mark.parametrize("command", [("polygon", "minkowski", "square_file", 4),
+                                     ("polytope", "af-check", "cube_file", 6)])
+def test_sampled_report_does_not_depend_on_the_chunk_size(capsys, monkeypatch, request, command):
+    family, op, fixture, n = command
+    argv = (family, op, request.getfixturevalue(fixture), "--samples", "23", "--seed", "4",
+            "--json")
+    code, one_chunk, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "SAMPLE_BATCH_ELEMENTS", 3 * 2 * n)      # 3 pairs a chunk
+    code, chunked, _ = run(capsys, *argv)
+    assert code == 0
+    assert chunked == one_chunk
+
+
+@pytest.mark.parametrize("budget, chunks", [(None, None), (96 * 1000, 4), (96 * 999, 5)])
+def test_sampled_pairs_are_drawn_and_checked_once_per_chunk(capsys, monkeypatch, tmp_path,
+                                                           budget, chunks):
+    # a per-pair loop over the library would call each function 4000 times
+    path = write_json(tmp_path, "48-gon.json",
+                      {"normals_deg": [7.5 * i for i in range(48)], "h": [1] * 48})
+    if budget is None:
+        chunks = -(-4000 // (cli.SAMPLE_BATCH_ELEMENTS // 96))
+    else:
+        monkeypatch.setattr(cli, "SAMPLE_BATCH_ELEMENTS", budget)
+    calls = {"sample_interior": [], "minkowski_check": []}
+    for name, rows in (("sample_interior", len), ("minkowski_check", lambda r: len(r.residual))):
+        def counting(*args, original=getattr(polygon, name), sizes=calls[name], rows=rows):
+            result = original(*args)
+            sizes.append(rows(result))
+            return result
+        monkeypatch.setattr(polygon, name, counting)
+    code, out, _ = run(capsys, "polygon", "minkowski", path, "--samples", "4000", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["samples"] == 4000
+    assert len(calls["sample_interior"]) == len(calls["minkowski_check"]) == chunks
+    assert sum(calls["sample_interior"]) == 8000
+    assert sum(calls["minkowski_check"]) == 4000
 
 
 def test_no_command_loads_scipy(square_file, mesh_file, fuchsian_file, cube_file):

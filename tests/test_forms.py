@@ -309,6 +309,42 @@ def test_reversed_cauchy_schwarz_check_paths():
         check("X", 2.0, 2.0, 2.0, np.array([1.0, 0.0, 0.0, 0.0]), k, normals)
 
 
+def test_reversed_cauchy_schwarz_check_stacked():
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    k = np.ones(4)
+    h = 2.0 * k + normals @ np.array([0.3, -0.1])
+    check = forms.reversed_cauchy_schwarz_check
+    H, K = np.array([k, h, k]), np.array([k, k, k])
+    res = check("X", np.array([3.0, 2.0, 4.0]), np.full(3, 2.0), np.full(3, 2.0), H, K, normals)
+    assert res.residual.tolist() == [5.0, 0.0, 12.0]
+    assert res.scale.tolist() == [9.0, 4.0, 16.0]
+    assert res.equality.tolist() == [False, True, False]
+    assert np.isnan(res.witness_x[[0, 2]]).all() and np.isnan(res.witness_lambda[[0, 2]]).all()
+    assert np.allclose(res.witness_x[1], [0.3, -0.1]) and res.witness_lambda[1] == pytest.approx(2.0)
+    # the first failing pair raises what it raises alone: here pair 1, not pair 2
+    bad = np.array([[1.0, 0.0, 0.0, 0.0]] * 3)
+    with pytest.raises(errors.InvariantFalsified, match="without translate"):
+        check("X", np.array([3.0, 2.0, 1.0]), np.full(3, 2.0), np.full(3, 2.0), bad, K, normals)
+    with pytest.raises(errors.InvariantFalsified, match="Minkowski inequality violated"):
+        check("Minkowski", np.array([3.0, 1.0, 2.0]), np.full(3, 2.0), np.full(3, 2.0), bad, K,
+              normals)
+
+
+def test_stacked_forms_round_as_single_vectors():
+    rng = np.random.default_rng(17)
+    M = rng.standard_normal((7, 7))
+    C = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    for form, U in ((forms.SymmetricForm(M + M.T), rng.standard_normal((20, 7))),
+                    (forms.HermitianForm(C + C.conj().T),
+                     rng.standard_normal((20, 7)) + 1j * rng.standard_normal((20, 7)))):
+        V = U[::-1]                      # rows of a reversed view, not contiguous in order
+        assert np.array_equal(form.q(U), [form.q(u) for u in U])
+        assert np.array_equal(form.b(U, V), [form.b(u, v) for u, v in zip(U, V)])
+        assert np.array_equal(form.b(U, V[0]), [form.b(u, V[0]) for u in U])
+    with pytest.raises(errors.InvalidInput):
+        forms.SymmetricForm(np.eye(3)).q(np.ones((2, 2, 3)))
+
+
 def test_abc_residuals_discriminant_bound():
     # Lorentzian diag(1,-1,-1): pairwise reversed Cauchy-Schwarz holds on the
     # cone, so B^2 <= A C with A, C >= 0

@@ -160,6 +160,41 @@ def test_sampler_raises_when_no_draw_clears_the_margin():
         polygon.sample_interior(fan, np.random.default_rng(1))
 
 
+def _halving_draw(fan, rng):
+    """Reference sampler: halve one perturbation of h = 1 until the sides clear the margin."""
+    delta = rng.standard_normal(fan.n)
+    s = polygon.SAMPLE_SPREAD
+    for _ in range(polygon.SAMPLE_SHRINKS):
+        h = np.ones(fan.n) + s * delta
+        if np.min(fan.length_matrix @ h) > polygon.SAMPLE_MARGIN * max(1.0, np.linalg.norm(h)):
+            return h
+        s *= 0.5
+    raise AssertionError("no size clears the margin")
+
+
+@pytest.mark.parametrize("n", [4, 12, 48])
+def test_sampled_stack_equals_sequential_draws(n):
+    fan = geomfix.perturbed_polygon_fan(n, np.random.default_rng(n))
+    rng = np.random.default_rng(7)
+    reference = np.array([_halving_draw(fan, rng) for _ in range(300)])
+    after = rng.standard_normal()
+    rng = np.random.default_rng(7)
+    sequential = np.array([polygon.sample_interior(fan, rng) for _ in range(300)])
+    assert np.array_equal(sequential, reference)
+    rng = np.random.default_rng(7)
+    stack = polygon.sample_interior(fan, rng, size=300)
+    assert stack.shape == (300, n)
+    assert np.array_equal(stack, reference)
+    assert rng.standard_normal() == after          # the stream is left where draws left it
+    assert polygon.sample_interior(fan, rng, size=0).shape == (0, n)
+
+
+def test_sampler_stack_raises_when_no_draw_clears_the_margin():
+    fan = polygon.NormalFan2D([0.0, 1e-7, 2e-7, 2.1, 4.2])
+    with pytest.raises(errors.DomainError, match="margin 1e-06 after 80 shrinks"):
+        polygon.sample_interior(fan, np.random.default_rng(1), size=3)
+
+
 @settings(max_examples=50, deadline=None)
 @given(fan_and_interior_h())
 def test_sampled_vectors_are_interior(pair):
@@ -208,6 +243,58 @@ def test_minkowski_rejects_outside():
     fan = polygon.NormalFan2D.regular(4)
     with pytest.raises(errors.DomainError):
         polygon.minkowski_check(fan, np.array([1, 1, 1, -4.0]), np.ones(4))
+
+
+def _stacked_pairs(fan, rng, pairs):
+    """(H, K, x, lambda): sampled pairs, with pair 3 made an equality pair."""
+    rows = polygon.sample_interior(fan, rng, size=2 * pairs)
+    H, K = rows[0::2].copy(), rows[1::2]
+    x, lam = np.array([0.3, -0.2]), 1.6
+    H[3] = polygon.point_support_vector(fan, x) + lam * K[3]
+    return H, K, x, lam
+
+
+def test_minkowski_stack_matches_pairs():
+    rng = np.random.default_rng(53)
+    fan = geomfix.perturbed_polygon_fan(9, rng)
+    H, K, x, lam = _stacked_pairs(fan, rng, 40)
+    stacked = polygon.minkowski_check(fan, H, K)
+    assert stacked.residual.shape == stacked.scale.shape == stacked.equality.shape == (40,)
+    for i, (h, k) in enumerate(zip(H, K)):
+        res = polygon.minkowski_check(fan, h, k)
+        assert stacked.residual[i] == pytest.approx(res.residual, rel=1e-12)
+        assert stacked.scale[i] == pytest.approx(res.scale, rel=1e-12)
+        assert stacked.equality[i] == res.equality
+        if res.witness_x is None:
+            assert np.all(np.isnan(stacked.witness_x[i])) and np.isnan(stacked.witness_lambda[i])
+        else:
+            assert np.array_equal(stacked.witness_x[i], res.witness_x)
+            assert stacked.witness_lambda[i] == res.witness_lambda
+    assert np.flatnonzero(stacked.equality).tolist() == [3]
+    assert np.linalg.norm(stacked.witness_x[3] - x) < 1e-7
+    assert abs(stacked.witness_lambda[3] - lam) < 1e-7
+
+
+@pytest.mark.parametrize("side", ["h", "k"])
+def test_minkowski_stack_with_an_outside_row_raises_its_pair_error(side):
+    fan = polygon.NormalFan2D.regular(4)
+    H, K = np.ones((5, 4)), np.ones((5, 4))
+    (H if side == "h" else K)[2] = [1, 1, 1, -4.0]
+    (K if side == "h" else H)[4] = [1, 1, 1, -4.0]      # a later pair fails on the other side
+    with pytest.raises(errors.DomainError) as alone:
+        polygon.minkowski_check(fan, H[2], K[2])
+    with pytest.raises(errors.DomainError) as stacked:
+        polygon.minkowski_check(fan, H, K)
+    assert str(stacked.value) == str(alone.value) == \
+        f"minkowski_check: {side} lies outside the closed cone"
+
+
+def test_minkowski_rejects_misaligned_stacks():
+    fan = polygon.NormalFan2D.regular(4)
+    with pytest.raises(errors.InvalidInput, match="differ in shape"):
+        polygon.minkowski_check(fan, np.ones((3, 4)), np.ones(4))
+    with pytest.raises(errors.InvalidInput):
+        polygon.minkowski_check(fan, np.ones((2, 3, 4)), np.ones((2, 3, 4)))
 
 
 # =============================================================================

@@ -443,6 +443,39 @@ def test_af_equality_translate_homothety(cube_fan):
     assert abs(res.witness_lambda - lam) < 1e-7
 
 
+def test_af_stack_matches_pairs(cube_fan):
+    rng = np.random.default_rng(47)
+    p = polytope.sample_interior(cube_fan, np.ones(6), rng)
+    H = np.array([polytope.sample_interior(cube_fan, np.ones(6), rng) for _ in range(12)])
+    K = np.array([polytope.sample_interior(cube_fan, np.ones(6), rng) for _ in range(12)])
+    x, lam = np.array([0.3, -0.1, 0.25]), 2.2
+    H[5] = polytope.point_support_vector(cube_fan, x) + lam * K[5]
+    stacked = polytope.alexandrov_fenchel_check(cube_fan, H, K, p)
+    for i, (h, k) in enumerate(zip(H, K)):
+        res = polytope.alexandrov_fenchel_check(cube_fan, h, k, p)
+        assert stacked.residual[i] == pytest.approx(res.residual, rel=1e-12)
+        assert stacked.scale[i] == pytest.approx(res.scale, rel=1e-12)
+        assert stacked.equality[i] == res.equality
+        if res.witness_x is None:
+            assert np.all(np.isnan(stacked.witness_x[i])) and np.isnan(stacked.witness_lambda[i])
+        else:
+            assert np.array_equal(stacked.witness_x[i], res.witness_x)
+            assert stacked.witness_lambda[i] == res.witness_lambda
+    assert np.flatnonzero(stacked.equality).tolist() == [5]
+    assert np.linalg.norm(stacked.witness_x[5] - x) < 1e-7
+
+
+def test_af_stacked_volume_form_matches_rows(cube_fan):
+    rng = np.random.default_rng(49)
+    T = polytope.volume_form(cube_fan)
+    H, K, P = (np.array([polytope.sample_interior(cube_fan, np.ones(6), rng) for _ in range(8)])
+               for _ in range(3))
+    # a column slice: rows that are not contiguous in memory
+    wide = np.repeat(H, 2, axis=1)[:, ::2]
+    assert np.array_equal(T.v(wide, K, P[0]), [T.v(h, k, P[0]) for h, k in zip(H, K)])
+    assert np.array_equal(T.v(H, K, P), [T.v(h, k, p) for h, k, p in zip(H, K, P)])
+
+
 def test_af_mixed_point_body_vanishes(cube_fan):
     # v(h^x, k, p) = 0: a point contributes nothing to the mixed volume
     T = polytope.volume_form(cube_fan)
