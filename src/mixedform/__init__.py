@@ -3,7 +3,8 @@
 Modules by geometry:
 
   * :mod:`mixedform.forms`    -- symmetric / trilinear / Hermitian forms,
-    LAPACK eigenvalues, signatures, polarization, inequality residuals;
+    LAPACK eigenvalues, signatures, polarization, inequality residuals,
+    the cone classifier;
   * :mod:`mixedform.polygon`  -- 2D normal fans, area form, Minkowski
     inequality with witnesses, chart embedding;
   * :mod:`mixedform.surface`  -- flat cone metrics from glued triangles,
@@ -36,6 +37,5 @@ from .forms import (  # noqa: F401
     SymmetricForm,
     TrilinearForm,
     jacobi_eigenvalues,
-    polarize,
     polarize_cubic,
 )

@@ -7,10 +7,12 @@ e = (i -> j), possibly with j = i, and
 
     hs_e(h) = a_e h_i + b_e h_j
 
-(row k of the support map S_i).  The polygon's cyclic tridiagonal length
-matrix L_i turns these into edge lengths
+(row k of the support map S_i).  The polygon's cyclic tridiagonal, the
+closed-form coefficients ``c_self``, ``c_next`` and ``c_prev`` of
+``NormalFan2D`` (the three diagonals of its length matrix L_i), turns these
+into edge lengths
 
-    l_e(h) = L_i[k,k] hs_e + L_i[k,k+1] hs_next(e) + L_i[k,k-1] hs_prev(e).
+    l_e(h) = c_self[e] hs_e + c_next[e] hs_next(e) + c_prev[e] hs_prev(e).
 
 The face area is (1/2) sum_{e in i} hs_e l_e, so the cubic
 (1/3) sum_i h_i a_i(h_{i.}) is (1/6) sum_e h_i hs_e(h) l_e(h), and the raw
@@ -28,6 +30,9 @@ and v(., ., p) is the matrix (R + R' + P) / 3 with R[i,j] = r(e_i, e_j, p)
 J(l)[i,j] = sum_{e in i} l_e d hs_e / d h_j (the Jacobian of the face
 areas when l = l(h)).  Every quantity is a gather or a scatter over the E
 directed edges plus at most an m x m output: no m x m x m tensor.
+
+The cone classifier that polygon, polytope and Fuchsian fans run on their
+edge lengths, ``locate``, lives in ``mixedform.forms``.
 """
 
 from functools import cached_property
@@ -35,8 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError
-from .forms import SymmetricForm, _as_vector, row_dot, scalar_or_rows
-from .polygon import ConeLocation
+from .forms import SymmetricForm, row_dot, scalar_or_rows, support_vector
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
 SYMMETRY_TOL = 1e-10
@@ -72,16 +76,10 @@ class FaceAssembly:
         self.pos = np.arange(len(self.src)) - start
         self.nxt = start + (self.pos + 1) % size
         self.prv = start + (self.pos - 1) % size
-        diag, upper, lower = [], [], []
-        for fan in face_fans:
-            L = fan.length_matrix
-            k = np.arange(fan.n)
-            diag.append(L[k, k])
-            upper.append(L[k, (k + 1) % fan.n])
-            lower.append(L[k, (k - 1) % fan.n])
-        self.c_self = np.concatenate(diag)
-        self.c_next = np.concatenate(upper)
-        self.c_prev = np.concatenate(lower)
+        #: each face's cyclic tridiagonal (``NormalFan2D.c_self`` etc.), face by face
+        self.c_self = np.concatenate([fan.c_self for fan in face_fans])
+        self.c_next = np.concatenate([fan.c_next for fan in face_fans])
+        self.c_prev = np.concatenate([fan.c_prev for fan in face_fans])
 
         # J(l) scatters a_e l_e to (src, src) and b_e l_e to (src, dst)
         self._jacobian_keys = np.concatenate([self.src * m + self.src, self.src * m + self.dst])
@@ -195,9 +193,9 @@ class FaceTrilinearForm:
         is then the (S,) array of row values, each rounded as alone.
         """
         F = self._faces
-        a = _as_vector(h, F.m, "v", stack=True)
-        b = _as_vector(k, F.m, "v", stack=True)
-        c = _as_vector(p, F.m, "v", stack=True)
+        a = support_vector(h, F.m, "v", stack=True)
+        b = support_vector(k, F.m, "v", stack=True)
+        c = support_vector(p, F.m, "v", stack=True)
         hs_a = F.face_support(a)
         hs_b = F.face_support(b)
         l_b = F.edge_lengths(hs_b)
@@ -213,7 +211,7 @@ class FaceTrilinearForm:
     def contract(self, p):
         """The symmetric matrix (R + R' + P) / 3 of the bilinear form v(., ., p)."""
         F = self._faces
-        c = _as_vector(p, F.m, "contract")
+        c = support_vector(p, F.m, "contract")
         R = F.jacobian(F.lengths(c)) / 6.0
         P = F.gram_sum(c) / 3.0
         return SymmetricForm((R + R.T + P) / 3.0, symmetry_tol=1e-10)
@@ -229,15 +227,3 @@ def agreeing_form(M, reference, what):
             f"{what} disagree: entrywise defect {defect:.3e} at scale {scale:.3e}")
     return SymmetricForm(M, symmetry_tol=1e-10)
 
-
-def locate(lengths, tau, first, second):
-    """ConeLocation from edge lengths; edges are labelled (first[e], second[e]).
-
-    Any length below -tau puts h outside, else any length within tau puts
-    it on the boundary; the listed edges keep the order of ``lengths``.
-    """
-    for status, hit in (("outside", lengths < -tau), ("boundary", lengths <= tau)):
-        edges = np.flatnonzero(hit)
-        if len(edges):
-            return ConeLocation(status, list(zip(first[edges].tolist(), second[edges].tolist())))
-    return ConeLocation("interior", [])

@@ -15,11 +15,13 @@ Generic machinery shared by the geometry modules:
     ``SymmetricForm`` over complex entries, q(z) = z*Mz, b(z,w) = Re z*Mw;
   * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality, its
     equality witness h = h^x + lambda k (shared by the Minkowski and
-    Alexandrov-Fenchel checks, with their tolerances EQUALITY_TOL and
-    WITNESS_TOL), and the three-body A,B,C quadratic-in-lambda argument,
-    with the discriminant bound B^2 <= A*C;
-  * ``support_vector``, the length and finiteness check of a fan's support
-    vectors;
+    Alexandrov-Fenchel checks, with their tolerances EQUALITY_TOL,
+    WITNESS_TOL and ROUNDING_TOL), and the three-body A,B,C
+    quadratic-in-lambda argument, with the discriminant bound B^2 <= A*C;
+  * ``support_vector``, the length and finiteness check of support vectors
+    and of the forms' (real or complex) arguments;
+  * ``locate``, the one cone classifier: polygon, polytope and Fuchsian
+    fans place h against their cone by the signs of its edge lengths.
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
     also take (S, n) stacks, and each row rounds exactly as it would alone.
 
@@ -38,7 +40,6 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     ContractViolation,
-    DomainError,
     InvalidInput,
     InvariantFalsified,
 )
@@ -48,9 +49,11 @@ HOMOGENEITY_SAMPLES = 16
 HOMOGENEITY_FACTORS = (0.5, 2.0)
 HOMOGENEITY_TOL = 1e-8
 POLARIZE_CHECK_TOL = 1e-10
-# reversed Cauchy-Schwarz: relative equality threshold and witness fit bound
+# reversed Cauchy-Schwarz: relative equality threshold, witness fit bound and
+# the rounding bound of a residual that is 0 in exact arithmetic
 EQUALITY_TOL = 1e-10
 WITNESS_TOL = 1e-7
+ROUNDING_TOL = 1e-12
 
 
 def _as_square_matrix(entries, what, dtype=float):
@@ -60,16 +63,6 @@ def _as_square_matrix(entries, what, dtype=float):
     if not np.all(np.isfinite(M)):
         raise InvalidInput(f"{what}: entries must be finite")
     return M
-
-
-def _as_vector(h, dim, what, dtype=float, stack=False):
-    """``h`` as a finite vector of length dim; with ``stack``, also an (S, dim) stack."""
-    v = np.asarray(h, dtype=dtype)
-    if v.shape[-1:] != (dim,) or v.ndim > 1 + stack:
-        raise InvalidInput(f"{what}: expected a vector of length {dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInput(f"{what}: vector must be finite")
-    return v
 
 
 def row_dot(x, y):
@@ -108,15 +101,34 @@ def as_index(x, what):
     return int(x)
 
 
-def support_vector(h, n, what, stack=False):
-    """``h`` as a finite float vector of length n (with ``stack``, also an (S, n)
-    stack of them); errors name ``what``."""
-    v = np.asarray(h, dtype=float)
+def support_vector(h, n, what, stack=False, dtype=float):
+    """``h`` as a finite vector of length n with ``dtype`` entries (with ``stack``,
+    also an (S, n) stack of them); errors name ``what``."""
+    v = np.asarray(h, dtype=dtype)
     if v.shape[-1:] != (n,) or v.ndim > 1 + stack:
         raise InvalidInput(f"{what}: expected a support vector of length {n}")
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{what}: support vector must be finite")
     return v
+
+
+#: where h lies against a cone cut out by edge lengths l_e(h) >= 0: ``status``
+#: is "interior", "boundary" or "outside", ``edges`` the labels of the
+#: degenerate (boundary) or violated (outside) edges
+ConeLocation = namedtuple("ConeLocation", ["status", "edges"])
+
+
+def locate(lengths, tau, labels):
+    """ConeLocation of h from its edge lengths; edge e is reported as ``labels[e]``.
+
+    Any length below -tau puts h outside, else any length within tau puts
+    it on the boundary; the listed edges keep the order of ``lengths``.
+    """
+    for status, hit in (("outside", lengths < -tau), ("boundary", lengths <= tau)):
+        edges = np.flatnonzero(hit).tolist()
+        if edges:
+            return ConeLocation(status, [labels[e] for e in edges])
+    return ConeLocation("interior", [])
 
 
 # =============================================================================
@@ -189,14 +201,14 @@ class SymmetricForm:
 
     def q(self, h):
         """Quadratic evaluation q(h) (real-valued); a stack h gives one value per row."""
-        v = _as_vector(h, self.dim, "q", self.dtype, stack=True)
+        v = support_vector(h, self.dim, "q", stack=True, dtype=self.dtype)
         return self._b(v, v)
 
     def b(self, h, k):
         """Bilinear evaluation b(h, k) = Re h* M k, the polarization of q; row-aligned
         stacks (or a stack and a vector) give one value per row."""
-        u = _as_vector(h, self.dim, "b", self.dtype, stack=True)
-        v = _as_vector(k, self.dim, "b", self.dtype, stack=True)
+        u = support_vector(h, self.dim, "b", stack=True, dtype=self.dtype)
+        v = support_vector(k, self.dim, "b", stack=True, dtype=self.dtype)
         return self._b(u, v)
 
     def _b(self, u, v):
@@ -263,9 +275,9 @@ class TrilinearForm:
 
     def v(self, h, k, p):
         """Trilinear evaluation v(h, k, p)."""
-        a = _as_vector(h, self.dim, "v")
-        b = _as_vector(k, self.dim, "v")
-        c = _as_vector(p, self.dim, "v")
+        a = support_vector(h, self.dim, "v")
+        b = support_vector(k, self.dim, "v")
+        c = support_vector(p, self.dim, "v")
         return float(np.einsum("ijk,i,j,k->", self._T, a, b, c))
 
     def diagonal(self, h):
@@ -274,7 +286,7 @@ class TrilinearForm:
 
     def contract(self, p):
         """The symmetric matrix of the bilinear form v(., ., p)."""
-        c = _as_vector(p, self.dim, "contract")
+        c = support_vector(p, self.dim, "contract")
         return SymmetricForm(np.einsum("ijk,k->ij", self._T, c), symmetry_tol=1e-10)
 
 
@@ -301,40 +313,6 @@ def _check_homogeneity(values, dim, degree, rng):
                 raise ContractViolation(
                     f"evaluator is not homogeneous of degree {degree}: "
                     f"f({t}*h) = {fth:.6e}, expected {expected:.6e}")
-
-
-def _check_reproduces(values, through_form, dim, rng, what):
-    """Stochastic check |values(h) - through_form(h)| <= POLARIZE_CHECK_TOL * scale."""
-    for _ in range(HOMOGENEITY_SAMPLES):
-        h = rng.standard_normal(dim)
-        direct = float(values(h))
-        through = through_form(h)
-        if abs(direct - through) > POLARIZE_CHECK_TOL * max(abs(direct), abs(through), 1.0):
-            raise ContractViolation(f"polarized {what}: {through:.6e} vs {direct:.6e}")
-
-
-def polarize(q_values, dim):
-    """Symmetric bilinear form of a homogeneous quadratic evaluator.
-
-    b(e_i, e_j) = (q(e_i + e_j) - q(e_i) - q(e_j)) / 2.
-    """
-    if dim < 1:
-        raise InvalidInput("polarize: dim must be positive")
-    rng = np.random.default_rng(0)
-    _check_homogeneity(q_values, dim, 2, rng)
-
-    eye = np.eye(dim)
-    qe = np.array([float(q_values(eye[i])) for i in range(dim)])
-    M = np.zeros((dim, dim))
-    for i in range(dim):
-        M[i, i] = qe[i]
-        for j in range(i + 1, dim):
-            bij = 0.5 * (float(q_values(eye[i] + eye[j])) - qe[i] - qe[j])
-            M[i, j] = bij
-            M[j, i] = bij
-    form = SymmetricForm(M)
-    _check_reproduces(q_values, form.q, dim, rng, "form does not reproduce q")
-    return form
 
 
 def polarize_cubic(v_values, dim):
@@ -368,30 +346,18 @@ def polarize_cubic(v_values, dim):
                                 (j, k, i), (k, i, j), (k, j, i)):
                     T[a, b, c] = val
     form = TrilinearForm(T)
-    _check_reproduces(v_values, form.diagonal, dim, rng, "tensor does not reproduce v")
+    for _ in range(HOMOGENEITY_SAMPLES):
+        h = rng.standard_normal(dim)
+        direct, through = float(v_values(h)), form.diagonal(h)
+        if abs(direct - through) > POLARIZE_CHECK_TOL * max(abs(direct), abs(through), 1.0):
+            raise ContractViolation(
+                f"polarized tensor does not reproduce v: {through:.6e} vs {direct:.6e}")
     return form
 
 
 # =============================================================================
 # INEQUALITY RESIDUALS
 # =============================================================================
-
-def lorentz_cauchy_schwarz_residual(form, h, k):
-    """b(h,k)^2 - q(h)q(k) for a Lorentzian form; >= 0 on q(h) > 0.
-
-    The sign convention is the reversed Cauchy-Schwarz inequality of
-    signature-(1,*,*) spaces: on the positive cone the residual is
-    nonnegative, vanishing exactly on proportional pairs.
-    """
-    u = _as_vector(h, form.dim, "lorentz_cauchy_schwarz_residual")
-    v = _as_vector(k, form.dim, "lorentz_cauchy_schwarz_residual")
-    if form.signature().positive != 1:
-        raise DomainError("form is not Lorentzian: expected exactly one positive eigenvalue")
-    qh = form.q(u)
-    if qh <= 0.0:
-        raise DomainError(f"q(h) = {qh:.6e} must be positive")
-    return form.b(u, v) ** 2 - qh * form.q(v)
-
 
 InequalityResult = namedtuple("InequalityResult",
                               ["residual", "scale", "equality", "witness_x", "witness_lambda"])
@@ -402,11 +368,13 @@ def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals):
 
     ``b``, ``qh`` and ``qk`` are the mixed value and the two diagonal
     values of the form under test; ``normals`` (one row per coordinate)
-    spans the translations h^x.  A negative residual below -1e-12 x scale
-    falsifies the inequality named ``name``; a residual up to EQUALITY_TOL x
-    scale is an equality case, and one whose least squares fit over
-    (x, lambda) misses h by WITNESS_TOL x |h| or more falsifies the
-    equality-case theorem.
+    spans the translations h^x.  A residual below -ROUNDING_TOL x scale
+    falsifies the inequality named ``name``.  A residual up to EQUALITY_TOL
+    x scale is an equality case when the least squares fit over (x, lambda)
+    misses h by less than WITNESS_TOL x |h|.  Otherwise the pair is a strict
+    inequality (the residual is quadratic in the distance from a homothety,
+    so pairs 1e-5 from one get this far), unless the residual is within
+    ROUNDING_TOL x scale: that falsifies the equality-case theorem.
 
     Row-aligned stacks (``b``, ``qh``, ``qk`` of shape (S,), ``h`` and ``k``
     of shape (S, n)) check S pairs at once: the fields of the result are
@@ -419,31 +387,37 @@ def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals):
     scale = np.maximum(bb, abs(qq))
     near = ~(residual > EQUALITY_TOL * np.maximum(scale, 1e-300))
     if residual.ndim == 0:
-        if not near:
+        witness = _witness(name, float(residual), float(scale), h, k, normals) if near else None
+        if witness is None:
             return InequalityResult(float(residual), float(scale), False, None, None)
-        x, lam = _witness(name, float(residual), float(scale), h, k, normals)
-        return InequalityResult(float(residual), float(scale), True, x, lam)
+        return InequalityResult(float(residual), float(scale), True, *witness)
     witness_x = np.full((len(residual), normals.shape[1]), np.nan)
     witness_lambda = np.full(len(residual), np.nan)
     for i in np.flatnonzero(near):
-        witness_x[i], witness_lambda[i] = _witness(name, residual[i], scale[i], h[i], k[i],
-                                                   normals)
+        witness = _witness(name, residual[i], scale[i], h[i], k[i], normals)
+        if witness is None:
+            near[i] = False
+        else:
+            witness_x[i], witness_lambda[i] = witness
     return InequalityResult(residual, scale, near, witness_x, witness_lambda)
 
 
 def _witness(name, residual, scale, h, k, normals):
     """(x, lambda) with h = h^x + lambda k for one pair whose residual is within
-    EQUALITY_TOL x scale; raises on a violated inequality or a poor fit."""
-    if residual < -1e-12 * scale:
+    EQUALITY_TOL x scale, None for a strict inequality, or InvariantFalsified
+    (see ``reversed_cauchy_schwarz_check``)."""
+    if residual < -ROUNDING_TOL * scale:
         raise InvariantFalsified(
             f"{name} inequality violated: residual {residual:.3e} at scale {scale:.3e}")
     A = np.column_stack([normals, k])
     sol, *_ = np.linalg.lstsq(A, h, rcond=None)
     fit = float(np.linalg.norm(h - A @ sol))
-    if fit >= WITNESS_TOL * float(np.linalg.norm(h)):
-        raise InvariantFalsified(
-            f"equality case without translate+homothety witness (fit residual {fit:.3e})")
-    return np.array(sol[:-1]), float(sol[-1])
+    if fit < WITNESS_TOL * float(np.linalg.norm(h)):
+        return np.array(sol[:-1]), float(sol[-1])
+    if residual > ROUNDING_TOL * scale:
+        return None
+    raise InvariantFalsified(
+        f"equality case without translate+homothety witness (fit residual {fit:.3e})")
 
 
 def abc_lemma_residuals(area, h1, h2, h3):
@@ -456,9 +430,9 @@ def abc_lemma_residuals(area, h1, h2, h3):
     Whenever the pairwise Minkowski-type inequalities hold, the
     discriminant bound B^2 <= A*C follows.
     """
-    u1 = _as_vector(h1, area.dim, "abc_lemma_residuals")
-    u2 = _as_vector(h2, area.dim, "abc_lemma_residuals")
-    u3 = _as_vector(h3, area.dim, "abc_lemma_residuals")
+    u1 = support_vector(h1, area.dim, "abc_lemma_residuals")
+    u2 = support_vector(h2, area.dim, "abc_lemma_residuals")
+    u3 = support_vector(h3, area.dim, "abc_lemma_residuals")
     q1 = area.q(u1)
     q2 = area.q(u2)
     q3 = area.q(u3)

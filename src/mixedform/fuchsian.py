@@ -46,8 +46,8 @@ from .errors import (
     InvalidInput,
     InvariantFalsified,
 )
-from .faces import FaceAssembly, _clamp, agreeing_form, locate
-from .forms import as_index, json_numbers, support_vector
+from .faces import FaceAssembly, _clamp, agreeing_form
+from .forms import as_index, json_numbers, locate, support_vector
 
 TWO_PI = 2.0 * math.pi
 PAIRING_TOL = 1e-9
@@ -149,6 +149,8 @@ class QuotientFan:
         self.assembly = FaceAssembly(self.face_fans, [e.to for e in entries],
                                      [math.cosh(e.phi) / math.sinh(e.phi) for e in entries],
                                      [-1.0 / math.sinh(e.phi) for e in entries])
+        #: edge e as (i, k): entry k of face class i
+        self._edge_labels = list(zip(self.assembly.src.tolist(), self.assembly.pos.tolist()))
         self._area_form = None
 
     def _vector(self, h, what):
@@ -209,18 +211,10 @@ def regular_genus2_fan():
 # SUPPORT NUMBERS AND COVOLUME
 # =============================================================================
 
-def face_support_numbers_lorentz(fan, h, i):
-    """In-face support numbers h_{i.} = S_i h for face class i."""
-    if not (0 <= i < fan.m):
-        raise InvalidInput(f"face_support_numbers_lorentz: no face class {i}")
-    return fan.assembly.support_map(i) @ fan._vector(h, "face_support_numbers_lorentz")
-
-
 def cone_membership(fan, h, tol=1e-12):
     """Classify h by the signs of all in-face edge lengths (edges labelled (i, k))."""
     v = fan._vector(h, "cone_membership")
-    F = fan.assembly
-    return locate(F.lengths(v), tol * float(np.linalg.norm(v)), F.src, F.pos)
+    return locate(fan.assembly.lengths(v), tol * float(np.linalg.norm(v)), fan._edge_labels)
 
 
 def covolume(fan, h):

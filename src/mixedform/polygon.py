@@ -9,20 +9,27 @@ and they sum to 2 pi), the side lengths are linear in h:
     l_i(h) = (h_{i-1} - h_i cos gamma_{i-1}) / sin gamma_{i-1}
            + (h_{i+1} - h_i cos gamma_i)     / sin gamma_i
 
+The coefficients of this cyclic tridiagonal rule, c_self = -cot gamma_i
+- cot gamma_{i-1}, c_next = 1 / sin gamma_i and c_prev = 1 / sin gamma_{i-1},
+are computed once per fan; the faces of polytope and Fuchsian fans use the
+same ones.
+
 The set { h : l_i(h) > 0 for all i } is an open convex polyhedral cone --
-the deformation space of the polygon.  The area is the quadratic form
-a(h) = (1/2) sum h_i l_i(h); its polarization a(h, k) = (1/2) sum h_i l_i(k)
-is symmetric, has signature (1, 2, n-3) (the kernel is spanned by the
-support vectors of points, i.e. translations), and satisfies the Minkowski
-inequality a(h,k)^2 >= a(h)a(k) on the cone, with equality exactly at
-translate + homothety pairs h = h^x + lambda k.
+the deformation space of the polygon.  ``cone_membership`` places h
+against it with ``forms.locate``, the classifier that polytope and Fuchsian
+fans share.  The area is the quadratic form a(h) = (1/2) sum h_i l_i(h);
+its polarization a(h, k) = (1/2) sum h_i l_i(k) is symmetric, has
+signature (1, 2, n-3) (the kernel is spanned by the support vectors of
+points, i.e. translations), and satisfies the Minkowski inequality
+a(h,k)^2 >= a(h)a(k) on the cone, with equality exactly at translate +
+homothety pairs h = h^x + lambda k.
 
 The chart embedding realizes an interior h as the complex edge-vector list
 z_i = l_i(h) e^{i psi_i} (psi_i = normal angle + pi/2); the closure
 sum z_i = 0 holds and the shoelace Hermitian form returns the area.
 """
 
-from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .forms import (
     HermitianForm,
     SymmetricForm,
     json_numbers,
+    locate,
     reversed_cauchy_schwarz_check,
     row_dot,
     support_vector,
@@ -96,7 +104,14 @@ class NormalFan2D:
         #: edge direction angles (counterclockwise boundary orientation)
         self.edge_angles = np.mod(a + 0.5 * np.pi, TWO_PI)
         self.edge_angles.setflags(write=False)
-        self._L = None
+        # l_i(h) = c_self[i] h_i + c_next[i] h_{i+1} + c_prev[i] h_{i-1}
+        sin_g = np.sin(gaps)
+        cot_g = np.cos(gaps) / sin_g
+        self.c_next = 1.0 / sin_g
+        self.c_prev = np.roll(self.c_next, 1)
+        self.c_self = -cot_g - np.roll(cot_g, 1)
+        for c in (self.c_self, self.c_next, self.c_prev):
+            c.setflags(write=False)
         self._area_form = None
 
     @classmethod
@@ -108,26 +123,18 @@ class NormalFan2D:
         """Fan of the regular n-gon (normals evenly spaced, rotated by offset)."""
         return cls(np.mod(offset + TWO_PI * np.arange(n) / n, TWO_PI))
 
-    @property
+    @cached_property
     def length_matrix(self):
-        """Matrix L with (L h)_i = l_i(h); symmetric by construction."""
-        if self._L is None:
-            n = self.n
-            L = np.zeros((n, n))
-            sin_g = np.sin(self.gaps)
-            cot_g = np.cos(self.gaps) / sin_g
-            for i in range(n):
-                nxt = (i + 1) % n
-                prv = (i - 1) % n
-                L[i, nxt] += 1.0 / sin_g[i]
-                L[i, prv] += 1.0 / sin_g[prv]
-                L[i, i] -= cot_g[i] + cot_g[prv]
-            L.setflags(write=False)
-            self._L = L
-        return self._L
-
-
-ConeLocation = namedtuple("ConeLocation", ["status", "edges"])
+        """Matrix L with (L h)_i = l_i(h), assembled from c_self, c_next and c_prev;
+        symmetric, since c_prev[i + 1] = c_next[i]."""
+        n = self.n
+        k = np.arange(n)
+        L = np.zeros((n, n))
+        L[k, k] = self.c_self
+        L[k, (k + 1) % n] = self.c_next
+        L[k, (k - 1) % n] = self.c_prev
+        L.setflags(write=False)
+        return L
 
 
 # =============================================================================
@@ -147,20 +154,12 @@ def _row_lengths(fan, rows):
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     """Classify h against the deformation cone by the signs of l_i(h).
 
-    Returns ConeLocation(status, edges) with status one of "interior",
-    "boundary", "outside"; edges lists the degenerate (boundary) or
-    violated (outside) side indices.
+    Returns ``forms.locate``'s ConeLocation(status, edges), status one of
+    "interior", "boundary", "outside"; edges lists the degenerate
+    (boundary) or violated (outside) side indices.
     """
     v = support_vector(h, fan.n, "cone_membership")
-    lengths = fan.length_matrix @ v
-    tau = tol * float(np.linalg.norm(v))
-    negative = np.flatnonzero(lengths < -tau)
-    if len(negative):
-        return ConeLocation("outside", negative.tolist())
-    degenerate = np.flatnonzero(lengths <= tau)
-    if len(degenerate):
-        return ConeLocation("boundary", degenerate.tolist())
-    return ConeLocation("interior", [])
+    return locate(fan.length_matrix @ v, tol * float(np.linalg.norm(v)), range(fan.n))
 
 
 def area_form(fan):

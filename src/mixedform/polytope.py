@@ -48,8 +48,9 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .faces import FaceAssembly, _clamp, agreeing_form, locate
-from .forms import SymmetricForm, json_numbers, reversed_cauchy_schwarz_check, support_vector
+from .faces import FaceAssembly, _clamp, agreeing_form
+from .forms import (SymmetricForm, json_numbers, locate, reversed_cauchy_schwarz_check,
+                    support_vector)
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
@@ -105,8 +106,10 @@ class PolytopeFan:
         self.assembly = FaceAssembly(face_fans, [j for _, j in edges],
                                      [-math.cos(phi[e]) / math.sin(phi[e]) for e in edges],
                                      [1.0 / math.sin(phi[e]) for e in edges])
-        #: the directed edges with i < j: each polytope edge once
+        #: the directed edges with i < j: each polytope edge once, and its label (i, j)
         self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
+        self._edge_labels = list(zip(self.assembly.src[self._edges].tolist(),
+                                     self.assembly.dst[self._edges].tolist()))
         self._area_form = None
 
     def vertex_positions(self, h):
@@ -120,11 +123,6 @@ class PolytopeFan:
             else:
                 out[idx], *_ = np.linalg.lstsq(U, v[cell.faces], rcond=None)
         return out
-
-    def edge_length(self, i, j, h):
-        """Length of the polytope edge between adjacent faces i and j."""
-        e = self.assembly.offsets[i] + self.face_cycles[i].index(j)
-        return float(self.assembly.lengths(support_vector(h, self.m, "edge_length"))[e])
 
 
 def _simplex(P, tol):
@@ -256,16 +254,10 @@ def _hull(points, error, message):
     return facets, H
 
 
-def _hull_equations(points, error, message):
-    """Facet equations n.p + c = 0 (n.p + c <= 0 inside) of the convex hull of ``points``."""
-    return _hull(points, error, message)[1]
-
-
 def _check_bounded(normals):
     """Bounded iff the origin is strictly inside the hull of the normals."""
-    offsets = _hull_equations(
-        normals, UnboundedRegionError,
-        "normals do not span 3-space; halfspace intersection is unbounded")[:, 3]
+    offsets = _hull(normals, UnboundedRegionError,
+                    "normals do not span 3-space; halfspace intersection is unbounded")[1][:, 3]
     if np.any(offsets > -1e-9):
         raise UnboundedRegionError(
             "origin is not strictly inside the hull of the normals: "
@@ -289,8 +281,8 @@ def _dual_hull_vertices(A, b, center):
     vertex simplex; its vertex is center - n / d.  A non-simple vertex
     comes back once per simplex of its triangulated dual facet.
     """
-    equations = _hull_equations(A / (b - A @ center)[:, None], StructuralError,
-                                "degenerate halfspace arrangement")
+    equations = _hull(A / (b - A @ center)[:, None], StructuralError,
+                      "degenerate halfspace arrangement")[1]
     return center - equations[:, :-1] / equations[:, -1:]
 
 
@@ -457,13 +449,6 @@ def build_fan(normals, h):
 # SUPPORT NUMBERS, VOLUME, AREA
 # =============================================================================
 
-def face_support_numbers(fan, h, i):
-    """In-plane support numbers h_{i.} of face i (cycle order)."""
-    if not (0 <= i < fan.m):
-        raise InvalidInput(f"face_support_numbers: no face {i}")
-    return fan.assembly.support_map(i) @ support_vector(h, fan.m, "face_support_numbers")
-
-
 def point_support_vector(fan, x):
     """Support vector h^x of the point x: h^x_i = <x, u_i>."""
     p = np.asarray(x, dtype=float)
@@ -475,10 +460,8 @@ def point_support_vector(fan, x):
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     """Classify h by the signs of all edge lengths l_ij(h), each edge once as i < j."""
     v = support_vector(h, fan.m, "cone_membership")
-    F = fan.assembly
-    edges = fan._edges
-    return locate(F.lengths(v)[edges], tol * float(np.linalg.norm(v)),
-                  F.src[edges], F.dst[edges])
+    return locate(fan.assembly.lengths(v)[fan._edges], tol * float(np.linalg.norm(v)),
+                  fan._edge_labels)
 
 
 def volume(fan, h):
@@ -563,10 +546,8 @@ def first_area_measure(fan, h):
     v = support_vector(h, fan.m, "first_area_measure")
     if cone_membership(fan, v).status == "outside":
         raise DomainError("first_area_measure: h lies outside the closed cone")
-    F = fan.assembly
-    edges = fan._edges
-    arcs = [Arc((i, j), fan.phi[(i, j)], w) for i, j, w in zip(
-        F.src[edges].tolist(), F.dst[edges].tolist(), F.lengths(v)[edges].tolist())]
+    arcs = [Arc(ij, fan.phi[ij], w) for ij, w in zip(
+        fan._edge_labels, fan.assembly.lengths(v)[fan._edges].tolist())]
     total = sum(arc.arc_length * arc.weight for arc in arcs)
     arcs.sort(key=lambda a: a.faces)
     return FirstAreaMeasure(arcs, total)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import geomfix
-from mixedform import cli, fuchsian, polygon, polytope
+from mixedform import cli, forms, fuchsian, polygon, polytope
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
@@ -253,6 +253,29 @@ def test_polygon_minkowski_sampled_seed(capsys, square_file):
     assert report["seed"] == 7
     assert report["results"]["samples"] == 5
     assert report["results"]["min_relative_residual"] >= -1e-12
+
+
+def test_polygon_minkowski_near_homothetic_pairs_are_strict(capsys, square_file):
+    # at seed 0, pair 763 is two rectangles about 1e-5 from homothetic: its
+    # relative residual 9.0e-11 is inside EQUALITY_TOL, its witness fit of
+    # 2.3e-5 misses WITNESS_TOL, and it is a strict inequality
+    code, out, err = run(capsys, "polygon", "minkowski", square_file, "--json",
+                         "--samples", "4000", "--seed", "0")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["equality_cases"] == 0
+    assert 0.0 < res["min_relative_residual"] < forms.EQUALITY_TOL
+
+
+def test_polygon_minkowski_exact_equality_without_witness_exits_3(capsys, monkeypatch,
+                                                                 square_file):
+    # a rank-one form gives b(h,k)^2 = q(h)q(k) exactly, and the square and the
+    # 1 x 2 rectangle are no translate + homothety pair
+    monkeypatch.setattr(polygon, "area_form",
+                        lambda fan: forms.SymmetricForm(np.full((4, 4), 0.25)))
+    code, _, err = run(capsys, "polygon", "minkowski", square_file, "--k", "1,2,1,2")
+    assert code == 3
+    assert "equality case without translate+homothety witness" in err
 
 
 def test_polygon_embed(capsys, square_file):

@@ -82,6 +82,24 @@ def test_agreeing_form_bound_is_relative_to_max_one_and_the_matrix():
         faces.agreeing_form(small, small + 1.1e-10, "m and r")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: polytope.build_fan(geomfix.CUBE_NORMALS, np.ones(6)),
+    lambda: polytope.build_fan(geomfix.fibonacci_sphere(48), np.ones(48)),
+    lambda: geomfix.random_fuchsian_fan(np.random.default_rng(5), subdivide=True)[0],
+], ids=["cube", "fibonacci-48", "genus-2"])
+def test_assembly_coefficients_are_the_length_matrix_diagonals(build):
+    # both consumers of NormalFan2D's closed-form tridiagonal read the same numbers
+    fan = build()
+    F = fan.assembly
+    for i, face in enumerate(fan.face_fans):
+        L = face.length_matrix
+        k = np.arange(face.n)
+        edges = slice(F.offsets[i], F.offsets[i + 1])
+        assert np.array_equal(F.c_self[edges], L[k, k])
+        assert np.array_equal(F.c_next[edges], L[k, (k + 1) % face.n])
+        assert np.array_equal(F.c_prev[edges], L[k, (k - 1) % face.n])
+
+
 def _loop_lengths(fan, h):
     return np.concatenate([polygon.edge_lengths(fan.face_fans[i], fan.assembly.support_map(i) @ h)
                            for i in range(fan.m)])
@@ -103,7 +121,7 @@ def test_lengths_and_membership_match_per_face_loop():
     pairs = [(i, j) for i in range(pfan.m) for j in pfan.face_cycles[i]]
     outside = [pair for pair, ell in zip(pairs, ref) if pair[0] < pair[1] and ell < -tau]
     assert outside
-    assert polytope.cone_membership(pfan, h) == polygon.ConeLocation("outside", outside)
+    assert polytope.cone_membership(pfan, h) == forms.ConeLocation("outside", outside)
 
 
 def test_forms_scale_without_cubic_memory_m200():

@@ -2,8 +2,9 @@
 
 Every name that a module of the package or of the tests imports is used in
 it (the package ``__init__.py`` is left out: its imports are the public
-exports), and the package imports nothing but the standard library, numpy
-and itself.
+exports), every module-level private function or class of the package has
+a caller in the package, and the package imports nothing but the standard
+library, numpy and itself.
 """
 
 import ast
@@ -38,6 +39,30 @@ def test_no_unused_imports():
         if names and os.path.basename(path) != "__init__.py":
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # a module-level _helper that only tests reach (or nothing) is dead code
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "mixedform", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), filename=path)
+    assert len(trees) > 5
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    private = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert len(private) > 5
+    assert [entry for entry in private if entry.split()[-1] not in referenced] == []
 
 
 def test_package_imports_only_stdlib_and_numpy():

@@ -220,7 +220,7 @@ def test_hull_matches_qhull(name):
 def test_hull_of_flat_points_raises_typed_error(points, span):
     d = points.shape[1]
     with pytest.raises(errors.UnboundedRegionError) as err:
-        polytope._hull_equations(points, errors.UnboundedRegionError, "flat")
+        polytope._hull(points, errors.UnboundedRegionError, "flat")
     assert str(err.value) == (f"flat (flat input: the {len(points)} points span "
                               f"{span} of {d} dimensions)")
 
@@ -305,7 +305,7 @@ def test_in_plane_support_numbers_match_geometry(cube_fan):
     # all in-plane support numbers 1
     h = np.ones(6)
     for i in range(6):
-        hi = polytope.face_support_numbers(cube_fan, h, i)
+        hi = cube_fan.assembly.support_map(i) @ h
         assert np.allclose(hi, 1.0)
 
 
@@ -394,9 +394,9 @@ def test_area_form_signature_margin_m96():
 
 
 def test_edge_lengths_cube(cube_fan):
-    h = np.full(6, 0.5)
-    for (i, j) in cube_fan.phi:
-        assert abs(cube_fan.edge_length(i, j, h) - 1.0) < 1e-12
+    lengths = cube_fan.assembly.lengths(np.full(6, 0.5))
+    assert len(lengths) == len(cube_fan.phi) == 24
+    assert np.max(np.abs(lengths - 1.0)) < 1e-12
 
 
 # =============================================================================
