@@ -362,8 +362,7 @@ COMMANDS = {
     ("polytope", "af-check"): (
         "mixed volume inequality with witnesses", ("samples", "k", "p"),
         _inequality_report(lambda fan, h, k, p: polytope.alexandrov_fenchel_check(fan, h, k, p),
-                           lambda fan, h, rng, size: np.array(
-                               [polytope.sample_interior(fan, h, rng) for _ in range(size)]),
+                           lambda fan, h, rng, size: polytope.sample_interior(fan, h, rng, size),
                            "v(h,k,p)^2 - v(h,h,p)v(k,k,p)", " against the reference body")),
     ("polytope", "measure"): ("first area measure on the sphere", (), _polytope_measure),
     ("polytope", "sphere-area"): (

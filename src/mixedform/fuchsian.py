@@ -214,7 +214,7 @@ def regular_genus2_fan():
 def cone_membership(fan, h, tol=1e-12):
     """Classify h by the signs of all in-face edge lengths (edges labelled (i, k))."""
     v = fan._vector(h, "cone_membership")
-    return locate(fan.assembly.lengths(v), tol * float(np.linalg.norm(v)), fan._edge_labels)
+    return locate(fan.assembly.lengths(v), v, tol, fan._edge_labels)
 
 
 def covolume(fan, h):

@@ -40,8 +40,9 @@ from .forms import (
     json_numbers,
     locate,
     reversed_cauchy_schwarz_check,
-    row_dot,
+    sample_cone,
     support_vector,
+    wall_masks,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -52,12 +53,6 @@ ARCCOSH_SLACK = 1e-12
 SAMPLE_SPREAD = 0.5
 SAMPLE_MARGIN = 1e-6
 SAMPLE_SHRINKS = 80
-#: perturbation sizes one pass of the sampler tries at once: a pass costs a
-#: single draw about as much as one size, and a draw on a perturbed 12-gon
-#: (48-gon) settles after 3 to 5 (8 to 10) sizes
-SAMPLE_LEVELS_PER_PASS = 6
-#: the sizes SAMPLE_SPREAD / 2^j, j < SAMPLE_SHRINKS (exact powers of two)
-_SAMPLE_LEVELS = SAMPLE_SPREAD * 0.5 ** np.arange(SAMPLE_SHRINKS)
 
 
 # =============================================================================
@@ -159,7 +154,7 @@ def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     (boundary) or violated (outside) side indices.
     """
     v = support_vector(h, fan.n, "cone_membership")
-    return locate(fan.length_matrix @ v, tol * float(np.linalg.norm(v)), range(fan.n))
+    return locate(fan.length_matrix @ v, v, tol, range(fan.n))
 
 
 def area_form(fan):
@@ -225,12 +220,6 @@ class PolygonSupport:
 # MINKOWSKI INEQUALITY
 # =============================================================================
 
-def _outside(fan, rows):
-    """For each row of an (S, n) stack: does cone_membership put it outside?"""
-    lengths = _row_lengths(fan, rows)
-    return np.any(lengths < -MEMBERSHIP_TOL * np.sqrt(row_dot(rows, rows))[:, None], axis=1)
-
-
 def minkowski_check(fan, h, k):
     """Verify a(h,k)^2 >= a(h)a(k) and detect the equality case.
 
@@ -251,7 +240,8 @@ def minkowski_check(fan, h, k):
     rows = np.concatenate([u.reshape(-1, fan.n), v.reshape(-1, fan.n)])
     form = area_form(fan)
     q = form.q(rows).reshape(2, -1)
-    outside = _outside(fan, rows).reshape(2, -1)
+    outside = wall_masks(_row_lengths(fan, rows), rows, MEMBERSHIP_TOL)[0]
+    outside = outside.any(axis=1).reshape(2, -1)
     bad = (outside | (q <= 0.0)).any(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
@@ -294,12 +284,8 @@ def shoelace_hermitian_form(n):
     """Hermitian matrix of the shoelace area (1/2) Im sum_{j<k} conj(z_j) z_k."""
     if n < 3:
         raise InvalidInput("shoelace_hermitian_form: need n >= 3")
-    M = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            M[j, k] = -0.25j
-            M[k, j] = 0.25j
-    return HermitianForm(M)
+    U = np.triu(np.ones((n, n)), 1)
+    return HermitianForm(0.25j * (U.T - U))
 
 
 def double_chart_embedding(fan, h):
@@ -333,30 +319,8 @@ def double_chart_embedding(fan, h):
 # =============================================================================
 
 def sample_interior(fan, rng, size=None):
-    """Random interior support vector near h = 1 (which is always interior).
-
-    With ``size``, a (size, n) stack of them: the vectors that ``size``
-    calls in a row would draw from ``rng``.  The perturbation of each draw
-    is halved until every side length clears SAMPLE_MARGIN x max(1, |h|),
-    SAMPLE_LEVELS_PER_PASS sizes at a time; a DomainError is raised when
-    none of the SAMPLE_SHRINKS sizes does (the fan has a side too short for
-    the margin).
-    """
-    delta = rng.standard_normal(fan.n if size is None else (size, fan.n))
-    pending = delta.reshape(-1, fan.n)
-    rows = np.arange(len(pending))
-    out = np.empty_like(pending)
-    for start in range(0, SAMPLE_SHRINKS, SAMPLE_LEVELS_PER_PASS):
-        if not len(rows):
-            break
-        h = 1.0 + _SAMPLE_LEVELS[start:start + SAMPLE_LEVELS_PER_PASS, None, None] * pending
-        clear = (_row_lengths(fan, h).min(axis=-1)
-                 > SAMPLE_MARGIN * np.maximum(1.0, np.sqrt(row_dot(h, h))))
-        hit = clear.any(axis=0)
-        done = np.flatnonzero(hit)
-        out[rows[done]] = h[clear.argmax(axis=0)[done], done]
-        pending, rows = pending[~hit], rows[~hit]
-    if len(rows):
-        raise DomainError(f"sample_interior: no draw clears the side margin {SAMPLE_MARGIN:g} "
-                          f"after {SAMPLE_SHRINKS} shrinks")
-    return out.reshape(delta.shape)
+    """Random interior support vector near h = 1 (always interior), or a (size, n) stack:
+    ``forms.sample_cone`` with base 1, raising DomainError when no size clears
+    SAMPLE_MARGIN x |h| (the fan has a side too short for the margin)."""
+    return sample_cone(lambda rows: _row_lengths(fan, rows), np.ones(fan.n), rng, size,
+                       SAMPLE_SPREAD, SAMPLE_MARGIN, SAMPLE_SHRINKS, "side")

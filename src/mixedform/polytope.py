@@ -49,8 +49,8 @@ from .errors import (
     UnboundedRegionError,
 )
 from .faces import FaceAssembly, _clamp, agreeing_form
-from .forms import (SymmetricForm, json_numbers, locate, reversed_cauchy_schwarz_check,
-                    support_vector)
+from .forms import (SymmetricForm, as_index, json_numbers, locate,
+                    reversed_cauchy_schwarz_check, sample_cone, support_vector)
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
@@ -460,8 +460,7 @@ def point_support_vector(fan, x):
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     """Classify h by the signs of all edge lengths l_ij(h), each edge once as i < j."""
     v = support_vector(h, fan.m, "cone_membership")
-    return locate(fan.assembly.lengths(v)[fan._edges], tol * float(np.linalg.norm(v)),
-                  fan._edge_labels)
+    return locate(fan.assembly.lengths(v)[fan._edges], v, tol, fan._edge_labels)
 
 
 def volume(fan, h):
@@ -596,7 +595,7 @@ def area_via_sphere_integral(fan, h, depth):
     nodes (planar-quadratic-exact, so the quadratic integrand converges
     at second order in the cell diameter).
     """
-    depth = int(depth)
+    depth = as_index(depth, "depth")
     if not (0 <= depth <= MAX_QUADRATURE_DEPTH):
         raise InvalidInput(f"depth must be in [0, {MAX_QUADRATURE_DEPTH}]")
     v = support_vector(h, fan.m, "area_via_sphere_integral")
@@ -652,25 +651,16 @@ def boundary_metric(fan, h):
 # SAMPLING AND INPUT
 # =============================================================================
 
-def sample_interior(fan, reference, rng):
-    """Random support vector near an interior ``reference``.
-
-    Multiplicative perturbation, halved until the candidate is interior at
-    the membership tolerance SAMPLE_MARGIN; a DomainError is raised when
-    none of the SAMPLE_SHRINKS sizes is (the reference is too close to the
-    cone's boundary for the margin).
-    """
+def sample_interior(fan, reference, rng, size=None):
+    """Random support vector near an interior ``reference``, or a (size, m) stack:
+    ``forms.sample_cone`` with base ``reference`` (checked once), raising DomainError
+    when no size is interior at SAMPLE_MARGIN (the reference is too close to the
+    cone's boundary for the margin)."""
     base = support_vector(reference, fan.m, "sample_interior")
     if cone_membership(fan, base).status != "interior":
         raise DomainError("sample_interior: reference must be interior")
-    s = SAMPLE_SPREAD
-    for _ in range(SAMPLE_SHRINKS):
-        cand = base * (1.0 + s * rng.uniform(-1.0, 1.0, fan.m))
-        if cone_membership(fan, cand, tol=SAMPLE_MARGIN).status == "interior":
-            return cand
-        s *= 0.5
-    raise DomainError(f"sample_interior: no draw clears the cone margin {SAMPLE_MARGIN:g} "
-                      f"after {SAMPLE_SHRINKS} shrinks")
+    return sample_cone(lambda rows: fan.assembly.lengths(rows)[..., fan._edges], base, rng, size,
+                       SAMPLE_SPREAD, SAMPLE_MARGIN, SAMPLE_SHRINKS, "cone")
 
 
 def fan_from_json_dict(data):

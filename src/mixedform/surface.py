@@ -278,7 +278,7 @@ def flip(mesh, interior_edge):
     distinct and develop onto a strictly convex quadrilateral.  Returns a
     new mesh with the same metric.
     """
-    t, e = (int(x) for x in interior_edge)
+    t, e = (as_index(x, "flip: slot") for x in interior_edge)
     if (t, e) not in mesh.sigma:
         raise InvalidInput(f"flip: no side ({t},{e}) in the mesh")
     t2, e2 = mesh.sigma[(t, e)]

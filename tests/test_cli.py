@@ -561,6 +561,30 @@ def test_sampled_pairs_are_drawn_and_checked_once_per_chunk(capsys, monkeypatch,
     assert sum(calls["minkowski_check"]) == 4000
 
 
+@pytest.mark.parametrize("budget, chunks", [(None, None), (12 * 100, 4), (12 * 99, 5)])
+def test_sampled_af_pairs_are_drawn_and_checked_once_per_chunk(capsys, monkeypatch, cube_file,
+                                                              budget, chunks):
+    # a per-pair loop would call the sampler 800 times and the check 400 times
+    if budget is None:
+        chunks = -(-400 // (cli.SAMPLE_BATCH_ELEMENTS // 12))
+    else:
+        monkeypatch.setattr(cli, "SAMPLE_BATCH_ELEMENTS", budget)
+    calls = {"sample_interior": [], "alexandrov_fenchel_check": []}
+    for name, rows in (("sample_interior", len),
+                       ("alexandrov_fenchel_check", lambda r: len(r.residual))):
+        def counting(*args, original=getattr(polytope, name), sizes=calls[name], rows=rows):
+            result = original(*args)
+            sizes.append(rows(result))
+            return result
+        monkeypatch.setattr(polytope, name, counting)
+    code, out, _ = run(capsys, "polytope", "af-check", cube_file, "--samples", "400", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["samples"] == 400
+    assert len(calls["sample_interior"]) == len(calls["alexandrov_fenchel_check"]) == chunks
+    assert sum(calls["sample_interior"]) == 800
+    assert sum(calls["alexandrov_fenchel_check"]) == 400
+
+
 def test_no_command_loads_scipy(square_file, mesh_file, fuchsian_file, cube_file):
     calls = [["--version"], ["polygon", "signature", square_file, "--json"],
              ["surface", "check", mesh_file, "--json"],

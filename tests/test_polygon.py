@@ -161,12 +161,12 @@ def test_sampler_raises_when_no_draw_clears_the_margin():
 
 
 def _halving_draw(fan, rng):
-    """Reference sampler: halve one perturbation of h = 1 until the sides clear the margin."""
+    """Reference sampler: halve one perturbation of h = 1 until it is interior at the margin."""
     delta = rng.standard_normal(fan.n)
     s = polygon.SAMPLE_SPREAD
     for _ in range(polygon.SAMPLE_SHRINKS):
-        h = np.ones(fan.n) + s * delta
-        if np.min(fan.length_matrix @ h) > polygon.SAMPLE_MARGIN * max(1.0, np.linalg.norm(h)):
+        h = np.ones(fan.n) * (1.0 + s * delta)
+        if polygon.cone_membership(fan, h, tol=polygon.SAMPLE_MARGIN).status == "interior":
             return h
         s *= 0.5
     raise AssertionError("no size clears the margin")
@@ -350,11 +350,11 @@ def test_unit_square_chart_oracle():
 
 
 def test_shoelace_matrix_values():
-    form = polygon.shoelace_hermitian_form(3)
-    M = form.entries
-    assert M[0, 1] == -0.25j
-    assert M[1, 0] == 0.25j
-    assert np.all(np.diag(M) == 0)
+    for n in (3, 4, 12, 48):
+        M = polygon.shoelace_hermitian_form(n).entries
+        j, k = np.triu_indices(n, 1)
+        assert np.all(M[j, k] == -0.25j) and np.all(M[k, j] == 0.25j)
+        assert np.all(np.diag(M) == 0)
 
 
 def test_shoelace_restricted_signature_triangle():

@@ -490,7 +490,7 @@ def test_af_mixed_point_body_vanishes(cube_fan):
 class _PushCutOutward:
     """An rng whose perturbation raises only the support number of face 6."""
 
-    def uniform(self, low, high, size):
+    def standard_normal(self, size):
         return np.eye(size)[6]
 
 
@@ -505,6 +505,53 @@ def test_sampler_raises_when_no_draw_clears_the_margin():
     assert polytope.cone_membership(fan, reference).status == "interior"
     with pytest.raises(errors.DomainError, match="margin 1e-09 after 60 shrinks"):
         polytope.sample_interior(fan, reference, _PushCutOutward())
+
+
+def _halving_draw(fan, reference, rng):
+    """Reference sampler: halve one perturbation of ``reference`` until it is interior
+    at the margin."""
+    delta = rng.standard_normal(fan.m)
+    s = polytope.SAMPLE_SPREAD
+    for _ in range(polytope.SAMPLE_SHRINKS):
+        h = reference * (1.0 + s * delta)
+        if polytope.cone_membership(fan, h, tol=polytope.SAMPLE_MARGIN).status == "interior":
+            return h
+        s *= 0.5
+    raise AssertionError("no size clears the margin")
+
+
+@pytest.fixture(scope="module")
+def fibonacci_fan():
+    normals = geomfix.fibonacci_sphere(48)
+    return polytope.build_fan(normals, np.ones(48))
+
+
+@pytest.mark.parametrize("name", ["cube_fan", "fibonacci_fan"])
+def test_sampled_stack_equals_sequential_draws(request, name):
+    fan = request.getfixturevalue(name)
+    reference = fan.reference_h
+    rng = np.random.default_rng(7)
+    expected = np.array([_halving_draw(fan, reference, rng) for _ in range(100)])
+    after = rng.standard_normal()
+    rng = np.random.default_rng(7)
+    sequential = np.array([polytope.sample_interior(fan, reference, rng) for _ in range(100)])
+    assert np.array_equal(sequential, expected)
+    rng = np.random.default_rng(7)
+    stack = polytope.sample_interior(fan, reference, rng, size=100)
+    assert stack.shape == (100, fan.m)
+    assert np.array_equal(stack, expected)
+    assert rng.standard_normal() == after          # the stream is left where draws left it
+    assert polytope.sample_interior(fan, reference, rng, size=0).shape == (0, fan.m)
+
+
+@pytest.mark.parametrize("name", ["cube_fan", "fibonacci_fan"])
+def test_sampled_draws_scale_with_the_reference(request, name):
+    fan = request.getfixturevalue(name)
+    draws = polytope.sample_interior(fan, fan.reference_h, np.random.default_rng(11), size=50)
+    for c in 10.0 ** np.arange(-100, 101, 25):
+        scaled = polytope.sample_interior(fan, c * fan.reference_h, np.random.default_rng(11),
+                                          size=50)
+        assert np.allclose(scaled / c, draws, rtol=1e-13, atol=0.0)
 
 
 def test_af_rejects_outside_reference(cube_fan):
@@ -578,6 +625,11 @@ def test_sphere_integral_translation_invariance(cube_fan):
 def test_sphere_integral_depth_validation(cube_fan):
     with pytest.raises(errors.InvalidInput):
         polytope.area_via_sphere_integral(cube_fan, np.ones(6), depth=99)
+    for depth in (2.5, True, "2"):
+        with pytest.raises(errors.InvalidInput, match="integer"):
+            polytope.area_via_sphere_integral(cube_fan, np.ones(6), depth=depth)
+    assert polytope.area_via_sphere_integral(cube_fan, np.ones(6), depth=np.int64(2)) == \
+        polytope.area_via_sphere_integral(cube_fan, np.ones(6), depth=2)
 
 
 # =============================================================================

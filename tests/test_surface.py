@@ -204,6 +204,15 @@ def test_flip_rejects_missing_edge():
         surface.flip(mesh, (9, 0))
 
 
+def test_flip_rejects_fractional_slots():
+    mesh = geomfix.cube_boundary_mesh()
+    for slot in ((0.5, 1), (0, 1.0), (True, 1)):
+        with pytest.raises(errors.InvalidInput, match="integer"):
+            surface.flip(mesh, slot)
+    flipped = surface.flip(mesh, (np.int64(0), np.int64(1)))
+    assert np.array_equal(flipped.lengths, surface.flip(mesh, (0, 1)).lengths)
+
+
 def test_flip_rejects_nonconvex_quad():
     # both triangles are obtuse at the same endpoint of the shared edge
     # (apex x-coordinate < 0), so the developed quad folds back at that
