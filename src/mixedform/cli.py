@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from . import __version__, forms, fuchsian, polygon, polytope, surface
-from .errors import InvalidInput, InvariantFalsified, MixedFormError
+from .errors import DomainError, InvalidInput, InvariantFalsified, MixedFormError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -422,14 +422,7 @@ def main(argv=None):
         except (TypeError, ValueError) as exc:      # a JSON value of the wrong type
             raise InvalidInput(f"{args.file}: wrongly typed value: {exc}") from exc
         results, tolerances, lines = COMMANDS[args.family, args.op][2](args, fan, h)
-    except InvariantFalsified as exc:
-        print(f"mixedform: invariant falsified: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED
-    except MixedFormError as exc:
-        print(f"mixedform: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    elapsed = time.perf_counter() - start
-    if args.json:
+        elapsed = time.perf_counter() - start
         report = {
             "schema": 1,
             "command": f"{args.family} {args.op}",
@@ -439,9 +432,19 @@ def main(argv=None):
         }
         if getattr(args, "samples", 0) and args.k is None:      # random pairs were drawn
             report["seed"] = args.seed
-        print(json.dumps(report, indent=2, sort_keys=True, default=_plain))
-    else:
-        print("\n".join([*lines, f"wall time: {elapsed:.3f}s"]))
+        try:        # in both output modes: no report holds Infinity or NaN
+            text = json.dumps(report, indent=2 if args.json else None, sort_keys=True,
+                              default=_plain, allow_nan=False)
+        except ValueError as exc:
+            raise DomainError("the report holds a non-finite number: a result "
+                              "overflows the floating-point range") from exc
+    except InvariantFalsified as exc:
+        print(f"mixedform: invariant falsified: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
+    except MixedFormError as exc:
+        print(f"mixedform: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    print(text if args.json else "\n".join([*lines, f"wall time: {elapsed:.3f}s"]))
     return EXIT_OK
 
 

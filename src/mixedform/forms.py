@@ -112,6 +112,8 @@ def as_index(x, what):
 def support_vector(h, n, what, stack=False, dtype=float):
     """``h`` as a finite vector of length n with ``dtype`` entries (with ``stack``,
     also an (S, n) stack of them); errors name ``what``."""
+    if np.iscomplexobj(h) and not np.issubdtype(dtype, np.complexfloating):
+        raise InvalidInput(f"{what}: support vector must be real, got complex entries")
     v = np.asarray(h, dtype=dtype)
     if v.shape[-1:] != (n,) or v.ndim > 1 + stack:
         raise InvalidInput(f"{what}: expected a support vector of length {n}")

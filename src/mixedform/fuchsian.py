@@ -54,6 +54,8 @@ PAIRING_TOL = 1e-9
 ANGLE_SUM_TOL = 1e-9
 HOMOTHETY_TOL = 1e-7
 ARCCOS_SLACK = 1e-12
+#: the largest phi whose cosh (and sinh) is a finite float
+MAX_PHI = math.acosh(np.finfo(float).max)
 
 AdjacencyEntry = namedtuple("AdjacencyEntry", ["to", "phi", "omega"])
 
@@ -87,8 +89,9 @@ class QuotientFan:
                 to, phi, omega = as_index(e[0], f"QuotientFan: face {i}"), float(e[1]), float(e[2])
                 if not (0 <= to < m):
                     raise InvalidInput(f"QuotientFan: face {i} refers to missing class {to}")
-                if not (math.isfinite(phi) and phi > 0.0):
-                    raise InvalidInput(f"QuotientFan: face {i}: phi must be positive, got {phi!r}")
+                if not (0.0 < phi <= MAX_PHI):
+                    raise InvalidInput(f"QuotientFan: face {i}: phi must be positive with a "
+                                       f"finite cosh (at most {MAX_PHI!r}), got {phi!r}")
                 if not (math.isfinite(omega) and 0.0 < omega < math.pi):
                     raise InvalidInput(
                         f"QuotientFan: face {i}: omega must lie in (0, pi), got {omega!r}")
@@ -99,36 +102,26 @@ class QuotientFan:
                     f"QuotientFan: face {i}: turning angles sum to {total!r}, expected 2*pi")
             parsed.append(face)
 
-        # pairing symmetry of the phi multisets
+        # pairing symmetry: the phi values of every i -> j pair up with those of j -> i,
+        # and a self-adjacency pairs with another one of its face
         by_pair = {}
         for i, face in enumerate(parsed):
             for e in face:
                 by_pair.setdefault((i, e.to), []).append(e.phi)
         for (i, j), phis in by_pair.items():
-            if i < j:
-                back = by_pair.get((j, i), [])
-                if len(back) != len(phis) or any(
-                        abs(a - b) > PAIRING_TOL * max(1.0, a)
-                        for a, b in zip(sorted(phis), sorted(back))):
-                    raise ConsistencyError(
-                        f"QuotientFan: phi multisets of {i}->{j} and {j}->{i} disagree")
-            elif i == j:
-                s = sorted(phis)
-                if len(s) % 2:
-                    raise ConsistencyError(
-                        f"QuotientFan: face {i} has an odd number of self-adjacencies")
-                for a, b in zip(s[0::2], s[1::2]):
-                    if abs(a - b) > PAIRING_TOL * max(1.0, a):
-                        raise ConsistencyError(
-                            f"QuotientFan: self-adjacency phi values of face {i} do not pair up")
-        total_entries = sum(len(face) for face in parsed)
-        if total_entries % 2:
-            raise ConsistencyError("QuotientFan: odd total number of directed adjacencies")
+            ours = sorted(phis)
+            back = (sorted(by_pair.get((j, i), [])) if i != j else
+                    [b for pair in zip(ours[1::2], ours[0::2]) for b in pair])
+            if len(back) != len(ours) or any(abs(a - b) > PAIRING_TOL * max(1.0, a)
+                                             for a, b in zip(ours, back)):
+                raise ConsistencyError(
+                    f"QuotientFan: phi multisets of {i}->{j} and {j}->{i} disagree" if i != j
+                    else f"QuotientFan: self-adjacency phi values of face {i} do not pair up")
 
         self.m = m
         self.genus = genus
         self.faces = parsed
-        self.num_edges = total_entries // 2
+        self.num_edges = sum(len(face) for face in parsed) // 2
         self.declared_vertices = vertices
         if vertices is not None:
             expected_faces = vertices / 2 + 2 - 2 * genus

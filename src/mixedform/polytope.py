@@ -369,56 +369,41 @@ def build_fan(normals, h):
     if empty:
         raise RedundancyError(empty)
 
-    frames = [_frame(u) for u in U]
-
-    # ---- face cycles (vertices CCW seen from outside) ----
-    face_vertex_cycles = []
+    # ---- per face: vertex cycle (CCW seen from outside), the neighbor across
+    # each edge, phi, and the edge's in-plane normal angle ----
+    face_vertex_cycles, face_cycles, face_angles, phi = [], [], [], {}
     for i in range(m):
-        e1, e2 = frames[i]
+        e1, e2 = _frame(U[i])
         vids = face_to_vertices[i]
         pts = np.array([[np.dot(positions[v], e1), np.dot(positions[v], e2)] for v in vids])
         center = pts.mean(axis=0)
-        ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
-        order = np.argsort(ang)
-        face_vertex_cycles.append([vids[o] for o in order])
-
-    face_cycles = []
-    phi = {}
-    for i in range(m):
-        cyc = face_vertex_cycles[i]
-        neighbors = []
-        for k in range(len(cyc)):
-            va, vb = cyc[k], cyc[(k + 1) % len(cyc)]
+        cyc = [vids[o] for o in np.argsort(np.arctan2(pts[:, 1] - center[1],
+                                                       pts[:, 0] - center[0]))]
+        neighbors, angles = [], []
+        for va, vb in zip(cyc, cyc[1:] + cyc[:1]):
             shared = (active_sets[va] & active_sets[vb]) - {i}
             if len(shared) != 1:
                 raise StructuralError(
                     f"edge of face {i} between vertices {va},{vb} is shared by "
                     f"{len(shared)} other faces (expected 1)")
             j = shared.pop()
-            neighbors.append(j)
             ph = math.acos(_clamp(float(np.dot(U[i], U[j]))))
             if not (0.0 < ph < math.pi):
                 raise StructuralError(f"adjacent faces {i},{j} with degenerate angle {ph}")
             phi[(i, j)] = ph
-        face_cycles.append(neighbors)
-
-    for (i, j) in list(phi):
-        if (j, i) not in phi:
-            raise StructuralError(f"adjacency is not symmetric: {i}->{j} without {j}->{i}")
-
-    # ---- per-face 2D fans from in-plane edge normals ----
-    face_fans = []
-    for i in range(m):
-        e1, e2 = frames[i]
-        angles = []
-        for j in face_cycles[i]:
-            ph = phi[(i, j)]
             w = (U[j] - math.cos(ph) * U[i]) / math.sin(ph)
             ang = math.atan2(float(np.dot(w, e2)), float(np.dot(w, e1))) % (2.0 * math.pi)
-            if ang >= 2.0 * math.pi:       # fmod of a tiny negative rounds up to 2*pi
-                ang = 0.0
-            angles.append(ang)
-        face_fans.append(poly.NormalFan2D(angles))
+            neighbors.append(j)
+            # fmod of a tiny negative rounds up to 2*pi
+            angles.append(0.0 if ang >= 2.0 * math.pi else ang)
+        face_vertex_cycles.append(cyc)
+        face_cycles.append(neighbors)
+        face_angles.append(angles)
+
+    for i, j in phi:
+        if (j, i) not in phi:
+            raise StructuralError(f"adjacency is not symmetric: {i}->{j} without {j}->{i}")
+    face_fans = [poly.NormalFan2D(angles) for angles in face_angles]
 
     # ---- Gauss cells at the vertices ----
     cells = []

@@ -39,6 +39,16 @@ GAUSS_BONNET_TOL = 1e-6
 CONVEXITY_TOL = 1e-12
 
 
+def _scaled(values):
+    """``values`` times 2**-k, and k, for the k that brings the largest into [0.5, 1).
+
+    Scaling by a power of two is exact, so lengths of any finite scale can be
+    squared without overflow or underflow and give the same bits.
+    """
+    k = math.frexp(max(values))[1]
+    return [math.ldexp(x, -k) for x in values], k
+
+
 # =============================================================================
 # MESH
 # =============================================================================
@@ -134,16 +144,15 @@ class TriangleMesh:
 
     def corner_angle(self, t, c):
         """Interior angle at corner c of triangle t (law of cosines, clamped)."""
-        A = self.lengths[t, c]
-        B = self.lengths[t, (c + 2) % 3]
-        C = self.lengths[t, (c + 1) % 3]
+        row, _ = _scaled(self.lengths[t].tolist())
+        A, B, C = row[c], row[(c + 2) % 3], row[(c + 1) % 3]
         cos = (A * A + B * B - C * C) / (2.0 * A * B)
         return math.acos(min(1.0, max(-1.0, cos)))
 
     def triangle_area(self, t):
-        a, b, c = self.lengths[t]
+        (a, b, c), k = _scaled(self.lengths[t].tolist())
         s = 0.5 * (a + b + c)
-        return math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0))
+        return math.ldexp(math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0)), 2 * k)
 
     def orbit_labels(self):
         """Per-vertex set of corner labels (empty set when unlabeled)."""
@@ -191,9 +200,11 @@ def mesh_from_indexed_triangles(points, triangles):
                 raise StructuralError(f"edge {(a, b)} has no partner (boundary edge)")
             t2, e2 = directed[(b, a)]
             gluing.append((t, e, t2, e2))
-    lengths = [[float(np.linalg.norm(P[j] - P[i])),
-                float(np.linalg.norm(P[k] - P[j])),
-                float(np.linalg.norm(P[i] - P[k]))] for (i, j, k) in tris]
+    # measured on the points scaled by a power of two into [-1, 1] (exact), then scaled back
+    exp2 = math.frexp(float(np.max(np.abs(P), initial=0.0)))[1]
+    P = np.ldexp(P, -exp2)
+    lengths = [[math.ldexp(float(np.linalg.norm(P[b] - P[a])), exp2)
+                for a, b in ((i, j), (j, k), (k, i))] for (i, j, k) in tris]
     labels = {(t, c): tris[t][c] for t in range(len(tris)) for c in range(3)}
     return TriangleMesh(lengths, gluing, corner_labels=labels)
 
@@ -250,25 +261,23 @@ def total_area(mesh):
 # =============================================================================
 
 def _develop_quad(mesh, t, e):
-    """Develop the two triangles at slot (t, e) into the plane.
+    """Develop the two triangles at slot (t, e) into the plane, scaled by 2**-k.
 
-    Returns (a, b, C, C2): the common edge from a=(0,0) to b=(L,0), the
+    Returns (a, b, C, C2, k): the common edge from a=(0,0) to b=(L,0), the
     apex C of triangle t above the axis and the apex C2 of its partner
-    below.
+    below, all in units of 2**k, which brings the longest side into [0.5, 1).
     """
     t2, e2 = mesh.sigma[(t, e)]
-    L = mesh.lengths[t, e]
-    dA = mesh.lengths[t, (e + 2) % 3]   # |C - a|
-    dB = mesh.lengths[t, (e + 1) % 3]   # |C - b|
+    # L, |C - a|, |C - b|, |C2 - a|, |C2 - b|
+    (L, dA, dB, dA2, dB2), k = _scaled(mesh.lengths[[t, t, t, t2, t2], [
+        e, (e + 2) % 3, (e + 1) % 3, (e2 + 1) % 3, (e2 + 2) % 3]].tolist())
     x = (L * L + dA * dA - dB * dB) / (2.0 * L)
     y2 = dA * dA - x * x
     C = np.array([x, math.sqrt(max(y2, 0.0))])
-    dA2 = mesh.lengths[t2, (e2 + 1) % 3]  # |C2 - a|
-    dB2 = mesh.lengths[t2, (e2 + 2) % 3]  # |C2 - b|
     x2 = (L * L + dA2 * dA2 - dB2 * dB2) / (2.0 * L)
     y22 = dA2 * dA2 - x2 * x2
     C2 = np.array([x2, -math.sqrt(max(y22, 0.0))])
-    return np.array([0.0, 0.0]), np.array([L, 0.0]), C, C2
+    return np.array([0.0, 0.0]), np.array([L, 0.0]), C, C2, k
 
 
 def flip(mesh, interior_edge):
@@ -286,9 +295,9 @@ def flip(mesh, interior_edge):
         raise FlipNotAdmissible(
             f"flip: both sides of the edge lie in triangle {t}; no quadrilateral to flip")
 
-    a, b, C, C2 = _develop_quad(mesh, t, e)
+    a, b, C, C2, k = _develop_quad(mesh, t, e)
     quad = [a, C2, b, C]
-    scale = max(float(np.max(mesh.lengths[t])), float(np.max(mesh.lengths[t2])))
+    scale = math.ldexp(max(float(np.max(mesh.lengths[t])), float(np.max(mesh.lengths[t2]))), -k)
     for i in range(4):
         p, q, r = quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4]
         cross = (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
@@ -296,16 +305,11 @@ def flip(mesh, interior_edge):
             raise FlipNotAdmissible(
                 f"flip: developed quadrilateral is not strictly convex at corner {i}")
 
-    d_new = float(np.linalg.norm(C - C2))
-    dA = mesh.lengths[t, (e + 2) % 3]
-    dB = mesh.lengths[t, (e + 1) % 3]
-    dA2 = mesh.lengths[t2, (e2 + 1) % 3]
-    dB2 = mesh.lengths[t2, (e2 + 2) % 3]
-
+    d_new = math.ldexp(float(np.linalg.norm(C - C2)), k)
     new_lengths = mesh.lengths.copy()
     # triangle (a, C2, C) replaces t; triangle (C2, b, C) replaces t2
-    new_lengths[t] = [dA2, d_new, dA]
-    new_lengths[t2] = [dB2, dB, d_new]
+    new_lengths[t] = [mesh.lengths[t2, (e2 + 1) % 3], d_new, mesh.lengths[t, (e + 2) % 3]]
+    new_lengths[t2] = [mesh.lengths[t2, (e2 + 2) % 3], mesh.lengths[t, (e + 1) % 3], d_new]
 
     slot_map = {
         (t2, (e2 + 1) % 3): (t, 0),

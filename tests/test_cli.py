@@ -392,6 +392,42 @@ def test_polytope_boundary_metric(capsys, cube_file):
     assert res["genus"] == 0
 
 
+def test_polytope_boundary_metric_at_tiny_scale(capsys, tmp_path):
+    # at h = 1e-200 (1, 1, 2, 2, 3, 3) every squared length underflows unless
+    # the lengths are measured on the points scaled by a power of two
+    box = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [1e-200 * x for x in (1, 1, 2, 2, 3, 3)]}
+    code, out, _ = run(capsys, "polytope", "boundary-metric",
+                       write_json(tmp_path, "tiny_box.json", box), "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["genus"] == 0
+
+
+@pytest.mark.parametrize("op", ["build", "sphere-area"])
+def test_non_finite_report_is_bad_input(tmp_path, op):
+    # at h = 1e200 (1, 1, 2, 2, 3, 3) the box's volume overflows to inf and its
+    # sphere quadrature to nan; a child interpreter shows the CLI as run,
+    # where numpy's overflow warnings go to stderr
+    box = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [1e200 * x for x in (1, 1, 2, 2, 3, 3)]}
+    path = write_json(tmp_path, "huge_box.json", box)
+    for mode in ([], ["--json"]):
+        proc = subprocess.run([sys.executable, "-m", "mixedform", "polytope", op, path, *mode],
+                              capture_output=True, text=True, env=geomfix.child_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[-1].startswith(
+            "mixedform: the report holds a non-finite number")
+
+
+@pytest.mark.parametrize("side", [1e100, 1e-100, 1e-170])
+def test_surface_check_at_extreme_scales(capsys, tmp_path, side):
+    mesh = dict(MESH, triangles=[{"lengths": [side] * 3}] * 2)
+    code, out, _ = run(capsys, "surface", "check", write_json(tmp_path, "m.json", mesh), "--json")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["total_area"] == pytest.approx(math.sqrt(3.0) / 2.0 * side * side, rel=1e-15, abs=0.0)
+    _, unit, _ = run(capsys, "surface", "check", write_json(tmp_path, "u.json", MESH), "--json")
+    assert res["cone_angles"] == json.loads(unit)["results"]["cone_angles"]
+
+
 # =============================================================================
 # FUCHSIAN
 # =============================================================================
@@ -430,6 +466,18 @@ def test_fuchsian_check_pd_falsified_at_coarse_tol(capsys, fuchsian_file,
                        "--tol", f"{tol:.12g}")
     assert code == 3
     assert "invariant falsified" in err
+
+
+@pytest.mark.parametrize("phi, expected", [(400.0, 0), (800.0, 2)])
+def test_fuchsian_phi_with_overflowing_cosh_is_bad_input(capsys, tmp_path, phi, expected):
+    # the regular octagon pattern; cosh(800) overflows a float, cosh(400) does not
+    faces = [{"adjacencies": [{"to": 0, "phi": phi, "omega": math.pi / 4.0}] * 8}]
+    path = write_json(tmp_path, "octagon.json", {"genus": 2, "faces": faces, "h": [1.0]})
+    code, out, err = run(capsys, "fuchsian", "area-form", path)
+    assert code == expected
+    if expected:
+        assert out == ""
+        assert "face 0: phi must be positive with a finite cosh" in err
 
 
 def test_fuchsian_distance(capsys, fuchsian_file, base_fan_and_h):

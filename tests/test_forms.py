@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixedform import errors, forms
+from mixedform import errors, forms, polygon
 
 
 # =============================================================================
@@ -123,6 +123,16 @@ def test_q_b_polarization_identity():
     lhs = form.b(h, k)
     rhs = 0.5 * (form.q(h + k) - form.q(h) - form.q(k))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("h", [np.array([1 + 1j, 0.0]), [1 + 1j, 0.0]])
+def test_real_form_rejects_complex_vectors(h):
+    # a complex array used to lose its imaginary part (q = 1.0), and a complex
+    # list raised a bare TypeError
+    with pytest.raises(errors.InvalidInput, match="must be real"):
+        forms.SymmetricForm(np.eye(2)).q(h)
+    with pytest.raises(errors.InvalidInput, match="must be real"):
+        polygon.cone_membership(polygon.NormalFan2D.regular(4), np.array([1 - 5j, 1, 1, 1]))
 
 
 def test_kernel_of_rank_deficient_form():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -122,6 +123,48 @@ def test_rejects_odd_self_adjacency():
     entries = [(0, 1.0, 2.0 * math.pi / 3.0)] * 3
     with pytest.raises(errors.ConsistencyError):
         fuchsian.QuotientFan([entries], genus=2)
+
+
+def _one_sided_faces():
+    # class 1 lists two gluings to class 0 that class 0 never lists back;
+    # every self-adjacency pairs up, and the total count of entries is even
+    q = math.pi / 2.0
+    return [[(0, phi, q) for phi in (2.0, 2.0, 2.5, 2.5)],
+            [(0, 1.5, q), (1, 3.0, q), (0, 1.5, q), (1, 3.0, q)]]
+
+
+def _relabeled(faces, perm):
+    """``faces`` with class i renamed perm[i]."""
+    out = [None] * len(faces)
+    for i, face in enumerate(faces):
+        out[perm[i]] = [(perm[to], phi, omega) for to, phi, omega in face]
+    return out
+
+
+@pytest.mark.parametrize("perm", [(0, 1), (1, 0)])
+def test_rejects_one_sided_gluing_under_every_labeling(perm):
+    with pytest.raises(errors.ConsistencyError, match="phi multisets"):
+        fuchsian.QuotientFan(_relabeled(_one_sided_faces(), perm), genus=2)
+
+
+def test_relabeled_fans_keep_the_permuted_area_form():
+    fans = [fuchsian.regular_genus2_fan()]
+    fans += [geomfix.random_fuchsian_fan(np.random.default_rng(seed))[0] for seed in (5, 6)]
+    for fan in fans:
+        M = fuchsian.fuchsian_area_form(fan).entries
+        for perm in itertools.permutations(range(fan.m)):
+            relabeled = fuchsian.QuotientFan(_relabeled(fan.faces, perm), genus=fan.genus)
+            P = np.zeros((fan.m, fan.m))
+            P[list(perm), range(fan.m)] = 1.0
+            defect = fuchsian.fuchsian_area_form(relabeled).entries - P @ M @ P.T
+            assert np.max(np.abs(defect)) <= 1e-12 * np.max(np.abs(M))
+
+
+def test_phi_must_have_a_finite_cosh():
+    fuchsian.QuotientFan([_octagon_entries(phi=fuchsian.MAX_PHI)], genus=2)
+    with pytest.raises(errors.InvalidInput, match="face 0: phi"):
+        fuchsian.QuotientFan([_octagon_entries(phi=math.nextafter(fuchsian.MAX_PHI, 800.0))],
+                             genus=2)
 
 
 def test_rejects_euler_mismatch():

@@ -233,6 +233,35 @@ def test_flip_doubled_equilateral_is_admissible():
     assert abs(surface.total_area(flipped) - surface.total_area(mesh)) < 1e-12
 
 
+def _scaled_mesh(mesh, j):
+    """``mesh`` with every length times 2**j (exact)."""
+    return surface.TriangleMesh(np.ldexp(mesh.lengths, j), mesh.to_json_dict()["gluing"])
+
+
+@pytest.mark.parametrize("j", [-600, -500, -170, -1, 1, 170, 500, 600])
+def test_geometry_is_exact_under_power_of_two_scaling(j):
+    # lengths are scaled by a power of two before they are squared, so cone
+    # angles, flips and areas keep every bit at scales whose squares would
+    # overflow or underflow
+    base = geomfix.cube_boundary_mesh()
+    mesh = _scaled_mesh(base, j)
+    assert (surface.cone_data(mesh).cone_angles.tolist()
+            == surface.cone_data(base).cone_angles.tolist())
+    assert (surface.flip(mesh, (0, 1)).lengths.tolist()
+            == np.ldexp(surface.flip(base, (0, 1)).lengths, j).tolist())
+    if abs(j) <= 500:       # beyond, the area itself leaves the float range
+        assert surface.total_area(mesh) == math.ldexp(surface.total_area(base), 2 * j)
+
+
+@pytest.mark.parametrize("j", [-600, -520, 520, 600])
+def test_indexed_triangles_are_exact_under_power_of_two_scaling(j):
+    pts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    base = surface.mesh_from_indexed_triangles(pts, tris)
+    mesh = surface.mesh_from_indexed_triangles(np.ldexp(pts, j), tris)
+    assert mesh.lengths.tolist() == np.ldexp(base.lengths, j).tolist()
+
+
 def test_random_flips_on_genus2(subtests=None):
     rng = np.random.default_rng(77)
     mesh = geomfix.genus2_octagon_mesh()
