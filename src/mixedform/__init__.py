@@ -3,7 +3,7 @@
 Modules by geometry:
 
   * :mod:`mixedform.forms`    -- symmetric / trilinear / Hermitian forms,
-    LAPACK eigenvalues, signatures, polarization, inequality residuals,
+    LAPACK eigenvalues, signatures, inequality residuals,
     the cone classifier;
   * :mod:`mixedform.polygon`  -- 2D normal fans, area form, Minkowski
     inequality with witnesses, chart embedding;
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     ConsistencyError,
-    ContractViolation,
     DomainError,
     FlipNotAdmissible,
     InvalidInput,
@@ -37,5 +36,4 @@ from .forms import (  # noqa: F401
     SymmetricForm,
     TrilinearForm,
     jacobi_eigenvalues,
-    polarize_cubic,
 )

@@ -2,9 +2,9 @@
 
 Two families matter for the CLI exit codes:
 
-  * data / usage problems (bad input, broken contracts, inconsistent
-    geometry)  -> ``MixedFormError`` subclasses other than
-    ``InvariantFalsified``; the CLI maps these to exit code 2;
+  * data / usage problems (bad input, inconsistent geometry, values
+    beyond the floating-point range) -> ``MixedFormError`` subclasses
+    other than ``InvariantFalsified``; the CLI maps these to exit code 2;
   * a numerical counterexample to a theorem the library asserts
     (positive definiteness, Cauchy-Schwarz bounds, equality cases)
     -> ``InvariantFalsified``; the CLI maps this to exit code 3 so CI
@@ -18,10 +18,6 @@ class MixedFormError(Exception):
 
 class InvalidInput(MixedFormError):
     """Malformed or non-finite input data (wrong shape, NaN, bad JSON)."""
-
-
-class ContractViolation(MixedFormError):
-    """A caller-supplied callable broke its contract (e.g. not homogeneous)."""
 
 
 class DomainError(MixedFormError):

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .forms import SymmetricForm, row_dot, scalar_or_rows, support_vector
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
@@ -132,10 +132,17 @@ class FaceAssembly:
         """Edge lengths l_e(h) for every edge; h is (..., m)."""
         return self.edge_lengths(self.face_support(h))
 
-    def cubic(self, h):
-        """(1/3) sum_i h_i a_i(h_{i.}) = (1/6) sum_e h_src hs_e l_e; h is (..., m)."""
-        hs = self.face_support(h)
-        return np.sum(h[..., self.src] * hs * self.edge_lengths(hs), axis=-1) / 6.0
+    def cubic(self, h, what):
+        """(1/3) sum_i h_i a_i(h_{i.}) = (1/6) sum_e h_src hs_e l_e; h is (..., m).
+
+        A value beyond the floating-point range raises DomainError naming ``what``.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            hs = self.face_support(h)
+            value = np.sum(h[..., self.src] * hs * self.edge_lengths(hs), axis=-1) / 6.0
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{what}: the value overflows the floating-point range")
+        return value
 
     def jacobian(self, lengths):
         """J[i, j] = sum_{e in i} l_e d hs_e / d h_j for edge lengths ``lengths``."""
@@ -174,6 +181,13 @@ class FaceAssembly:
                 f"tensor is not symmetric: max defect {defect:.3e} "
                 f"exceeds {SYMMETRY_TOL:.1e} x scale {scale:.3e}")
         return FaceTrilinearForm(self)
+
+    @cached_property
+    def area_form(self):
+        """The total face area sum_i G_i as a form, once it agrees with 3 v(1, ., .)."""
+        ones = np.ones(self.m)
+        return agreeing_form(self.gram_sum(ones), 3.0 * self.trilinear_form.contract(ones).entries,
+                             "area form and 3 v(1,.,.)")
 
 
 class FaceTrilinearForm:

@@ -4,20 +4,15 @@ Generic machinery shared by the geometry modules:
 
   * dense real symmetric forms with evaluation q(h) = h'Mh, polarization
     b(h,k) = (q(h+k) - q(h) - q(k))/2, eigenvalues, signature and kernel;
-  * dense fully symmetric trilinear forms with the inclusion-exclusion
-    polarization of a cubic evaluator
-        6 v(h,k,p) = v(h+k+p) + v(h) + v(k) + v(p)
-                     - v(h+k) - v(k+p) - v(h+p);
-    the geometry modules evaluate their mixed volumes face by face
-    (``mixedform.faces``), and the dense n^3 form serves ``polarize_cubic``
-    and the tests as an independent reference;
+  * dense fully symmetric trilinear forms; the geometry modules evaluate
+    their mixed volumes face by face (``mixedform.faces``), and the dense
+    n^3 form serves the tests as an independent reference;
   * Hermitian forms (area forms in complex unfolding coordinates): a
     ``SymmetricForm`` over complex entries, q(z) = z*Mz, b(z,w) = Re z*Mw;
   * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality, its
     equality witness h = h^x + lambda k (shared by the Minkowski and
     Alexandrov-Fenchel checks, with their tolerances EQUALITY_TOL,
-    WITNESS_TOL and ROUNDING_TOL), and the three-body A,B,C
-    quadratic-in-lambda argument, with the discriminant bound B^2 <= A*C;
+    WITNESS_TOL and ROUNDING_TOL);
   * ``support_vector``, the length and finiteness check of support vectors
     and of the forms' (real or complex) arguments;
   * ``wall_masks``, the one rule that puts an edge length below -tol |h|
@@ -34,24 +29,15 @@ kernels that occur (translation vectors) are exact in theory but the
 computed eigenvalues carry O(eps * ||M||) noise.
 """
 
+import math
 import numbers
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    ContractViolation,
-    DomainError,
-    InvalidInput,
-    InvariantFalsified,
-)
+from .errors import ConsistencyError, DomainError, InvalidInput, InvariantFalsified
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
-HOMOGENEITY_SAMPLES = 16
-HOMOGENEITY_FACTORS = (0.5, 2.0)
-HOMOGENEITY_TOL = 1e-8
-POLARIZE_CHECK_TOL = 1e-10
 # reversed Cauchy-Schwarz: relative equality threshold, witness fit bound and
 # the rounding bound of a residual that is 0 in exact arithmetic
 EQUALITY_TOL = 1e-10
@@ -81,6 +67,16 @@ def row_dot(x, y):
     """
     x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def unit_scaled(v):
+    """(v 2^-e, e) for the e that brings max |v| into [0.5, 1), e = 0 for v = 0.
+
+    Scaling by a power of two is exact, so every scale of v gives the same
+    unit-size vector, and products of it neither overflow nor underflow.
+    """
+    e = math.frexp(float(abs(v).max(initial=0.0)))[1]
+    return np.ldexp(v, -e), e
 
 
 def scalar_or_rows(x):
@@ -343,65 +339,6 @@ class HermitianForm(SymmetricForm):
 
 
 # =============================================================================
-# POLARIZATION
-# =============================================================================
-
-def _check_homogeneity(values, dim, degree, rng):
-    """Stochastic check |f(t h) - t^degree f(h)| <= HOMOGENEITY_TOL * scale."""
-    for _ in range(HOMOGENEITY_SAMPLES):
-        h = rng.standard_normal(dim)
-        fh = float(values(h))
-        for t in HOMOGENEITY_FACTORS:
-            fth = float(values(t * h))
-            expected = (t ** degree) * fh
-            scale = max(1.0, abs(fh), abs(fth))
-            if abs(fth - expected) > HOMOGENEITY_TOL * scale:
-                raise ContractViolation(
-                    f"evaluator is not homogeneous of degree {degree}: "
-                    f"f({t}*h) = {fth:.6e}, expected {expected:.6e}")
-
-
-def polarize_cubic(v_values, dim):
-    """Symmetric trilinear form of a homogeneous cubic evaluator.
-
-    Inclusion-exclusion:
-    6 v(h,k,p) = v(h+k+p) + v(h) + v(k) + v(p) - v(h+k) - v(k+p) - v(h+p),
-    evaluated on basis vectors (repeated indices included).
-    """
-    if dim < 1:
-        raise InvalidInput("polarize_cubic: dim must be positive")
-    rng = np.random.default_rng(0)
-    _check_homogeneity(v_values, dim, 3, rng)
-
-    eye = np.eye(dim)
-    cache = {}
-
-    def vsum(*idx):
-        key = tuple(sorted(idx))
-        if key not in cache:
-            cache[key] = float(v_values(eye[list(key)].sum(axis=0)))
-        return cache[key]
-
-    T = np.empty((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            for k in range(j, dim):
-                val = (vsum(i, j, k) + vsum(i) + vsum(j) + vsum(k)
-                       - vsum(i, j) - vsum(j, k) - vsum(i, k)) / 6.0
-                for a, b, c in ((i, j, k), (i, k, j), (j, i, k),
-                                (j, k, i), (k, i, j), (k, j, i)):
-                    T[a, b, c] = val
-    form = TrilinearForm(T)
-    for _ in range(HOMOGENEITY_SAMPLES):
-        h = rng.standard_normal(dim)
-        direct, through = float(v_values(h)), form.diagonal(h)
-        if abs(direct - through) > POLARIZE_CHECK_TOL * max(abs(direct), abs(through), 1.0):
-            raise ContractViolation(
-                f"polarized tensor does not reproduce v: {through:.6e} vs {direct:.6e}")
-    return form
-
-
-# =============================================================================
 # INEQUALITY RESIDUALS
 # =============================================================================
 
@@ -427,9 +364,10 @@ def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals):
     then (S,) arrays and an (S, d) ``witness_x``, NaN where a pair has no
     witness, and the first failing pair raises as it would alone.
     """
-    bb = np.multiply(b, b)
-    qq = np.multiply(qh, qk)
-    residual = bb - qq
+    with np.errstate(over="ignore", invalid="ignore"):      # _witness judges such pairs
+        bb = np.multiply(b, b)
+        qq = np.multiply(qh, qk)
+        residual = bb - qq
     scale = np.maximum(bb, abs(qq))
     near = ~(residual > EQUALITY_TOL * np.maximum(scale, 1e-300))
     if residual.ndim == 0:
@@ -451,41 +389,32 @@ def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals):
 def _witness(name, residual, scale, h, k, normals):
     """(x, lambda) with h = h^x + lambda k for one pair whose residual is within
     EQUALITY_TOL x scale, None for a strict inequality, or InvariantFalsified
-    (see ``reversed_cauchy_schwarz_check``)."""
+    (see ``reversed_cauchy_schwarz_check``).
+
+    The fit runs on h and k scaled to unit size, h 2^-a = h^(x 2^-a) +
+    (lambda 2^(c-a)) k 2^-c, so its conditioning does not depend on their
+    scales.  A pair whose ``scale`` is 0, subnormal or not finite has lost
+    its values to the floating-point range: where it would falsify a
+    theorem, it raises DomainError instead.
+    """
     if residual < -ROUNDING_TOL * scale:
-        raise InvariantFalsified(
-            f"{name} inequality violated: residual {residual:.3e} at scale {scale:.3e}")
+        raise _falsified(name, scale, f"{name} inequality violated: residual "
+                                      f"{residual:.3e} at scale {scale:.3e}")
+    (h, a), (k, c) = unit_scaled(h), unit_scaled(k)
     A = np.column_stack([normals, k])
     sol, *_ = np.linalg.lstsq(A, h, rcond=None)
     fit = float(np.linalg.norm(h - A @ sol))
     if fit < WITNESS_TOL * float(np.linalg.norm(h)):
-        return np.array(sol[:-1]), float(sol[-1])
+        return np.ldexp(sol[:-1], a), math.ldexp(float(sol[-1]), a - c)
     if residual > ROUNDING_TOL * scale:
         return None
-    raise InvariantFalsified(
-        f"equality case without translate+homothety witness (fit residual {fit:.3e})")
+    raise _falsified(name, scale, f"equality case without translate+homothety witness "
+                                  f"(fit residual {fit:.3e})")
 
 
-def abc_lemma_residuals(area, h1, h2, h3):
-    """The three scalars of the quadratic-in-lambda three-body argument.
-
-    A = b(h1,h3)^2 - q(h1) q(h3)
-    B = b(h2,h3) q(h1) - b(h1,h2) b(h1,h3)
-    C = b(h1,h2)^2 - q(h1) q(h2)
-
-    Whenever the pairwise Minkowski-type inequalities hold, the
-    discriminant bound B^2 <= A*C follows.
-    """
-    u1 = support_vector(h1, area.dim, "abc_lemma_residuals")
-    u2 = support_vector(h2, area.dim, "abc_lemma_residuals")
-    u3 = support_vector(h3, area.dim, "abc_lemma_residuals")
-    q1 = area.q(u1)
-    q2 = area.q(u2)
-    q3 = area.q(u3)
-    b12 = area.b(u1, u2)
-    b13 = area.b(u1, u3)
-    b23 = area.b(u2, u3)
-    A = b13 * b13 - q1 * q3
-    B = b23 * q1 - b12 * b13
-    C = b12 * b12 - q1 * q2
-    return (A, B, C)
+def _falsified(name, scale, message):
+    """InvariantFalsified(message), or DomainError when ``scale`` is out of the normal range."""
+    if np.finfo(float).tiny <= scale < np.inf:
+        return InvariantFalsified(message)
+    return DomainError(f"{name} check: the pair's values leave the floating-point "
+                       f"range (scale {scale:.3e})")

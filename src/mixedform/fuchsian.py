@@ -47,7 +47,7 @@ from .errors import (
     InvariantFalsified,
 )
 from .faces import FaceAssembly, _clamp, agreeing_form
-from .forms import as_index, json_numbers, locate, support_vector
+from .forms import as_index, json_numbers, locate, support_vector, unit_scaled
 
 TWO_PI = 2.0 * math.pi
 PAIRING_TOL = 1e-9
@@ -144,7 +144,6 @@ class QuotientFan:
                                      [-1.0 / math.sinh(e.phi) for e in entries])
         #: edge e as (i, k): entry k of face class i
         self._edge_labels = list(zip(self.assembly.src.tolist(), self.assembly.pos.tolist()))
-        self._area_form = None
 
     def _vector(self, h, what):
         v = support_vector(h, self.m, what)
@@ -212,7 +211,7 @@ def cone_membership(fan, h, tol=1e-12):
 
 def covolume(fan, h):
     """covol(h) = (1/3) sum_i h_i a_i(h_{i.})."""
-    return float(fan.assembly.cubic(fan._vector(h, "covolume")))
+    return float(fan.assembly.cubic(fan._vector(h, "covolume"), "covolume"))
 
 
 def covolume_form(fan):
@@ -250,20 +249,15 @@ def fuchsian_area_form(fan):
     """area(h) = sum_i a_i(h_{i.}) as a positive definite m x m form.
 
     Summed from the face-local grams G_i and cross-checked against
-    3 covol(1, ., .); a non-positive eigenvalue is reported as a falsified
-    invariant, not silently returned.
+    3 covol(1, ., .) (``FaceAssembly.area_form``); a non-positive
+    eigenvalue is reported as a falsified invariant, not silently returned.
     """
-    if fan._area_form is None:
-        ones = np.ones(fan.m)
-        form = agreeing_form(fan.assembly.gram_sum(ones),
-                             3.0 * covolume_form(fan).contract(ones).entries,
-                             "area form and 3 covol(1,.,.)")
-        min_eig = float(form.eigenvalues()[0])
-        if min_eig <= 0.0:
-            raise InvariantFalsified(
-                f"Fuchsian area form is not positive definite: min eigenvalue {min_eig!r}")
-        fan._area_form = form
-    return fan._area_form
+    form = fan.assembly.area_form
+    min_eig = float(form.eigenvalues()[0])
+    if min_eig <= 0.0:
+        raise InvariantFalsified(
+            f"Fuchsian area form is not positive definite: min eigenvalue {min_eig!r}")
+    return form
 
 
 # =============================================================================
@@ -271,9 +265,13 @@ def fuchsian_area_form(fan):
 # =============================================================================
 
 def spherical_distance(fan, h, k):
-    """arccos( b(h,k) / sqrt(q(h)q(k)) ) -- zero exactly at homotheties."""
-    u = fan._vector(h, "spherical_distance")
-    v = fan._vector(k, "spherical_distance")
+    """arccos( b(h,k) / sqrt(q(h)q(k)) ) -- zero exactly at homotheties.
+
+    Evaluated on h and k scaled to unit size by powers of two, which leaves
+    the ratio's bits unchanged and keeps q(h)q(k) in the floating-point range.
+    """
+    u = unit_scaled(fan._vector(h, "spherical_distance"))[0]
+    v = unit_scaled(fan._vector(k, "spherical_distance"))[0]
     for name, w in (("h", u), ("k", v)):
         if cone_membership(fan, w).status != "interior":
             raise DomainError(f"spherical_distance: {name} is not interior")
@@ -287,9 +285,10 @@ def spherical_distance(fan, h, k):
 
 
 def is_homothety_pair(fan, h, k):
-    """Whether k = lambda h within HOMOTHETY_TOL * ||k|| (lambda = b(h,k)/q(h))."""
-    u = fan._vector(h, "is_homothety_pair")
-    v = fan._vector(k, "is_homothety_pair")
+    """Whether k = lambda h within HOMOTHETY_TOL * ||k|| (lambda = b(h,k)/q(h)),
+    tested on h and k scaled to unit size (which does not change the answer)."""
+    u = unit_scaled(fan._vector(h, "is_homothety_pair"))[0]
+    v = unit_scaled(fan._vector(k, "is_homothety_pair"))[0]
     form = fuchsian_area_form(fan)
     lam = form.b(u, v) / form.q(u)
     return float(np.linalg.norm(v - lam * u)) <= HOMOTHETY_TOL * float(np.linalg.norm(v))

@@ -42,6 +42,7 @@ from .forms import (
     reversed_cauchy_schwarz_check,
     sample_cone,
     support_vector,
+    unit_scaled,
     wall_masks,
 )
 
@@ -258,9 +259,11 @@ def hyperbolic_distance(fan, h, k):
     """Distance arccosh( a(h,k) / sqrt(a(h)a(k)) ) between interior rays.
 
     Well-defined by the Minkowski inequality; zero exactly at homotheties.
+    Evaluated on h and k scaled to unit size by powers of two, which leaves
+    the ratio's bits unchanged and keeps a(h)a(k) in the floating-point range.
     """
-    u = support_vector(h, fan.n, "hyperbolic_distance")
-    v = support_vector(k, fan.n, "hyperbolic_distance")
+    u = unit_scaled(support_vector(h, fan.n, "hyperbolic_distance"))[0]
+    v = unit_scaled(support_vector(k, fan.n, "hyperbolic_distance"))[0]
     for name, w in (("h", u), ("k", v)):
         if cone_membership(fan, w).status != "interior":
             raise DomainError(f"hyperbolic_distance: {name} is not interior")

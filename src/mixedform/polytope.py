@@ -48,7 +48,7 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .faces import FaceAssembly, _clamp, agreeing_form
+from .faces import FaceAssembly, _clamp
 from .forms import (SymmetricForm, as_index, json_numbers, locate,
                     reversed_cauchy_schwarz_check, sample_cone, support_vector)
 from .surface import mesh_from_indexed_triangles
@@ -110,7 +110,6 @@ class PolytopeFan:
         self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
         self._edge_labels = list(zip(self.assembly.src[self._edges].tolist(),
                                      self.assembly.dst[self._edges].tolist()))
-        self._area_form = None
 
     def vertex_positions(self, h):
         """Vertex coordinates for support vector h (least squares per vertex)."""
@@ -320,12 +319,7 @@ def build_fan(normals, h):
     if np.any(gram > 1.0 - 1e-12):
         raise InvalidInput("build_fan: duplicate (or numerically equal) normals")
 
-    hv = np.asarray(h, dtype=float)
-    if hv.shape != (m,):
-        raise InvalidInput(f"build_fan: h must have length {m}")
-    if not np.all(np.isfinite(hv)):
-        raise InvalidInput("build_fan: h must be finite")
-
+    hv = support_vector(h, m, "build_fan")
     _check_bounded(U)
     scale = float(np.max(np.abs(hv)))
     if scale == 0.0:
@@ -450,7 +444,7 @@ def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
 
 def volume(fan, h):
     """v(h) = (1/3) sum_i h_i a_i(h_{i.}) -- the Euclidean volume on the cone."""
-    return float(fan.assembly.cubic(support_vector(h, fan.m, "volume")))
+    return float(fan.assembly.cubic(support_vector(h, fan.m, "volume"), "volume"))
 
 
 def volume_form(fan):
@@ -473,15 +467,11 @@ def boundary_area_form(fan):
     """area(h) = sum_i a_i(h_{i.}) as an m x m symmetric form.
 
     Summed from the face-local grams G_i and, on a simple fan,
-    cross-checked entrywise against 3 v(1, ., .) from the volume form.
+    cross-checked entrywise against 3 v(1, ., .) (``FaceAssembly.area_form``).
     """
-    if fan._area_form is None:
-        ones = np.ones(fan.m)
-        M = fan.assembly.gram_sum(ones)
-        fan._area_form = (agreeing_form(M, 3.0 * volume_form(fan).contract(ones).entries,
-                                        "area form and 3 v(1,.,.)")
-                          if fan.simple else SymmetricForm(M, symmetry_tol=1e-10))
-    return fan._area_form
+    if fan.simple:
+        return fan.assembly.area_form
+    return SymmetricForm(fan.assembly.gram_sum(np.ones(fan.m)), symmetry_tol=1e-10)
 
 
 # =============================================================================

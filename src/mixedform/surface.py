@@ -27,11 +27,12 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DomainError,
     FlipNotAdmissible,
     InvalidInput,
     StructuralError,
 )
-from .forms import as_index, json_numbers
+from .forms import as_index, json_numbers, unit_scaled
 
 GLUED_LENGTH_TOL = 1e-12
 SINGULAR_TOL = 1e-8
@@ -152,7 +153,11 @@ class TriangleMesh:
     def triangle_area(self, t):
         (a, b, c), k = _scaled(self.lengths[t].tolist())
         s = 0.5 * (a + b + c)
-        return math.ldexp(math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0)), 2 * k)
+        try:
+            return math.ldexp(math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0)), 2 * k)
+        except OverflowError:
+            raise DomainError(f"triangle {t}: the area overflows the floating-point "
+                              "range") from None
 
     def orbit_labels(self):
         """Per-vertex set of corner labels (empty set when unlabeled)."""
@@ -201,8 +206,7 @@ def mesh_from_indexed_triangles(points, triangles):
             t2, e2 = directed[(b, a)]
             gluing.append((t, e, t2, e2))
     # measured on the points scaled by a power of two into [-1, 1] (exact), then scaled back
-    exp2 = math.frexp(float(np.max(np.abs(P), initial=0.0)))[1]
-    P = np.ldexp(P, -exp2)
+    P, exp2 = unit_scaled(P)
     lengths = [[math.ldexp(float(np.linalg.norm(P[b] - P[a])), exp2)
                 for a, b in ((i, j), (j, k), (k, i))] for (i, j, k) in tris]
     labels = {(t, c): tris[t][c] for t in range(len(tris)) for c in range(3)}
@@ -317,14 +321,8 @@ def flip(mesh, interior_edge):
         (t2, (e2 + 2) % 3): (t2, 0),
         (t, (e + 1) % 3): (t2, 1),
     }
-    new_sigma = {}
-    for slot, partner in mesh.sigma.items():
-        if slot in ((t, e), (t2, e2)) or partner in ((t, e), (t2, e2)):
-            continue
-        new_sigma[slot_map.get(slot, slot)] = slot_map.get(partner, partner)
-    new_sigma[(t, 1)] = (t2, 2)
-    new_sigma[(t2, 2)] = (t, 1)
-
-    pairs = sorted({tuple(sorted([s, p])) for s, p in new_sigma.items()})
-    gluing = [[s[0], s[1], p[0], p[1]] for s, p in pairs]
+    # every other gluing once, its slots renamed; the new diagonal joins (t, 1) and (t2, 2)
+    gluing = [[*slot_map.get(s, s), *slot_map.get(p, p)] for s, p in mesh.sigma.items()
+              if s < p and s not in ((t, e), (t2, e2))]
+    gluing.append([t, 1, t2, 2])
     return TriangleMesh(new_lengths, gluing)

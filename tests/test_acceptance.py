@@ -15,7 +15,8 @@ from contextlib import contextmanager
 import numpy as np
 
 import geomfix
-from mixedform import errors, forms, fuchsian, polygon, polytope, surface
+import oracles
+from mixedform import errors, fuchsian, polygon, polytope, surface
 
 
 @contextmanager
@@ -159,7 +160,7 @@ def test_criterion_05_alexandrov_fenchel():
                 res = polytope.alexandrov_fenchel_check(fan, h, k, p)
                 worst = min(worst, res.residual / res.scale)
                 W = T.contract(p)
-                A, B, C = forms.abc_lemma_residuals(
+                A, B, C = oracles.abc_lemma_residuals(
                     W, h, k, polytope.sample_interior(fan, base, rng))
                 scale = max(1.0, B * B, abs(A * C))
                 lemma_worst = max(lemma_worst, (B * B - A * C) / scale)

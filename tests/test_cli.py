@@ -404,17 +404,22 @@ def test_polytope_boundary_metric_at_tiny_scale(capsys, tmp_path):
 
 @pytest.mark.parametrize("op", ["build", "sphere-area"])
 def test_non_finite_report_is_bad_input(tmp_path, op):
-    # at h = 1e200 (1, 1, 2, 2, 3, 3) the box's volume overflows to inf and its
-    # sphere quadrature to nan; a child interpreter shows the CLI as run,
-    # where numpy's overflow warnings go to stderr
+    # at h = 1e200 (1, 1, 2, 2, 3, 3) the box's volume overflows, which the
+    # volume reports itself with no numpy warning, and its sphere quadrature
+    # is nan, which the report check catches; a child interpreter shows the
+    # CLI as run, where numpy's overflow warnings go to stderr
     box = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [1e200 * x for x in (1, 1, 2, 2, 3, 3)]}
     path = write_json(tmp_path, "huge_box.json", box)
     for mode in ([], ["--json"]):
         proc = subprocess.run([sys.executable, "-m", "mixedform", "polytope", op, path, *mode],
                               capture_output=True, text=True, env=geomfix.child_env(), timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.splitlines()[-1].startswith(
-            "mixedform: the report holds a non-finite number")
+        if op == "build":
+            assert proc.stderr == ("mixedform: volume: the value overflows the "
+                                   "floating-point range\n")
+        else:
+            assert proc.stderr.splitlines()[-1].startswith(
+                "mixedform: the report holds a non-finite number")
 
 
 @pytest.mark.parametrize("side", [1e100, 1e-100, 1e-170])
@@ -693,10 +698,17 @@ def _case_id(case):
     return " ".join([family, op, fixture, *extra])
 
 
-def write_golden_inputs(directory):
-    """Write the golden fixtures; map fixture names (and "@2h") to arguments."""
+def write_golden_inputs(directory, exponent=0):
+    """Write the golden fixtures, every support vector and mesh length times
+    2^exponent; map fixture names (and "@2h") to arguments."""
     fan, h = genus2_base_fan_and_h()
-    docs = {"square": SQUARE, "cube": CUBE, "mesh": MESH, "fuchsian": fan.to_json_dict(h=h)}
+    s = 2.0 ** exponent
+    h = s * h
+    docs = {"square": {**SQUARE, "h": [s * x for x in SQUARE["h"]]},
+            "cube": {**CUBE, "h": [s * x for x in CUBE["h"]]},
+            "mesh": {**MESH, "triangles": [{"lengths": [s * x for x in t["lengths"]]}
+                                           for t in MESH["triangles"]]},
+            "fuchsian": fan.to_json_dict(h=h)}
     inputs = {"@2h": ",".join(f"{2.0 * x:.17g}" for x in h)}
     for name, doc in docs.items():
         inputs[name] = os.path.join(directory, name + ".json")
@@ -705,10 +717,20 @@ def write_golden_inputs(directory):
     return inputs
 
 
+def golden_argv(inputs, case, exponent=0):
+    """The case's command line on ``inputs``, its --k and --p vectors times 2^exponent."""
+    family, op, fixture, extra = case
+    argv = [family, op, inputs[fixture]]
+    for flag, value in zip([None, *extra], extra):
+        if flag in ("--k", "--p") and value not in inputs:
+            value = ",".join(repr(2.0 ** exponent * float(x)) for x in value.split(","))
+        argv.append(inputs.get(value, value))
+    return argv
+
+
 def golden_report(inputs, case):
     """results, tolerances and seed of the --json run, and the human lines."""
-    family, op, fixture, extra = case
-    argv = [family, op, inputs[fixture], *(inputs.get(a, a) for a in extra)]
+    argv = golden_argv(inputs, case)
     outputs = []
     for flags in (["--json"], []):
         out = io.StringIO()
@@ -773,6 +795,105 @@ def test_golden_report(golden, golden_inputs, case):
     assert len(actual["lines"]) == len(expected["lines"])
     for i, (a, e) in enumerate(zip(actual["lines"], expected["lines"])):
         _assert_line_close(a, e, f"line {i}")
+
+
+# =============================================================================
+# GOLDEN CASES UNDER SCALING
+# =============================================================================
+
+def _json_run(argv):
+    """Exit code and --json report (None unless the exit code is 0) of ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--json"])
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+def _assert_scaled(actual, expected, exponent, where):
+    """Each number of ``actual`` is the one of ``expected`` times 2^(d exponent), for an
+    integer d in 0..6, within rel 1e-9; zeros stay zero, other values stay equal."""
+    assert type(actual) is type(expected), where
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key in expected:
+            _assert_scaled(actual[key], expected[key], exponent, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_scaled(a, e, exponent, f"{where}[{i}]")
+    elif isinstance(expected, float) and expected != 0.0:
+        assert any(math.isclose(actual, expected * 2.0 ** (d * exponent), rel_tol=1e-9)
+                   for d in range(7)), (where, actual, expected)
+    else:
+        assert actual == expected, where
+
+
+@pytest.fixture(scope="module")
+def unscaled_golden_runs(golden_inputs):
+    return {_case_id(case): _json_run(golden_argv(golden_inputs, case)) for case in GOLDEN_CASES}
+
+
+@pytest.mark.parametrize("exponent", [40, -40, 150, -150])
+def test_golden_cases_scale_with_the_input(unscaled_golden_runs, tmp_path, exponent):
+    # h (with --k and --p), or the mesh lengths, times 2^exponent: the same
+    # exit code and tolerances, and each result a power of the scale times the
+    # unscaled one
+    inputs = write_golden_inputs(str(tmp_path), exponent)
+    for case in GOLDEN_CASES:
+        code, report = _json_run(golden_argv(inputs, case, exponent))
+        expected_code, expected = unscaled_golden_runs[_case_id(case)]
+        assert code == expected_code == 0, _case_id(case)
+        assert report["tolerances"] == expected["tolerances"], _case_id(case)
+        _assert_scaled(report["results"], expected["results"], exponent, _case_id(case))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow warnings at 2^700
+@pytest.mark.parametrize("exponent", [700, -700])
+def test_golden_cases_at_extreme_scales_exit_0_or_2(capsys, tmp_path, exponent):
+    # results may leave the floating-point range here: that is bad input, never
+    # a traceback (exit 1) or a falsified theorem (exit 3)
+    inputs = write_golden_inputs(str(tmp_path), exponent)
+    for case in GOLDEN_CASES:
+        code, _, err = run(capsys, *golden_argv(inputs, case, exponent), "--json")
+        assert code in (0, 2), (_case_id(case), err)
+        if code == 2:
+            assert err.splitlines()[-1].startswith("mixedform: "), _case_id(case)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["large", "small"])
+@pytest.mark.parametrize("case, exponent", [
+    (("polytope", "af-check", "cube", ["--samples", "10", "--seed", "3"]), 200),
+    (("polytope", "af-check", "cube", ["--k", "1,1,1,1,1,2", "--p", "1,1,1,1,1,1"]), 200),
+    (("polygon", "minkowski", "square", ["--k", "1,2,1,2"]), 500),
+], ids=lambda value: f"2^{value}" if isinstance(value, int) else _case_id(value))
+def test_pair_beyond_the_float_range_is_bad_input(capsys, tmp_path, case, exponent, sign):
+    # b^2 and q(h)q(k) overflow to inf or underflow to 0, so the residual reads
+    # as an equality without a witness: not a counterexample, but exit 2
+    exponent *= sign
+    inputs = write_golden_inputs(str(tmp_path), exponent)
+    code, out, err = run(capsys, *golden_argv(inputs, case, exponent))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mixedform: ")
+    assert "the pair's values leave the floating-point range" in err
+
+
+def test_fuchsian_distance_at_any_scale(capsys, tmp_path):
+    # the pair (h, 2h) is at distance 0 at every scale
+    case = ("fuchsian", "distance", "fuchsian", ["--k", "@2h"])
+    for exponent in (0, 266, -266, -500):
+        inputs = write_golden_inputs(str(tmp_path), exponent)
+        code, out, err = run(capsys, *golden_argv(inputs, case, exponent), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"] == {"distance": 0.0, "homothety": True}
+
+
+@pytest.mark.parametrize("op", [["check"], ["flip", "--triangle", "0", "--edge", "0"]])
+def test_surface_area_overflow_is_bad_input(capsys, tmp_path, op):
+    inputs = write_golden_inputs(str(tmp_path), 700)
+    code, out, err = run(capsys, "surface", op[0], inputs["mesh"], *op[1:])
+    assert (code, out) == (2, "")
+    assert err == "mixedform: triangle 0: the area overflows the floating-point range\n"
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """The face-local assembly against independent references.
 
-``forms.polarize_cubic`` rebuilds the dense symmetric tensor from a cubic
+``oracles.polarize_cubic`` rebuilds the dense symmetric tensor from a cubic
 evaluator alone, by inclusion-exclusion on basis vectors, so it shares no
 code with the face-local trilinear form or its contraction.  Edge lengths
 and cone membership are compared with the per-face loop over the polygon
@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import geomfix
+import oracles
 from mixedform import errors, faces, forms, fuchsian, polygon, polytope
 
 REL_TOL = 1e-10
 
 
 def _assert_matches_polarization(form, cubic, dim, vectors):
-    dense = forms.polarize_cubic(cubic, dim)
+    dense = oracles.polarize_cubic(cubic, dim)
     for h, k, p in vectors:
         ref = dense.v(h, k, p)
         assert abs(form.v(h, k, p) - ref) <= REL_TOL * abs(ref)

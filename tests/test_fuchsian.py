@@ -325,6 +325,18 @@ def test_distance_zero_iff_homothety(base_fan, base_interior):
         assert fuchsian.spherical_distance(base_fan, h, k) > 1e-7
 
 
+def test_distance_at_any_scale(base_fan, base_interior):
+    h = base_interior
+    k = geomfix.sample_fuchsian_interior(base_fan, h, np.random.default_rng(41))
+    d = fuchsian.spherical_distance(base_fan, h, k)
+    for s in (1e80, 1e-80, 2.0 ** 500, 2.0 ** -500):
+        assert fuchsian.spherical_distance(base_fan, s * h, 2.0 * s * h) == 0.0
+        assert fuchsian.is_homothety_pair(base_fan, s * h, 2.0 * s * h)
+        assert fuchsian.spherical_distance(base_fan, s * h, s * k) == pytest.approx(d, rel=1e-12)
+    with pytest.raises(errors.DomainError, match="covolume: the value overflows"):
+        fuchsian.covolume(base_fan, 1e120 * h)
+
+
 def test_distance_symmetry(base_fan, base_interior):
     rng = np.random.default_rng(41)
     h = base_interior

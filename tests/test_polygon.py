@@ -230,6 +230,22 @@ def test_minkowski_equality_translate_homothety():
     assert abs(res.witness_lambda - lam) < 1e-7
 
 
+@pytest.mark.parametrize("exponent", [40, -40, 60, -60, 150, -150])
+def test_minkowski_witness_at_any_scale(exponent):
+    # the fit sees h and k at unit size, so the witness scales with them
+    s = 2.0 ** exponent
+    rng = np.random.default_rng(12)
+    fan = geomfix.perturbed_polygon_fan(12, rng)
+    for fan, x, lam, k in ((polygon.NormalFan2D.from_degrees([0, 90, 180, 270]),
+                            np.array([0.3, -0.1]), 2.0, np.ones(4)),
+                           (fan, np.array([-0.2, 0.5]), 1.3, polygon.sample_interior(fan, rng))):
+        h = polygon.point_support_vector(fan, x) + lam * k
+        res = polygon.minkowski_check(fan, s * h, s * k)
+        assert res.equality
+        assert np.allclose(res.witness_x / s, x, rtol=1e-9, atol=1e-9)
+        assert res.witness_lambda == pytest.approx(lam, rel=1e-9)
+
+
 def test_minkowski_generic_pair_is_strict():
     fan = polygon.NormalFan2D.regular(5)
     h = np.ones(5)
@@ -306,6 +322,17 @@ def test_distance_zero_on_homothety():
     fan = polygon.NormalFan2D.regular(7)
     h = np.ones(7)
     assert polygon.hyperbolic_distance(fan, h, 2.5 * h) < 1e-7
+
+
+def test_distance_at_any_scale():
+    rng = np.random.default_rng(41)
+    fan = geomfix.perturbed_polygon_fan(6, rng)
+    h, k = polygon.sample_interior(fan, rng, 2)
+    d = polygon.hyperbolic_distance(fan, h, k)
+    for s in (1e80, 1e-80):
+        assert polygon.hyperbolic_distance(fan, s * h, s * k) == pytest.approx(d, rel=1e-12)
+    for s in (2.0 ** 500, 2.0 ** -500):
+        assert polygon.hyperbolic_distance(fan, s * h, s * k) == d
 
 
 def test_distance_symmetry_and_positivity():

@@ -119,6 +119,12 @@ def test_rejects_duplicate_normals():
         polytope.build_fan(bad, np.ones(7))
 
 
+def test_rejects_complex_support_vector():
+    # build_fan checks h with forms.support_vector, as every other h is checked
+    with pytest.raises(errors.InvalidInput, match="build_fan: support vector must be real"):
+        polytope.build_fan(CUBE, np.ones(6) + 0.5j)
+
+
 def test_empty_region_lists_every_face():
     # x <= 1 and x >= 2 cannot both hold
     with pytest.raises(errors.RedundancyError) as err:
@@ -441,6 +447,30 @@ def test_af_equality_translate_homothety(cube_fan):
     assert res.equality
     assert np.linalg.norm(res.witness_x - x) < 1e-7
     assert abs(res.witness_lambda - lam) < 1e-7
+
+
+@pytest.mark.parametrize("exponent", [40, -40, 60, -60, 150, -150])
+def test_af_witness_at_any_scale(cube_fan, exponent):
+    # the fit sees h and k at unit size, so the witness scales with them
+    s = 2.0 ** exponent
+    rng = np.random.default_rng(10)
+    fan, h0 = geomfix.random_simple_polytope(10, rng)
+    for fan, x, lam, k, p in (
+            (cube_fan, np.array([0.3, -0.1, 0.2]), 3.0, np.ones(6), np.ones(6)),
+            (fan, np.array([0.1, 0.2, -0.3]), 0.7, *polytope.sample_interior(fan, h0, rng, 2))):
+        h = polytope.point_support_vector(fan, x) + lam * k
+        res = polytope.alexandrov_fenchel_check(fan, s * h, s * k, s * p)
+        assert res.equality
+        assert np.allclose(res.witness_x / s, x, rtol=1e-9, atol=1e-9)
+        assert res.witness_lambda == pytest.approx(lam, rel=1e-9)
+
+
+def test_volume_overflow_is_a_domain_error():
+    # 1e200 (1, 1, 2, 2, 3, 3) builds, but its volume is beyond the float range;
+    # a numpy overflow warning would fail this test as a RuntimeWarning
+    box = polytope.build_fan(CUBE, 1e200 * np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
+    with pytest.raises(errors.DomainError, match="volume: the value overflows"):
+        polytope.volume(box, box.reference_h)
 
 
 def test_af_stack_matches_pairs(cube_fan):
