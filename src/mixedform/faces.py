@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .forms import SymmetricForm, row_dot, scalar_or_rows, support_vector
+from .forms import SymmetricForm, cyclic_runs, row_dot, scalar_or_rows, support_vector
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
 SYMMETRY_TOL = 1e-10
@@ -66,16 +66,11 @@ class FaceAssembly:
         self.m = m
         #: offsets[i]:offsets[i+1] are the edges of face i
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.src = np.repeat(np.arange(m), sizes)
+        #: each edge's face, its position in the face's cycle, and the next and previous edge
+        self.src, self.pos, self.nxt, self.prv = cyclic_runs(sizes)
         self.dst = np.asarray(dst, dtype=np.intp)
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        start = self.offsets[self.src]
-        size = sizes[self.src]
-        #: position of each edge in its face's cycle
-        self.pos = np.arange(len(self.src)) - start
-        self.nxt = start + (self.pos + 1) % size
-        self.prv = start + (self.pos - 1) % size
         #: each face's cyclic tridiagonal (``NormalFan2D.c_self`` etc.), face by face
         self.c_self = np.concatenate([fan.c_self for fan in face_fans])
         self.c_next = np.concatenate([fan.c_next for fan in face_fans])

@@ -15,12 +15,15 @@ Generic machinery shared by the geometry modules:
     WITNESS_TOL and ROUNDING_TOL);
   * ``support_vector``, the length and finiteness check of support vectors
     and of the forms' (real or complex) arguments;
-  * ``wall_masks``, the one rule that puts an edge length below -tol |h|
-    outside a cone and one within tol |h| on its wall, with ``locate`` and
-    ``sample_cone``, the cone classifier and the interior sampler that the
-    polygon, polytope and Fuchsian fans share;
+  * ``wall_bound``, the one rule that puts an edge length below -tol |h|
+    outside a cone and one within tol |h| on its wall, at any scale of h,
+    with ``locate`` and ``sample_cone``, the cone classifier and the
+    interior sampler that the polygon, polytope and Fuchsian fans share;
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
-    also take (S, n) stacks, and each row rounds exactly as it would alone.
+    also take (S, n) stacks, and each row rounds exactly as it would alone;
+    ``segment_sums`` sums consecutive runs of rows, each as np.sum sums it
+    alone, ``runs`` cuts a flat list into them and ``cyclic_runs`` indexes
+    their entries cyclically.
 
 Eigenvalues come from LAPACK's symmetric/Hermitian solvers (numpy
 ``eigvalsh``/``eigh``); a complex matrix goes to the complex solver.
@@ -79,6 +82,39 @@ def unit_scaled(v):
     return np.ldexp(v, -e), e
 
 
+def runs(flat, sizes):
+    """``flat`` (a list or an array) cut into its consecutive runs of ``sizes[s]`` entries."""
+    ends = np.cumsum(sizes).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def cyclic_runs(sizes):
+    """(run, pos, nxt, prv) for the consecutive runs of ``sizes`` entries of a flat
+    array: each entry's run, its position in the run, and the flat indices of the
+    next and the previous entry of its run, cyclically."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    size = np.repeat(sizes, sizes)
+    pos = np.arange(len(run)) - start
+    return run, pos, start + (pos + 1) % size, start + (pos - 1) % size
+
+
+def segment_sums(values, sizes):
+    """The sums of the consecutive runs of ``sizes[s]`` >= 1 rows of ``values``.
+
+    Each run is summed as ``np.sum(run, axis=0)`` sums it alone (rows in
+    order; 1-D runs pairwise), so the sums keep their bits: one reduction per
+    distinct run length (found by ``bincount``: a plain ``np.unique`` imports
+    numpy.ma, about 15 ms of a fresh CLI call).
+    """
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((len(sizes),) + values.shape[1:])
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        of_size = np.flatnonzero(sizes == k)
+        out[of_size] = values[starts[of_size, None] + np.arange(k)].sum(axis=1)
+    return out
+
+
 def scalar_or_rows(x):
     """A float for a 0-d result, else the (S,) array of row results."""
     return float(x) if np.ndim(x) == 0 else x
@@ -124,25 +160,38 @@ def support_vector(h, n, what, stack=False, dtype=float):
 ConeLocation = namedtuple("ConeLocation", ["status", "edges"])
 
 
-def wall_masks(lengths, h, tol):
-    """(outside, boundary): the masks of the edge lengths below -tol |h| and within
-    tol |h|, for one h or row by row for a stack (``lengths`` (..., E), ``h`` (..., n))."""
-    bound = tol * np.sqrt(row_dot(h, h))[..., None]
-    return lengths < -bound, lengths <= bound
+def wall_bound(h, tol):
+    """tol |h| for one h, or row by row for an (..., n) stack, as a (..., 1) column.
+
+    The one rule of every cone: an edge length below -bound puts h outside,
+    one within bound puts it on a wall.  |h| is sqrt(h . h) rounded as
+    ``row_dot``; when a square overflows or underflows, |h| is taken from
+    each row scaled to unit size by a power of two (as ``unit_scaled``
+    scales a vector), which gives the same bits wherever the plain square
+    is exact, so the bound scales with h at any scale.
+    """
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return tol * np.sqrt(row_dot(h, h))[..., None]
+    except FloatingPointError:
+        e = np.frexp(abs(h).max(axis=-1))[1]
+        unit = np.ldexp(h, -e[..., None])
+        return tol * np.ldexp(np.sqrt(row_dot(unit, unit)), e)[..., None]
 
 
 def locate(lengths, h, tol, labels):
     """ConeLocation of h from its edge lengths; edge e is reported as ``labels[e]``.
 
     Any length below -tol |h| puts h outside, else any length within
-    tol |h| puts it on the boundary; the listed edges keep the order of
-    ``lengths``.
+    tol |h| puts it on the boundary (``wall_bound``); the listed edges keep
+    the order of ``lengths``.
     """
-    for status, hit in zip(("outside", "boundary"), wall_masks(lengths, h, tol)):
-        edges = np.flatnonzero(hit).tolist()
-        if edges:
-            return ConeLocation(status, [labels[e] for e in edges])
-    return ConeLocation("interior", [])
+    bound = wall_bound(h, tol)
+    edges = np.flatnonzero(lengths < -bound).tolist()
+    if edges:
+        return ConeLocation("outside", [labels[e] for e in edges])
+    edges = np.flatnonzero(lengths <= bound).tolist()
+    return ConeLocation("boundary" if edges else "interior", [labels[e] for e in edges])
 
 
 def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
@@ -150,7 +199,7 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
 
     ``lengths`` maps an (..., n) stack to its (..., E) edge lengths.  A draw
     takes one standard-normal delta and keeps the first s = spread / 2^j,
-    j < shrinks, at which ``wall_masks`` puts h inside at tolerance
+    j < shrinks, at which no edge length is within ``wall_bound`` at tolerance
     ``margin``, trying SAMPLE_LEVELS_PER_PASS sizes a pass, else raises
     DomainError.  With ``size``, a (size, n) stack: the vectors of ``size`` calls.
     """
@@ -162,7 +211,7 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
         s = spread * 0.5 ** start * _HALVINGS[:shrinks - start]
         h = base * (1.0 + s[:, None, None] * pending)
-        clear = ~wall_masks(lengths(h), h, margin)[1].any(axis=-1)
+        clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
         hit = clear.any(axis=0)
         if hit.all():       # the common case: no per-row bookkeeping
             out[rows] =h[clear.argmax(axis=0), np.arange(len(rows))]

@@ -131,11 +131,9 @@ class QuotientFan:
                     f"{expected_faces} faces by Euler bookkeeping, fan has {m}")
 
         # per-face Euclidean fans: normal angles are cumulative turnings
-        self.face_fans = []
-        for face in parsed:
-            omegas = [e.omega for e in face]
-            angles = np.concatenate([[0.0], np.cumsum(omegas[:-1])])
-            self.face_fans.append(poly.NormalFan2D(angles))
+        self.face_fans = poly.NormalFan2D.stack(
+            np.concatenate([np.cumsum([0.0] + [e.omega for e in face[:-1]]) for face in parsed]),
+            np.array([len(face) for face in parsed]))
         # entry e = (i -> j): h_ij = coth(phi) h_i - h_j / sinh(phi), j = i allowed
         entries = [e for face in parsed for e in face]
         #: face-local assembly of covolume, edge lengths, area form and Hessian

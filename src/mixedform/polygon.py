@@ -29,6 +29,7 @@ z_i = l_i(h) e^{i psi_i} (psi_i = normal angle + pi/2); the closure
 sum z_i = 0 holds and the shoelace Hermitian form returns the area.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -37,13 +38,16 @@ from .errors import ConsistencyError, DomainError, InvalidInput, InvariantFalsif
 from .forms import (
     HermitianForm,
     SymmetricForm,
+    cyclic_runs,
     json_numbers,
     locate,
     reversed_cauchy_schwarz_check,
+    runs,
     sample_cone,
+    segment_sums,
     support_vector,
     unit_scaled,
-    wall_masks,
+    wall_bound,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -60,6 +64,50 @@ SAMPLE_SHRINKS = 80
 # NORMAL FAN
 # =============================================================================
 
+def _first_failure(checks):
+    """Raise the message of the first failing check of the first run that fails one.
+
+    ``checks`` lists (per-run failure flags, message of a run index) in check order.
+    """
+    failing = np.array([flags for flags, _ in checks])
+    failed = np.flatnonzero(failing.any(axis=0))
+    if len(failed):
+        run = int(failed[0])
+        raise InvalidInput("NormalFan2D: " + checks[int(np.argmax(failing[:, run]))][1](run))
+
+
+def _fan_arrays(a, sizes):
+    """Check the cyclic angle lists in runs of ``sizes`` along ``a`` and derive, flat:
+    gaps, unit normals, edge angles and the length coefficients c_self, c_next, c_prev
+    (all read-only, ``a`` too)."""
+    run, _, nxt, prv = cyclic_runs(sizes)
+
+    def any_in_run(mask):
+        return np.bincount(run, weights=mask, minlength=len(sizes)) > 0
+
+    _first_failure([
+        (sizes < 3, lambda r: "need at least 3 normal angles"),
+        (any_in_run(~np.isfinite(a)), lambda r: "angles must be finite"),
+        (any_in_run((a < 0.0) | (a >= TWO_PI)), lambda r: "angles must lie in [0, 2*pi)")])
+    gaps = np.mod(a[nxt] - a, TWO_PI)
+    totals = segment_sums(gaps, sizes)
+    _first_failure([
+        (np.bincount(run, weights=a[nxt] < a, minlength=len(sizes)) != 1,
+         lambda r: "angles must be strictly increasing cyclically"),
+        (any_in_run((gaps <= 0.0) | (gaps >= np.pi)),
+         lambda r: "every gap between consecutive normals must lie in (0, pi)"),
+        (np.abs(totals - TWO_PI) > 1e-9,
+         lambda r: f"gaps sum to {float(totals[r])!r}, expected 2*pi")])
+    sin_g = np.sin(gaps)
+    cot_g = np.cos(gaps) / sin_g
+    c_next = 1.0 / sin_g
+    arrays = (a, gaps, np.column_stack([np.cos(a), np.sin(a)]), np.mod(a + 0.5 * np.pi, TWO_PI),
+              -cot_g - cot_g[prv], c_next, c_next[prv])
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays[1:]
+
+
 class NormalFan2D:
     """Cyclic list of outward unit normal directions of a convex polygon.
 
@@ -70,44 +118,35 @@ class NormalFan2D:
     """
 
     def __init__(self, angles):
-        a = np.asarray(angles, dtype=float)
-        if a.ndim != 1 or len(a) < 3:
+        a = np.array(angles, dtype=float)
+        if a.ndim != 1:
             raise InvalidInput("NormalFan2D: need at least 3 normal angles")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInput("NormalFan2D: angles must be finite")
-        if np.any(a < 0.0) or np.any(a >= TWO_PI):
-            raise InvalidInput("NormalFan2D: angles must lie in [0, 2*pi)")
-        n = len(a)
-        gaps = np.mod(np.roll(a, -1) - a, TWO_PI)
-        descents = int(np.sum(np.roll(a, -1) < a))
-        if descents != 1:
-            raise InvalidInput("NormalFan2D: angles must be strictly increasing cyclically")
-        if np.any(gaps <= 0.0) or np.any(gaps >= np.pi):
-            raise InvalidInput(
-                "NormalFan2D: every gap between consecutive normals must lie in (0, pi)")
-        total = float(np.sum(gaps))
-        if abs(total - TWO_PI) > 1e-9:
-            raise InvalidInput(f"NormalFan2D: gaps sum to {total!r}, expected 2*pi")
+        self._take(a, *_fan_arrays(a, np.array([len(a)])))
 
-        self.n = n
-        self.angles = a.copy()
-        self.angles.setflags(write=False)
+    @classmethod
+    def stack(cls, angles, sizes):
+        """The fans of the consecutive runs of ``sizes`` angles along ``angles``,
+        checked in one pass: the first run that fails a check raises the
+        InvalidInput that its own construction raises (the count and range checks
+        of every run come before the order checks of any)."""
+        a = np.array(angles, dtype=float)
+        fans = []
+        for parts in zip(*(runs(x, sizes) for x in (a, *_fan_arrays(a, sizes)))):
+            fan = cls.__new__(cls)
+            fan._take(*parts)
+            fans.append(fan)
+        return fans
+
+    def _take(self, angles, gaps, normals, edge_angles, c_self, c_next, c_prev):
+        self.n = len(angles)
+        self.angles = angles
         #: turning angle of the boundary between edges i and i+1
         self.gaps = gaps
-        self.gaps.setflags(write=False)
-        self.normals = np.column_stack([np.cos(a), np.sin(a)])
-        self.normals.setflags(write=False)
+        self.normals = normals
         #: edge direction angles (counterclockwise boundary orientation)
-        self.edge_angles = np.mod(a + 0.5 * np.pi, TWO_PI)
-        self.edge_angles.setflags(write=False)
+        self.edge_angles = edge_angles
         # l_i(h) = c_self[i] h_i + c_next[i] h_{i+1} + c_prev[i] h_{i-1}
-        sin_g = np.sin(gaps)
-        cot_g = np.cos(gaps) / sin_g
-        self.c_next = 1.0 / sin_g
-        self.c_prev = np.roll(self.c_next, 1)
-        self.c_self = -cot_g - np.roll(cot_g, 1)
-        for c in (self.c_self, self.c_next, self.c_prev):
-            c.setflags(write=False)
+        self.c_self, self.c_next, self.c_prev = c_self, c_next, c_prev
         self._area_form = None
 
     @classmethod
@@ -241,8 +280,8 @@ def minkowski_check(fan, h, k):
     rows = np.concatenate([u.reshape(-1, fan.n), v.reshape(-1, fan.n)])
     form = area_form(fan)
     q = form.q(rows).reshape(2, -1)
-    outside = wall_masks(_row_lengths(fan, rows), rows, MEMBERSHIP_TOL)[0]
-    outside = outside.any(axis=1).reshape(2, -1)
+    outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+    outside = outside.reshape(2, -1)
     bad = (outside | (q <= 0.0)).any(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
@@ -302,12 +341,17 @@ def double_chart_embedding(fan, h):
     if cone_membership(fan, u).status != "interior":
         raise DomainError("double_chart_embedding: h is not interior")
     lengths = fan.length_matrix @ u
-    z = lengths * np.exp(1j * fan.edge_angles)
-    znorm = float(np.linalg.norm(z))
-    closure = abs(complex(np.sum(z)))
+    turn = np.exp(1j * fan.edge_angles)
+    z = lengths * turn
+    # the closure defect against |z|, both on z scaled to unit size by a power
+    # of two: exact, and neither squares nor sums leave the float range
+    unit, e = unit_scaled(lengths)
+    z_unit = unit * turn
+    znorm = float(np.linalg.norm(z_unit))
+    closure = abs(complex(np.sum(z_unit)))
     if closure > CLOSURE_TOL * znorm:
-        raise ConsistencyError(
-            f"edge vectors do not close up: defect {closure:.3e} vs norm {znorm:.3e}")
+        raise ConsistencyError(f"edge vectors do not close up: defect "
+                               f"{math.ldexp(closure, e):.3e} vs norm {math.ldexp(znorm, e):.3e}")
     form = shoelace_hermitian_form(fan.n)
     area_z = form.q(z)
     area_h = area_form(fan).q(u)

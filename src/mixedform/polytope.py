@@ -9,7 +9,9 @@ beneath-beyond hull, ``_hull``), with tolerances relative to the inradius;
 the hulls see h / max|h|, so the construction works at any support scale.
 The Gauss image -- the tessellation of the unit sphere whose cell at a
 polytope vertex collects the normals of its faces -- is built alongside
-and must tile the full sphere.
+and must tile the full sphere.  Past the hulls, every stage of the
+construction (vertex merge, face cycles and neighbors, Gauss cells) is one
+numpy pass over all faces, vertices or edges.
 
 Within a face i, the neighbors j induce a 2D normal fan; the in-plane
 support numbers are linear in h:
@@ -49,8 +51,9 @@ from .errors import (
     UnboundedRegionError,
 )
 from .faces import FaceAssembly, _clamp
-from .forms import (SymmetricForm, as_index, json_numbers, locate,
-                    reversed_cauchy_schwarz_check, sample_cone, support_vector)
+from .forms import (SymmetricForm, as_index, cyclic_runs, json_numbers, locate,
+                    reversed_cauchy_schwarz_check, row_dot, runs, sample_cone,
+                    segment_sums, support_vector)
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
@@ -77,7 +80,7 @@ class PolytopeFan:
     """Combinatorics of a 3-polytope: normals, adjacency, per-face 2D fans."""
 
     def __init__(self, normals, face_cycles, face_fans, face_vertices,
-                 vertex_cells, phi, reference_h):
+                 vertex_cells, phi, reference_h, edge_rule):
         self.normals = normals
         self.m = normals.shape[0]
         #: per face, the cyclic list of neighboring face indices
@@ -100,27 +103,29 @@ class PolytopeFan:
             "cone_dim": self.m - 3 if self.simple else None,
             "faces_from_euler": n_vertices / 2 + 2,
         }
-        # edge e = (i -> j) of face i: h_ij = -cot(phi_ij) h_i + h_j / sin(phi_ij)
-        edges = [(i, j) for i, cycle in enumerate(face_cycles) for j in cycle]
-        #: face-local assembly of volume, edge lengths and area form
-        self.assembly = FaceAssembly(face_fans, [j for _, j in edges],
-                                     [-math.cos(phi[e]) / math.sin(phi[e]) for e in edges],
-                                     [1.0 / math.sin(phi[e]) for e in edges])
+        #: face-local assembly of volume, edge lengths and area form; ``edge_rule``
+        #: holds the directed edges' (dst, a, b), face by face in cycle order
+        self.assembly = FaceAssembly(face_fans, *edge_rule)
         #: the directed edges with i < j: each polytope edge once, and its label (i, j)
         self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
         self._edge_labels = list(zip(self.assembly.src[self._edges].tolist(),
                                      self.assembly.dst[self._edges].tolist()))
+        # vertex_positions solves the 3-face cells as one stack
+        degree = np.array([len(cell.faces) for cell in vertex_cells])
+        self._solved = np.flatnonzero(degree == 3)
+        self._solved_faces = np.array([vertex_cells[v].faces for v in self._solved.tolist()],
+                                      dtype=np.intp).reshape(-1, 3)
+        self._fitted = np.flatnonzero(degree != 3).tolist()
 
     def vertex_positions(self, h):
-        """Vertex coordinates for support vector h (least squares per vertex)."""
+        """Vertex coordinates for support vector h (least squares at a non-simple vertex)."""
         v = support_vector(h, self.m, "vertex_positions")
         out = np.empty((len(self.vertex_cells), 3))
-        for idx, cell in enumerate(self.vertex_cells):
-            U = self.normals[cell.faces]
-            if len(cell.faces) == 3:
-                out[idx] = np.linalg.solve(U, v[cell.faces])
-            else:
-                out[idx], *_ = np.linalg.lstsq(U, v[cell.faces], rcond=None)
+        out[self._solved] = np.linalg.solve(self.normals[self._solved_faces],
+                                            v[self._solved_faces][..., None])[..., 0]
+        for idx in self._fitted:
+            faces = self.vertex_cells[idx].faces
+            out[idx], *_ = np.linalg.lstsq(self.normals[faces], v[faces], rcond=None)
         return out
 
 
@@ -263,13 +268,16 @@ def _check_bounded(normals):
             "the halfspace intersection is unbounded")
 
 
-def _frame(u):
-    """Deterministic unit e1, e2 with (e1, e2, u) a right-handed frame (u a unit vector)."""
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(u)))] = 1.0
-    e1 = a - np.dot(a, u) * u
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(u, e1)
+def _frames(U):
+    """Deterministic unit rows e1, e2 with (e1, e2, u) right-handed, u a unit row of U.
+
+    e1 is the basis vector of u's entry smallest in size (the first of equal
+    ones), made orthogonal to u and unit.
+    """
+    basis = np.eye(3)[np.argmin(np.abs(U), axis=1)]
+    e1 = basis - row_dot(basis, U)[:, None] * U
+    e1 /= np.sqrt(row_dot(e1, e1))[:, None]
+    return e1, np.cross(U, e1)
 
 
 def _dual_hull_vertices(A, b, center):
@@ -303,6 +311,16 @@ def build_fan(normals, h):
     halfspace must support a 2-face (otherwise a redundancy error lists
     the offending indices) and the region must be bounded with nonempty
     interior.
+
+    After the hulls, each stage is one array pass over all faces, vertices
+    or directed edges (no loop per face or per Gauss cell): the vertex
+    merge (one unique over the padded active sets), the face frames, the
+    vertex cycles (one lexsort on face and angle), the neighbor across each
+    cycle edge (from the incidence matrix), and the Gauss cells (one batch
+    of fan triangles, each cell summed alone).  Dots are ``row_dot`` and
+    sums ``segment_sums``, and acos/atan2 run on Python floats, so every
+    number has the bits of the per-face computation; an error is the one
+    the first failing face, edge or cell raises, in the order of the checks.
     """
     U = np.asarray(normals, dtype=float)
     if U.ndim != 2 or U.shape[1] != 3 or U.shape[0] < 4:
@@ -346,82 +364,104 @@ def build_fan(normals, h):
     if np.max(slack) > FEASIBILITY_TOL * r:
         raise ConsistencyError(f"dual-hull vertex violates a halfspace by "
                                f"{np.max(slack) * scale:.3e} (inradius {r * scale:.3e})")
-    groups = {}
-    for x, row in zip(corners, slack):
-        groups.setdefault(tuple(np.flatnonzero(row >= -ACTIVE_TOL * r).tolist()), []).append(x)
-    active_sets = sorted(groups)
-    if any(len(active) < 3 for active in active_sets):
+    active = slack >= -ACTIVE_TOL * r
+    # each corner's active planes, ascending and padded with -1, so that the rows
+    # sort as the tuples of their planes do: the vertex ids
+    degree = np.count_nonzero(active, axis=1)
+    width = int(np.max(degree))
+    rows, planes = np.nonzero(active)
+    padded = np.full((len(corners), width), -1)
+    padded[rows, np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)] = planes
+    planes_of, first, vertex_of = np.unique(padded, axis=0, return_index=True,
+                                            return_inverse=True)
+    incidence, degree = active[first], degree[first]
+    if np.any(degree < 3):
         raise StructuralError("vertex with fewer than 3 active planes")
-    positions = [scale * np.mean(groups[active], axis=0) for active in active_sets]
-    active_sets = [set(active) for active in active_sets]
+    vertex_of = vertex_of.reshape(-1)
+    merged = np.bincount(vertex_of, minlength=len(first))
+    positions = scale * (segment_sums(corners[np.argsort(vertex_of, kind="stable")], merged)
+                         / merged[:, None])
 
-    face_to_vertices = [[] for _ in range(m)]
-    for vid, active in enumerate(active_sets):
-        for i in active:
-            face_to_vertices[i].append(vid)
-    empty = [i for i in range(m) if len(face_to_vertices[i]) < 3]
+    face_size = np.count_nonzero(incidence, axis=0)
+    empty = np.flatnonzero(face_size < 3).tolist()
     if empty:
         raise RedundancyError(empty)
 
     # ---- per face: vertex cycle (CCW seen from outside), the neighbor across
-    # each edge, phi, and the edge's in-plane normal angle ----
-    face_vertex_cycles, face_cycles, face_angles, phi = [], [], [], {}
-    for i in range(m):
-        e1, e2 = _frame(U[i])
-        vids = face_to_vertices[i]
-        pts = np.array([[np.dot(positions[v], e1), np.dot(positions[v], e2)] for v in vids])
-        center = pts.mean(axis=0)
-        cyc = [vids[o] for o in np.argsort(np.arctan2(pts[:, 1] - center[1],
-                                                       pts[:, 0] - center[0]))]
-        neighbors, angles = [], []
-        for va, vb in zip(cyc, cyc[1:] + cyc[:1]):
-            shared = (active_sets[va] & active_sets[vb]) - {i}
-            if len(shared) != 1:
-                raise StructuralError(
-                    f"edge of face {i} between vertices {va},{vb} is shared by "
-                    f"{len(shared)} other faces (expected 1)")
-            j = shared.pop()
-            ph = math.acos(_clamp(float(np.dot(U[i], U[j]))))
-            if not (0.0 < ph < math.pi):
-                raise StructuralError(f"adjacent faces {i},{j} with degenerate angle {ph}")
-            phi[(i, j)] = ph
-            w = (U[j] - math.cos(ph) * U[i]) / math.sin(ph)
-            ang = math.atan2(float(np.dot(w, e2)), float(np.dot(w, e1))) % (2.0 * math.pi)
-            neighbors.append(j)
-            # fmod of a tiny negative rounds up to 2*pi
-            angles.append(0.0 if ang >= 2.0 * math.pi else ang)
-        face_vertex_cycles.append(cyc)
-        face_cycles.append(neighbors)
-        face_angles.append(angles)
+    # each edge, phi, and the edge's in-plane normal angle; one row per directed
+    # edge i -> j, face by face ----
+    src, vid = np.nonzero(incidence.T)
+    e1, e2 = _frames(U)
+    pts = np.column_stack([row_dot(positions[vid], e1[src]), row_dot(positions[vid], e2[src])])
+    center = segment_sums(pts, face_size) / face_size[:, None]
+    # (src is sorted, so sorting by (src, angle) orders each face in place)
+    vid = vid[np.lexsort((np.arctan2(pts[:, 1] - center[src, 1], pts[:, 0] - center[src, 0]),
+                          src))]
+    after = vid[cyclic_runs(face_size)[2]]
+    # the other planes of the edge's two vertices
+    candidates = planes_of[vid]
+    shared = ((candidates >= 0) & (candidates != src[:, None])
+              & incidence[after[:, None], candidates])
+    count = np.count_nonzero(shared, axis=1)
+    dst = candidates[np.arange(len(vid)), np.argmax(shared, axis=1)]
+    ph = [math.acos(_clamp(c)) for c in row_dot(U[src], U[dst]).tolist()]
+    ph_array = np.array(ph)
+    bad = np.flatnonzero((count != 1) | ~((ph_array > 0.0) & (ph_array < math.pi)))
+    if len(bad):
+        e = int(bad[0])
+        i, j = int(src[e]), int(dst[e])
+        if count[e] != 1:
+            raise StructuralError(
+                f"edge of face {i} between vertices {vid[e]},{after[e]} is shared by "
+                f"{count[e]} other faces (expected 1)")
+        raise StructuralError(f"adjacent faces {i},{j} with degenerate angle {ph[e]}")
+    cos_ph = np.array([math.cos(x) for x in ph])
+    sin_ph = np.array([math.sin(x) for x in ph])
+    w = (U[dst] - cos_ph[:, None] * U[src]) / sin_ph[:, None]
+    angles = [math.atan2(y, x) % (2.0 * math.pi)
+              for y, x in zip(row_dot(w, e2[src]).tolist(), row_dot(w, e1[src]).tolist())]
+    src_list, dst_list = src.tolist(), dst.tolist()
+    phi = dict(zip(zip(src_list, dst_list), ph))
+    # (np.isin would import numpy.ma, about 15 ms of a fresh CLI call)
+    edge_keys = np.sort(src * m + dst)
+    back = dst * m + src
+    lonely = np.flatnonzero(
+        edge_keys[np.minimum(np.searchsorted(edge_keys, back), len(back) - 1)] != back)
+    if len(lonely):
+        i, j = src_list[lonely[0]], dst_list[lonely[0]]
+        raise StructuralError(f"adjacency is not symmetric: {i}->{j} without {j}->{i}")
+    # fmod of a tiny negative rounds up to 2*pi
+    face_fans = poly.NormalFan2D.stack([0.0 if a >= 2.0 * math.pi else a for a in angles],
+                                       face_size)
 
-    for i, j in phi:
-        if (j, i) not in phi:
-            raise StructuralError(f"adjacency is not symmetric: {i}->{j} without {j}->{i}")
-    face_fans = [poly.NormalFan2D(angles) for angles in face_angles]
-
-    # ---- Gauss cells at the vertices ----
-    cells = []
-    total_area = 0.0
-    for vid, active in enumerate(active_sets):
-        faces = sorted(active)
-        d = np.sum(U[faces], axis=0)
-        nd = np.linalg.norm(d)
-        if nd == 0.0:
-            raise StructuralError(f"vertex {vid}: normals average to zero")
-        f1, f2 = _frame(d / nd)
-        ang = [math.atan2(float(np.dot(U[f], f2)), float(np.dot(U[f], f1))) for f in faces]
-        order = np.argsort(ang)
-        cyc = [faces[o] for o in order]
-        fan_triangles = [[cyc[0], cyc[k], cyc[k + 1]] for k in range(1, len(cyc) - 1)]
-        area = float(np.sum(_spherical_triangle_areas(U[fan_triangles])))
-        cells.append(VertexCell(cyc, positions[vid], area))
-        total_area += area
+    # ---- Gauss cells at the vertices: the faces of each in angular order
+    # about their mean normal, fan-triangulated from the first ----
+    cell_of, faces = np.nonzero(incidence)
+    d = segment_sums(U[faces], degree)
+    nd = np.sqrt(row_dot(d, d))
+    if np.any(nd == 0.0):
+        raise StructuralError(f"vertex {int(np.argmax(nd == 0.0))}: normals average to zero")
+    f1, f2 = _frames(d / nd[:, None])
+    faces = faces[np.lexsort(([math.atan2(y, x) for y, x in zip(
+        row_dot(U[faces], f2[cell_of]).tolist(), row_dot(U[faces], f1[cell_of]).tolist())],
+        cell_of))]
+    cell_start = np.cumsum(degree) - degree
+    pos = np.arange(len(faces)) - cell_start[cell_of]
+    tri = np.flatnonzero((pos >= 1) & (pos <= degree[cell_of] - 2))
+    cell_area = segment_sums(_spherical_triangle_areas(
+        U[np.column_stack([faces[cell_start[cell_of[tri]]], faces[tri], faces[tri + 1]])]),
+        degree - 2)
+    total_area = float(np.cumsum(cell_area)[-1])
     if abs(total_area - 4.0 * math.pi) > SPHERE_TILING_TOL:
         raise ConsistencyError(
             f"Gauss image does not tile the sphere: total cell area {total_area!r}")
 
+    cells = [VertexCell(cyc, p, area) for cyc, p, area in
+             zip(runs(faces.tolist(), degree), positions, cell_area.tolist())]
     U.setflags(write=False)
-    return PolytopeFan(U, face_cycles, face_fans, face_vertex_cycles, cells, phi, hv.copy())
+    # edge e = (i -> j) of face i: h_ij = -cot(phi_ij) h_i + h_j / sin(phi_ij)
+    return PolytopeFan(U, runs(dst_list, face_size), face_fans, runs(vid.tolist(), face_size),
+                       cells, phi, hv.copy(), (dst, -cos_ph / sin_ph, 1.0 / sin_ph))
 
 
 # =============================================================================

@@ -8,12 +8,22 @@ evaluator by inclusion-exclusion on basis vectors,
 so it shares no code with the face-local mixed forms of ``mixedform.faces``.
 ``abc_lemma_residuals`` gives the three scalars of the quadratic-in-lambda
 three-body argument behind the discriminant bound B^2 <= A C.
+``loop_build_fan`` and ``loop_vertex_positions`` derive a polytope fan one
+face and one vertex at a time, as ``polytope`` did before it took each
+stage as one array pass; the fan must come out ``==``.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from mixedform.errors import InvalidInput, MixedFormError
+from mixedform import polytope
+from mixedform.errors import (ConsistencyError, InvalidInput, MixedFormError, RedundancyError,
+                              StructuralError)
+from mixedform.faces import _clamp
 from mixedform.forms import TrilinearForm, support_vector
+from mixedform.polygon import NormalFan2D
 
 HOMOGENEITY_SAMPLES = 16
 HOMOGENEITY_FACTORS = (0.5, 2.0)
@@ -103,3 +113,151 @@ def abc_lemma_residuals(area, h1, h2, h3):
     B = b23 * q1 - b12 * b13
     C = b12 * b12 - q1 * q2
     return (A, B, C)
+
+
+def _frame(u):
+    """Deterministic unit e1, e2 with (e1, e2, u) a right-handed frame (u a unit vector)."""
+    a = np.zeros(3)
+    a[int(np.argmin(np.abs(u)))] = 1.0
+    e1 = a - np.dot(a, u) * u
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(u, e1)
+
+
+def loop_build_fan(normals, h):
+    """``polytope.build_fan`` as one Python pass per face and per Gauss cell.
+
+    Returns the fan's normals, face_cycles, face_fans, face_vertices,
+    vertex_cells and phi as a namespace.
+    """
+    U = np.asarray(normals, dtype=float)
+    if U.ndim != 2 or U.shape[1] != 3 or U.shape[0] < 4:
+        raise InvalidInput(f"build_fan: need at least 4 normals of shape (m, 3), got {U.shape}")
+    if not np.all(np.isfinite(U)):
+        raise InvalidInput("build_fan: normals must be finite")
+    norms = np.linalg.norm(U, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        raise InvalidInput("build_fan: normals must be unit vectors (within 1e-9)")
+    U = U / norms[:, None]
+    m = U.shape[0]
+    gram = U @ U.T
+    np.fill_diagonal(gram, 0.0)
+    if np.any(gram > 1.0 - 1e-12):
+        raise InvalidInput("build_fan: duplicate (or numerically equal) normals")
+
+    hv = support_vector(h, m, "build_fan")
+    polytope._check_bounded(U)
+    scale = float(np.max(np.abs(hv)))
+    if scale == 0.0:
+        raise StructuralError("h = 0: the region is a single point")
+    hn = hv / scale
+
+    # ---- interior point and inradius: top vertex of the lifted region ----
+    rho_c = float(np.min(hn)) - 1.0
+    lift = polytope._dual_hull_vertices(
+        np.vstack([np.column_stack([U, np.ones(m)]), [0.0, 0.0, 0.0, -1.0]]),
+        np.append(hn, 1.0 - rho_c),
+        np.array([0.0, 0.0, 0.0, rho_c]))
+    top = lift[np.argmax(lift[:, 3])]
+    x0, r = top[:3], float(top[3])
+    if r < -polytope.FEASIBILITY_TOL:
+        raise RedundancyError(list(range(m)), "no feasible vertices: empty region")
+    if r <= polytope.FEASIBILITY_TOL:
+        raise StructuralError(
+            f"region has no interior: inradius {r * scale!r} at support scale {scale!r}")
+
+    # ---- vertices: facets of the dual hull, merged by active-plane set ----
+    corners = polytope._dual_hull_vertices(U, hn, x0)
+    slack = corners @ U.T - hn
+    if np.max(slack) > polytope.FEASIBILITY_TOL * r:
+        raise ConsistencyError(f"dual-hull vertex violates a halfspace by "
+                               f"{np.max(slack) * scale:.3e} (inradius {r * scale:.3e})")
+    groups = {}
+    for x, row in zip(corners, slack):
+        groups.setdefault(tuple(np.flatnonzero(row >= -polytope.ACTIVE_TOL * r).tolist()), []).append(x)
+    active_sets = sorted(groups)
+    if any(len(active) < 3 for active in active_sets):
+        raise StructuralError("vertex with fewer than 3 active planes")
+    positions = [scale * np.mean(groups[active], axis=0) for active in active_sets]
+    active_sets = [set(active) for active in active_sets]
+
+    face_to_vertices = [[] for _ in range(m)]
+    for vid, active in enumerate(active_sets):
+        for i in active:
+            face_to_vertices[i].append(vid)
+    empty = [i for i in range(m) if len(face_to_vertices[i]) < 3]
+    if empty:
+        raise RedundancyError(empty)
+
+    # ---- per face: vertex cycle (CCW seen from outside), the neighbor across
+    # each edge, phi, and the edge's in-plane normal angle ----
+    face_vertex_cycles, face_cycles, face_angles, phi = [], [], [], {}
+    for i in range(m):
+        e1, e2 = _frame(U[i])
+        vids = face_to_vertices[i]
+        pts = np.array([[np.dot(positions[v], e1), np.dot(positions[v], e2)] for v in vids])
+        center = pts.mean(axis=0)
+        cyc = [vids[o] for o in np.argsort(np.arctan2(pts[:, 1] - center[1],
+                                                       pts[:, 0] - center[0]))]
+        neighbors, angles = [], []
+        for va, vb in zip(cyc, cyc[1:] + cyc[:1]):
+            shared = (active_sets[va] & active_sets[vb]) - {i}
+            if len(shared) != 1:
+                raise StructuralError(
+                    f"edge of face {i} between vertices {va},{vb} is shared by "
+                    f"{len(shared)} other faces (expected 1)")
+            j = shared.pop()
+            ph = math.acos(_clamp(float(np.dot(U[i], U[j]))))
+            if not (0.0 < ph < math.pi):
+                raise StructuralError(f"adjacent faces {i},{j} with degenerate angle {ph}")
+            phi[(i, j)] = ph
+            w = (U[j] - math.cos(ph) * U[i]) / math.sin(ph)
+            ang = math.atan2(float(np.dot(w, e2)), float(np.dot(w, e1))) % (2.0 * math.pi)
+            neighbors.append(j)
+            # fmod of a tiny negative rounds up to 2*pi
+            angles.append(0.0 if ang >= 2.0 * math.pi else ang)
+        face_vertex_cycles.append(cyc)
+        face_cycles.append(neighbors)
+        face_angles.append(angles)
+
+    for i, j in phi:
+        if (j, i) not in phi:
+            raise StructuralError(f"adjacency is not symmetric: {i}->{j} without {j}->{i}")
+    face_fans = [NormalFan2D(angles) for angles in face_angles]
+
+    # ---- Gauss cells at the vertices ----
+    cells = []
+    total_area = 0.0
+    for vid, active in enumerate(active_sets):
+        faces = sorted(active)
+        d = np.sum(U[faces], axis=0)
+        nd = np.linalg.norm(d)
+        if nd == 0.0:
+            raise StructuralError(f"vertex {vid}: normals average to zero")
+        f1, f2 = _frame(d / nd)
+        ang = [math.atan2(float(np.dot(U[f], f2)), float(np.dot(U[f], f1))) for f in faces]
+        order = np.argsort(ang)
+        cyc = [faces[o] for o in order]
+        fan_triangles = [[cyc[0], cyc[k], cyc[k + 1]] for k in range(1, len(cyc) - 1)]
+        area = float(np.sum(polytope._spherical_triangle_areas(U[fan_triangles])))
+        cells.append(polytope.VertexCell(cyc, positions[vid], area))
+        total_area += area
+    if abs(total_area - 4.0 * math.pi) > polytope.SPHERE_TILING_TOL:
+        raise ConsistencyError(
+            f"Gauss image does not tile the sphere: total cell area {total_area!r}")
+
+    return SimpleNamespace(normals=U, face_cycles=face_cycles, face_fans=face_fans,
+                           face_vertices=face_vertex_cycles, vertex_cells=cells, phi=phi)
+
+
+def loop_vertex_positions(fan, h):
+    """``PolytopeFan.vertex_positions`` as one solve per vertex."""
+    v = support_vector(h, fan.m, "vertex_positions")
+    out = np.empty((len(fan.vertex_cells), 3))
+    for idx, cell in enumerate(fan.vertex_cells):
+        U = fan.normals[cell.faces]
+        if len(cell.faces) == 3:
+            out[idx] = np.linalg.solve(U, v[cell.faces])
+        else:
+            out[idx], *_ = np.linalg.lstsq(U, v[cell.faces], rcond=None)
+    return out

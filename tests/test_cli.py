@@ -287,6 +287,18 @@ def test_polygon_embed(capsys, square_file):
     assert verts.shape == (4, 2)
 
 
+def test_polygon_embed_at_tiny_scale(capsys, tmp_path, square_file):
+    # at h = 2^-700 the squares of the edge vectors underflow: the closure defect
+    # is measured on the edge vectors scaled to unit size, and the chart scales with h
+    square = dict(SQUARE, h=[2.0 ** -700] * 4)
+    code, out, err = run(capsys, "polygon", "embed", write_json(tmp_path, "tiny.json", square),
+                         "--json")
+    assert (code, err) == (0, "")
+    unscaled = json.loads(run(capsys, "polygon", "embed", square_file, "--json")[1])
+    assert json.loads(out)["results"]["vertices"] == [
+        [2.0 ** -700 * x for x in vertex] for vertex in unscaled["results"]["vertices"]]
+
+
 # =============================================================================
 # SURFACE
 # =============================================================================
@@ -400,6 +412,32 @@ def test_polytope_boundary_metric_at_tiny_scale(capsys, tmp_path):
                        write_json(tmp_path, "tiny_box.json", box), "--json")
     assert code == 0
     assert json.loads(out)["results"]["genus"] == 0
+
+
+def test_polytope_boundary_metric_where_the_square_of_h_overflows(capsys, tmp_path):
+    # at h = 2^502 (2000, 2000, 1, 1, 2, 2) |h|^2 overflows but the long box's area
+    # fits: h is interior (the wall bound measures h scaled to unit size), and the
+    # lengths, angles and area scale with h
+    results = []
+    for exponent in (0, 502):
+        box = {"normals": geomfix.CUBE_NORMALS.tolist(),
+               "h": [2.0 ** exponent * x for x in (2000, 2000, 1, 1, 2, 2)]}
+        code, out, err = run(capsys, "polytope", "boundary-metric",
+                             write_json(tmp_path, "long_box.json", box), "--json")
+        assert (code, err) == (0, "")
+        results.append(json.loads(out)["results"])
+    unscaled, scaled = results
+    assert scaled["cone_angles"] == unscaled["cone_angles"]
+    assert scaled["total_area"] == 2.0 ** 1004 * unscaled["total_area"]
+    assert [t["lengths"] for t in scaled["mesh"]["triangles"]] == [
+        [2.0 ** 502 * x for x in t["lengths"]] for t in unscaled["mesh"]["triangles"]]
+    # the box at 1e200 (1, 1, 2, 2, 3, 3) is interior too; its total area, about
+    # 1e402, is what leaves the float range
+    box = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [1e200 * x for x in (1, 1, 2, 2, 3, 3)]}
+    code, out, err = run(capsys, "polytope", "boundary-metric",
+                         write_json(tmp_path, "huge_box.json", box), "--json")
+    assert (code, out) == (2, "")
+    assert err == "mixedform: triangle 0: the area overflows the floating-point range\n"
 
 
 @pytest.mark.parametrize("op", ["build", "sphere-area"])

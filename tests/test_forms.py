@@ -259,6 +259,37 @@ def test_polarize_rejects_inhomogeneous():
 
 
 # =============================================================================
+# WALL BOUND AND SEGMENT SUMS
+# =============================================================================
+
+@pytest.mark.parametrize("exponent", [0, 300, -300, 600, -600, 1000, -900])
+def test_wall_bound_scales_exactly(exponent):
+    # tol |h| at h 2^j is 2^j times tol |h|, bit for bit, for one h and row by
+    # row for stacks, also where |h|^2 overflows or underflows (no numpy warning),
+    # as long as the bound itself is a normal number
+    rng = np.random.default_rng(8)
+    stack = rng.uniform(0.5, 3.0, (6, 2, 12))
+    mixed = stack * 2.0 ** rng.integers(-2, 3, (6, 2, 1))
+    for h in (stack[0, 0], stack, mixed):
+        assert np.array_equal(forms.wall_bound(np.ldexp(h, exponent), 1e-9),
+                              np.ldexp(forms.wall_bound(h, 1e-9), exponent))
+    assert forms.wall_bound(np.zeros(4), 1e-9).tolist() == [0.0]
+
+
+def test_segment_sums_keep_the_bits_of_np_sum():
+    # one reduction per run length, each run summed as np.sum sums it alone
+    # (pairwise from 8 entries on, so the run lengths straddle that)
+    rng = np.random.default_rng(9)
+    sizes = rng.integers(1, 40, 60)
+    starts = np.cumsum(sizes) - sizes
+    for shape in ((), (3,)):
+        values = rng.standard_normal((sizes.sum(),) + shape) * 10.0 ** rng.integers(
+            -5, 5, (sizes.sum(),) + shape)
+        expected = [np.sum(values[a:a + k], axis=0) for a, k in zip(starts, sizes)]
+        assert np.array_equal(forms.segment_sums(values, sizes), expected)
+
+
+# =============================================================================
 # INEQUALITY RESIDUALS
 # =============================================================================
 

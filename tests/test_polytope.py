@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 import geomfix
+import oracles
 from mixedform import cli, errors, forms, polytope, surface
 
 CUBE = geomfix.CUBE_NORMALS
@@ -152,6 +153,87 @@ def test_scipy_optimize_not_imported():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=geomfix.child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _hexagonal_bipyramid():
+    """12 triangle faces: two apexes where 6 faces meet, six equator vertices with 4."""
+    theta = np.radians(60.0 * np.arange(6) + 30.0)
+    alpha = math.radians(40.0)
+    ring = np.column_stack([np.cos(theta), np.sin(theta)]) * math.cos(alpha)
+    return np.vstack([np.column_stack([ring, np.full(6, z)])
+                      for z in (math.sin(alpha), -math.sin(alpha))])
+
+
+def _oracle_fans():
+    """(name, normals, h): every fan the array passes must rebuild bit for bit."""
+    yield "cube", CUBE, np.ones(6)
+    yield "octahedron", OCTA, np.full(8, 1.0 / math.sqrt(3.0))
+    yield "box", CUBE, np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    yield "hexagonal bipyramid", _hexagonal_bipyramid(), np.ones(12)
+    for m in (48, 96, 200):
+        yield f"fibonacci {m}", geomfix.fibonacci_sphere(m), np.ones(m)
+        rng = np.random.default_rng(m)
+        yield f"jittered fibonacci {m}", geomfix.fibonacci_sphere(m, rng, jitter=0.05), np.ones(m)
+    rng = np.random.default_rng(14)
+    for k in range(20):
+        fan, h = geomfix.random_simple_polytope(int(rng.integers(6, 31)), rng)
+        yield f"random simple {k}", fan.normals, h
+
+
+@pytest.mark.parametrize("name, normals, h", list(_oracle_fans()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_build_fan_matches_the_loop_oracle(name, normals, h):
+    # each stage of build_fan is one array pass; the fan must equal, bit for bit,
+    # the one the per-face and per-cell loop derives
+    fan, ref = polytope.build_fan(normals, h), oracles.loop_build_fan(normals, h)
+    assert fan.face_vertices == ref.face_vertices
+    assert fan.face_cycles == ref.face_cycles
+    assert list(fan.phi.items()) == list(ref.phi.items())
+    for ours, theirs in zip(fan.face_fans, ref.face_fans, strict=True):
+        assert np.array_equal(ours.angles, theirs.angles)
+        # the closed-form coefficients as NormalFan2D computed them with np.roll
+        a = theirs.angles
+        gaps = np.mod(np.roll(a, -1) - a, 2.0 * math.pi)
+        cot = np.cos(gaps) / np.sin(gaps)
+        for got, want in ((ours.gaps, gaps), (ours.c_next, 1.0 / np.sin(gaps)),
+                          (ours.c_prev, np.roll(1.0 / np.sin(gaps), 1)),
+                          (ours.c_self, -cot - np.roll(cot, 1)),
+                          (ours.normals, np.column_stack([np.cos(a), np.sin(a)]))):
+            assert np.array_equal(got, want)
+    for ours, theirs in zip(fan.vertex_cells, ref.vertex_cells, strict=True):
+        assert ours.faces == theirs.faces
+        assert np.array_equal(ours.position, theirs.position)
+        assert ours.area == theirs.area
+    edges = [(i, j) for i, cycle in enumerate(ref.face_cycles) for j in cycle]
+    assert fan.assembly.a.tolist() == [-math.cos(ref.phi[e]) / math.sin(ref.phi[e])
+                                       for e in edges]
+    assert fan.assembly.b.tolist() == [1.0 / math.sin(ref.phi[e]) for e in edges]
+    for k in (h, 1.0 + 0.2 * np.sin(np.arange(len(h)))):
+        assert np.array_equal(fan.vertex_positions(k), oracles.loop_vertex_positions(fan, k))
+
+
+def test_build_fan_errors_match_the_loop_oracle():
+    # error classes and messages come from the same checks in the same order
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(60):
+        m = int(rng.integers(4, 9))
+        eps = 10.0 ** rng.uniform(-9, -2)
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+        normals = np.column_stack([np.cos(angles), np.sin(angles),
+                                   eps * (-1.0) ** np.arange(m)])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        h = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, m)
+        outcome = []
+        for build in (polytope.build_fan, oracles.loop_build_fan):
+            try:
+                built = build(normals, h)
+                outcome.append(("ok", built.face_cycles))
+            except errors.MixedFormError as exc:
+                outcome.append((type(exc).__name__, str(exc)))
+        assert outcome[0] == outcome[1]
+        seen.add(outcome[0][0])
+    assert len(seen) >= 2
 
 
 # =============================================================================
@@ -419,6 +501,26 @@ def test_membership_cube(cube_fan):
     assert polytope.cone_membership(cube_fan, h, tol=1e-9).status == "boundary"
     h[5] = -1.001
     assert polytope.cone_membership(cube_fan, h).status == "outside"
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 1e200, 1e-200])
+def test_membership_and_sampling_at_any_scale(cube_fan, scale):
+    # the wall bound tol |h| scales with h: |h|^2 overflowed above |h| ~ 1e154
+    # (every h read "boundary") and underflowed below 1e-154 (no margin left)
+    box = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    assert polytope.cone_membership(cube_fan, scale * box).status == "interior"
+    wall = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0 + 1e-14])
+    for h, status in ((wall, "boundary"), (wall - [0, 0, 0, 0, 0, 1e-6], "outside")):
+        unscaled = polytope.cone_membership(cube_fan, h)
+        assert unscaled.status == status
+        assert polytope.cone_membership(cube_fan, scale * h) == unscaled
+    assert np.allclose(polytope.boundary_metric(cube_fan, scale * box).lengths,
+                       scale * polytope.boundary_metric(cube_fan, box).lengths,
+                       rtol=1e-15, atol=0.0)
+    if math.frexp(scale)[0] == 0.5:      # a power of two: every draw scales exactly
+        draws = [polytope.sample_interior(cube_fan, s * box, np.random.default_rng(5), size=20)
+                 for s in (1.0, scale)]
+        assert np.array_equal(draws[1], scale * draws[0])
 
 
 # =============================================================================
