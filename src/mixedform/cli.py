@@ -72,13 +72,8 @@ def _parse_vector(text, n, what):
     return np.asarray(values)
 
 
-def _plain(obj):
-    """``json.dumps`` fallback: numpy scalars and arrays as python objects."""
-    return obj.tolist()
-
-
-def _matrix_lines(entries, indent="  "):
-    return [indent + "  ".join(f"{x: .12g}" for x in row) for row in entries]
+def _matrix_lines(entries):
+    return ["  " + "  ".join(f"{x: .12g}" for x in row) for row in entries]
 
 
 # =============================================================================
@@ -108,8 +103,8 @@ def _signature_report(module, name):
     def command(args, fan, h):
         form = getattr(module, name)(fan)
         sig = form.signature(zero_threshold=args.tol)
-        results = {"signature": list(sig.as_tuple), "eigenvalues": form.eigenvalues().tolist()}
-        lines = [f"signature (+, 0, -) = {sig.as_tuple}",
+        results = {"signature": list(sig), "eigenvalues": form.eigenvalues().tolist()}
+        lines = [f"signature (+, 0, -) = {tuple(sig)}",
                  f"zero threshold: {args.tol:g} (relative)"]
         return results, {"zero_threshold": args.tol}, lines
     return command
@@ -167,11 +162,11 @@ def _polygon_embed(args, fan, h):
     sig = herm.signature()
     results = {"vertices": [[float(w.real), float(w.imag)] for w in z],
                "area": herm.q(z),
-               "hermitian_signature": list(sig.as_tuple)}
+               "hermitian_signature": list(sig)}
     lines = ["vertex chart (re, im):"]
     lines += [f"  {w.real: .12g}  {w.imag: .12g}" for w in z]
     lines.append(f"area from the chart form: {results['area']:.12g}")
-    lines.append(f"chart form signature: {sig.as_tuple}")
+    lines.append(f"chart form signature: {tuple(sig)}")
     return results, {}, lines
 
 
@@ -434,7 +429,7 @@ def main(argv=None):
             report["seed"] = args.seed
         try:        # in both output modes: no report holds Infinity or NaN
             text = json.dumps(report, indent=2 if args.json else None, sort_keys=True,
-                              default=_plain, allow_nan=False)
+                              allow_nan=False)
         except ValueError as exc:
             raise DomainError("the report holds a non-finite number: a result "
                               "overflows the floating-point range") from exc

@@ -39,8 +39,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
-from .forms import SymmetricForm, cyclic_runs, row_dot, scalar_or_rows, support_vector
+from .errors import ConsistencyError
+from .forms import (SymmetricForm, cyclic_runs, overflow_checked, row_dot, scalar_or_rows,
+                    support_vector)
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
 SYMMETRY_TOL = 1e-10
@@ -127,17 +128,10 @@ class FaceAssembly:
         """Edge lengths l_e(h) for every edge; h is (..., m)."""
         return self.edge_lengths(self.face_support(h))
 
-    def cubic(self, h, what):
-        """(1/3) sum_i h_i a_i(h_{i.}) = (1/6) sum_e h_src hs_e l_e; h is (..., m).
-
-        A value beyond the floating-point range raises DomainError naming ``what``.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            hs = self.face_support(h)
-            value = np.sum(h[..., self.src] * hs * self.edge_lengths(hs), axis=-1) / 6.0
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"{what}: the value overflows the floating-point range")
-        return value
+    def cubic(self, h):
+        """(1/3) sum_i h_i a_i(h_{i.}) = (1/6) sum_e h_src hs_e l_e; h is (..., m)."""
+        hs = self.face_support(h)
+        return np.sum(h[..., self.src] * hs * self.edge_lengths(hs), axis=-1) / 6.0
 
     def jacobian(self, lengths):
         """J[i, j] = sum_{e in i} l_e d hs_e / d h_j for edge lengths ``lengths``."""
@@ -201,17 +195,20 @@ class FaceTrilinearForm:
         Any argument may be an (S, m) stack (stacks row-aligned): the result
         is then the (S,) array of row values, each rounded as alone.
         """
+        a = support_vector(h, self.dim, "v", stack=True)
+        b = support_vector(k, self.dim, "v", stack=True)
+        c = support_vector(p, self.dim, "v", stack=True)
+        return scalar_or_rows(overflow_checked("v", self._v, a, b, c))
+
+    def _v(self, a, b, c):
         F = self._faces
-        a = support_vector(h, F.m, "v", stack=True)
-        b = support_vector(k, F.m, "v", stack=True)
-        c = support_vector(p, F.m, "v", stack=True)
         hs_a = F.face_support(a)
         hs_b = F.face_support(b)
         l_b = F.edge_lengths(hs_b)
         l_c = F.lengths(c)
         src = F.src
-        return scalar_or_rows((row_dot(a[..., src] * hs_b + b[..., src] * hs_a, l_c)
-                               + row_dot(c[..., src] * hs_a, l_b)) / 18.0)
+        return (row_dot(a[..., src] * hs_b + b[..., src] * hs_a, l_c)
+                + row_dot(c[..., src] * hs_a, l_b)) / 18.0
 
     def diagonal(self, h):
         """Cubic evaluation v(h, h, h)."""

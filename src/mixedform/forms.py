@@ -12,13 +12,16 @@ Generic machinery shared by the geometry modules:
   * residuals for the Lorentzian (reversed) Cauchy-Schwarz inequality, its
     equality witness h = h^x + lambda k (shared by the Minkowski and
     Alexandrov-Fenchel checks, with their tolerances EQUALITY_TOL,
-    WITNESS_TOL and ROUNDING_TOL);
+    WITNESS_TOL and ROUNDING_TOL), and ``projective_distance``, the distance
+    of two rays in a spherical (definite) or hyperbolic (Lorentzian) cell;
+  * ``overflow_checked``, the one overflow rule (DomainError, no numpy warning);
   * ``support_vector``, the length and finiteness check of support vectors
     and of the forms' (real or complex) arguments;
   * ``wall_bound``, the one rule that puts an edge length below -tol |h|
     outside a cone and one within tol |h| on its wall, at any scale of h,
     with ``locate`` and ``sample_cone``, the cone classifier and the
-    interior sampler that the polygon, polytope and Fuchsian fans share;
+    interior sampler that the polygon, polytope and Fuchsian fans share
+    (membership at MEMBERSHIP_TOL);
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
     also take (S, n) stacks, and each row rounds exactly as it would alone;
     ``segment_sums`` sums consecutive runs of rows, each as np.sum sums it
@@ -46,6 +49,7 @@ DEFAULT_ZERO_THRESHOLD = 1e-9
 EQUALITY_TOL = 1e-10
 WITNESS_TOL = 1e-7
 ROUNDING_TOL = 1e-12
+MEMBERSHIP_TOL = 1e-12
 #: perturbation sizes one pass of ``sample_cone`` tries at once: a pass costs
 #: a single draw about as much as one size, and a draw on a perturbed 12-gon
 #: (48-gon) settles after 3 to 5 (8 to 10) sizes
@@ -80,6 +84,15 @@ def unit_scaled(v):
     """
     e = math.frexp(float(abs(v).max(initial=0.0)))[1]
     return np.ldexp(v, -e), e
+
+
+def overflow_checked(what, compute, *args):
+    """compute(*args), raising DomainError naming ``what`` (and no numpy warning) on overflow."""
+    try:
+        with np.errstate(over="raise"):
+            return compute(*args)
+    except FloatingPointError:
+        raise DomainError(f"{what}: the value overflows the floating-point range") from None
 
 
 def runs(flat, sizes):
@@ -243,14 +256,8 @@ def jacobi_eigenvalues(matrix, want_vectors=False):
 # SIGNATURE
 # =============================================================================
 
-class Signature(namedtuple("Signature", ["positive", "zero", "negative"])):
-    """Eigenvalue sign counts (positive, zero, negative) of a form."""
-
-    __slots__ = ()
-
-    @property
-    def as_tuple(self):
-        return tuple(self)
+#: eigenvalue sign counts (positive, zero, negative) of a form
+Signature = namedtuple("Signature", ["positive", "zero", "negative"])
 
 
 def _zero_tau(vals, zero_threshold):
@@ -293,14 +300,14 @@ class SymmetricForm:
     def q(self, h):
         """Quadratic evaluation q(h) (real-valued); a stack h gives one value per row."""
         v = support_vector(h, self.dim, "q", stack=True, dtype=self.dtype)
-        return self._b(v, v)
+        return overflow_checked("q", self._b, v, v)
 
     def b(self, h, k):
         """Bilinear evaluation b(h, k) = Re h* M k, the polarization of q; row-aligned
         stacks (or a stack and a vector) give one value per row."""
         u = support_vector(h, self.dim, "b", stack=True, dtype=self.dtype)
         v = support_vector(k, self.dim, "b", stack=True, dtype=self.dtype)
-        return self._b(u, v)
+        return overflow_checked("b", self._b, u, v)
 
     def _b(self, u, v):
         uM = (np.ascontiguousarray(u.conj())[..., None, :] @ self._M)[..., 0, :]
@@ -467,3 +474,23 @@ def _falsified(name, scale, message):
         return InvariantFalsified(message)
     return DomainError(f"{name} check: the pair's values leave the floating-point "
                        f"range (scale {scale:.3e})")
+
+
+def projective_distance(form, h, k, what):
+    """arccos r if ``form`` is definite (least eigenvalue > 0: a spherical cell), else
+    arccosh r (a hyperbolic cell); r = b(h,k) / sqrt(q(h)q(k)) on h and k scaled to unit
+    size (the same r, and no overflow).  A q <= 0 raises DomainError naming ``what``; r
+    past 1 by more than ROUNDING_TOL falsifies Cauchy-Schwarz or Minkowski."""
+    (u, _), (v, _) = unit_scaled(h), unit_scaled(k)
+    qh, qk = form.q(u), form.q(v)
+    if qh <= 0.0 or qk <= 0.0:
+        raise DomainError(f"{what}: needs positive areas")
+    r = form.b(u, v) / math.sqrt(qh * qk)
+    if form.eigenvalues()[0] > 0.0:
+        if r > 1.0 + ROUNDING_TOL:
+            raise InvariantFalsified(f"normalized pairing {r!r} > 1: Cauchy-Schwarz violated "
+                                     "for a positive definite form")
+        return math.acos(min(1.0, max(-1.0, r)))
+    if r < 1.0 - ROUNDING_TOL:
+        raise InvariantFalsified(f"normalized pairing {r!r} < 1: Minkowski inequality violated")
+    return float(np.arccosh(max(r, 1.0)))

@@ -46,14 +46,13 @@ from .errors import (
     InvalidInput,
     InvariantFalsified,
 )
-from .faces import FaceAssembly, _clamp, agreeing_form
-from .forms import as_index, json_numbers, locate, support_vector, unit_scaled
+from .faces import FaceAssembly, agreeing_form
+from .forms import (MEMBERSHIP_TOL, as_index, json_numbers, locate, overflow_checked,
+                    projective_distance, support_vector, unit_scaled)
 
-TWO_PI = 2.0 * math.pi
 PAIRING_TOL = 1e-9
 ANGLE_SUM_TOL = 1e-9
 HOMOTHETY_TOL = 1e-7
-ARCCOS_SLACK = 1e-12
 #: the largest phi whose cosh (and sinh) is a finite float
 MAX_PHI = math.acosh(np.finfo(float).max)
 
@@ -97,7 +96,7 @@ class QuotientFan:
                         f"QuotientFan: face {i}: omega must lie in (0, pi), got {omega!r}")
                 face.append(AdjacencyEntry(to, phi, omega))
             total = sum(e.omega for e in face)
-            if abs(total - TWO_PI) > ANGLE_SUM_TOL:
+            if abs(total - poly.TWO_PI) > ANGLE_SUM_TOL:
                 raise InvalidInput(
                     f"QuotientFan: face {i}: turning angles sum to {total!r}, expected 2*pi")
             parsed.append(face)
@@ -201,7 +200,7 @@ def regular_genus2_fan():
 # SUPPORT NUMBERS AND COVOLUME
 # =============================================================================
 
-def cone_membership(fan, h, tol=1e-12):
+def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     """Classify h by the signs of all in-face edge lengths (edges labelled (i, k))."""
     v = fan._vector(h, "cone_membership")
     return locate(fan.assembly.lengths(v), v, tol, fan._edge_labels)
@@ -209,7 +208,7 @@ def cone_membership(fan, h, tol=1e-12):
 
 def covolume(fan, h):
     """covol(h) = (1/3) sum_i h_i a_i(h_{i.})."""
-    return float(fan.assembly.cubic(fan._vector(h, "covolume"), "covolume"))
+    return float(overflow_checked("covolume", fan.assembly.cubic, fan._vector(h, "covolume")))
 
 
 def covolume_form(fan):
@@ -263,23 +262,13 @@ def fuchsian_area_form(fan):
 # =============================================================================
 
 def spherical_distance(fan, h, k):
-    """arccos( b(h,k) / sqrt(q(h)q(k)) ) -- zero exactly at homotheties.
-
-    Evaluated on h and k scaled to unit size by powers of two, which leaves
-    the ratio's bits unchanged and keeps q(h)q(k) in the floating-point range.
-    """
-    u = unit_scaled(fan._vector(h, "spherical_distance"))[0]
-    v = unit_scaled(fan._vector(k, "spherical_distance"))[0]
+    """arccos( b(h,k) / sqrt(q(h)q(k)) ) between interior rays (``forms.projective_distance``)."""
+    u = fan._vector(h, "spherical_distance")
+    v = fan._vector(k, "spherical_distance")
     for name, w in (("h", u), ("k", v)):
         if cone_membership(fan, w).status != "interior":
             raise DomainError(f"spherical_distance: {name} is not interior")
-    form = fuchsian_area_form(fan)
-    arg = form.b(u, v) / math.sqrt(form.q(u) * form.q(v))
-    if arg > 1.0 + ARCCOS_SLACK:
-        raise InvariantFalsified(
-            f"normalized pairing {arg!r} > 1: Cauchy-Schwarz violated for a "
-            f"positive definite form")
-    return float(math.acos(_clamp(arg)))
+    return projective_distance(fuchsian_area_form(fan), u, v, "spherical_distance")
 
 
 def is_homothety_pair(fan, h, k):

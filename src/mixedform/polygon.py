@@ -34,13 +34,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, InvalidInput, InvariantFalsified
+from .errors import ConsistencyError, DomainError, InvalidInput
 from .forms import (
+    MEMBERSHIP_TOL,
     HermitianForm,
     SymmetricForm,
     cyclic_runs,
     json_numbers,
     locate,
+    projective_distance,
     reversed_cauchy_schwarz_check,
     runs,
     sample_cone,
@@ -51,10 +53,8 @@ from .forms import (
 )
 
 TWO_PI = 2.0 * np.pi
-MEMBERSHIP_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 EMBED_AREA_TOL = 1e-12
-ARCCOSH_SLACK = 1e-12
 SAMPLE_SPREAD = 0.5
 SAMPLE_MARGIN = 1e-6
 SAMPLE_SHRINKS = 80
@@ -147,7 +147,6 @@ class NormalFan2D:
         self.edge_angles = edge_angles
         # l_i(h) = c_self[i] h_i + c_next[i] h_{i+1} + c_prev[i] h_{i-1}
         self.c_self, self.c_next, self.c_prev = c_self, c_next, c_prev
-        self._area_form = None
 
     @classmethod
     def from_degrees(cls, degrees):
@@ -170,6 +169,10 @@ class NormalFan2D:
         L[k, (k - 1) % n] = self.c_prev
         L.setflags(write=False)
         return L
+
+    @cached_property
+    def area_form(self):
+        return SymmetricForm(0.5 * self.length_matrix, symmetry_tol=1e-12)
 
 
 # =============================================================================
@@ -203,9 +206,7 @@ def area_form(fan):
     M = L/2 where L is the edge-length matrix; the symmetry of the raw
     matrix is a theorem and is asserted before symmetrizing.
     """
-    if fan._area_form is None:
-        fan._area_form = SymmetricForm(0.5 * fan.length_matrix, symmetry_tol=1e-12)
-    return fan._area_form
+    return fan.area_form
 
 
 def point_support_vector(fan, x):
@@ -295,27 +296,13 @@ def minkowski_check(fan, h, k):
 
 
 def hyperbolic_distance(fan, h, k):
-    """Distance arccosh( a(h,k) / sqrt(a(h)a(k)) ) between interior rays.
-
-    Well-defined by the Minkowski inequality; zero exactly at homotheties.
-    Evaluated on h and k scaled to unit size by powers of two, which leaves
-    the ratio's bits unchanged and keeps a(h)a(k) in the floating-point range.
-    """
-    u = unit_scaled(support_vector(h, fan.n, "hyperbolic_distance"))[0]
-    v = unit_scaled(support_vector(k, fan.n, "hyperbolic_distance"))[0]
+    """arccosh( a(h,k) / sqrt(a(h)a(k)) ) between interior rays (``forms.projective_distance``)."""
+    u = support_vector(h, fan.n, "hyperbolic_distance")
+    v = support_vector(k, fan.n, "hyperbolic_distance")
     for name, w in (("h", u), ("k", v)):
         if cone_membership(fan, w).status != "interior":
             raise DomainError(f"hyperbolic_distance: {name} is not interior")
-    form = area_form(fan)
-    qh = form.q(u)
-    qk = form.q(v)
-    if qh <= 0.0 or qk <= 0.0:
-        raise DomainError("hyperbolic_distance: needs positive areas")
-    arg = form.b(u, v) / np.sqrt(qh * qk)
-    if arg < 1.0 - ARCCOSH_SLACK:
-        raise InvariantFalsified(
-            f"normalized pairing {arg!r} < 1: Minkowski inequality violated")
-    return float(np.arccosh(max(arg, 1.0)))
+    return projective_distance(area_form(fan), u, v, "hyperbolic_distance")
 
 
 # =============================================================================

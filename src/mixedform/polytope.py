@@ -51,15 +51,14 @@ from .errors import (
     UnboundedRegionError,
 )
 from .faces import FaceAssembly, _clamp
-from .forms import (SymmetricForm, as_index, cyclic_runs, json_numbers, locate,
-                    reversed_cauchy_schwarz_check, row_dot, runs, sample_cone,
-                    segment_sums, support_vector)
+from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, json_numbers, locate,
+                    overflow_checked, reversed_cauchy_schwarz_check, row_dot, runs,
+                    sample_cone, segment_sums, support_vector)
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
 ACTIVE_TOL = 1e-8
 SPHERE_TILING_TOL = 1e-9
-MEMBERSHIP_TOL = 1e-12
 MAX_QUADRATURE_DEPTH = 10
 SAMPLE_SPREAD = 0.25
 SAMPLE_MARGIN = 1e-9
@@ -484,7 +483,7 @@ def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
 
 def volume(fan, h):
     """v(h) = (1/3) sum_i h_i a_i(h_{i.}) -- the Euclidean volume on the cone."""
-    return float(fan.assembly.cubic(support_vector(h, fan.m, "volume"), "volume"))
+    return float(overflow_checked("volume", fan.assembly.cubic, support_vector(h, fan.m, "volume")))
 
 
 def volume_form(fan):
@@ -607,15 +606,19 @@ def area_via_sphere_integral(fan, h, depth):
     (3/2) <p, v>^2 - (1/2) |p|^2.  Each cell is fan-triangulated and
     refined by ``depth`` levels of geodesic midpoint subdivision; leaf
     triangles use their exact spherical area with the three edge-midpoint
-    nodes (planar-quadratic-exact, so the quadratic integrand converges
-    at second order in the cell diameter).
+    nodes (planar-quadratic-exact, so the quadratic integrand converges at
+    second order in the cell diameter); an overflow raises DomainError.
     """
     depth = as_index(depth, "depth")
     if not (0 <= depth <= MAX_QUADRATURE_DEPTH):
         raise InvalidInput(f"depth must be in [0, {MAX_QUADRATURE_DEPTH}]")
     v = support_vector(h, fan.m, "area_via_sphere_integral")
-    positions = fan.vertex_positions(v)
+    return overflow_checked("area_via_sphere_integral", _sphere_integral, fan,
+                            fan.vertex_positions(v), depth)
 
+
+def _sphere_integral(fan, positions, depth):
+    """The quadrature over every Gauss cell, once the cells tile the sphere."""
     total = 0.0
     covered = 0.0
     for cell, p in zip(fan.vertex_cells, positions):
@@ -631,12 +634,12 @@ def area_via_sphere_integral(fan, h, depth):
             mids /= np.linalg.norm(mids, axis=2)[:, :, None]
             dots = mids @ p
             fvals = 1.5 * dots * dots - 0.5 * p2
-            total += float(np.sum(areas * np.mean(fvals, axis=1)))
+            total += np.sum(areas * np.mean(fvals, axis=1))     # a numpy sum: overflow raises
             covered += float(np.sum(areas))
     if abs(covered - 4.0 * math.pi) > 1e-8:
         raise StructuralError(
             f"Gauss image does not tile the sphere: covered {covered!r} of 4*pi")
-    return total
+    return float(total)
 
 
 # =============================================================================

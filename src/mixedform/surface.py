@@ -40,16 +40,6 @@ GAUSS_BONNET_TOL = 1e-6
 CONVEXITY_TOL = 1e-12
 
 
-def _scaled(values):
-    """``values`` times 2**-k, and k, for the k that brings the largest into [0.5, 1).
-
-    Scaling by a power of two is exact, so lengths of any finite scale can be
-    squared without overflow or underflow and give the same bits.
-    """
-    k = math.frexp(max(values))[1]
-    return [math.ldexp(x, -k) for x in values], k
-
-
 # =============================================================================
 # MESH
 # =============================================================================
@@ -145,13 +135,14 @@ class TriangleMesh:
 
     def corner_angle(self, t, c):
         """Interior angle at corner c of triangle t (law of cosines, clamped)."""
-        row, _ = _scaled(self.lengths[t].tolist())
+        row = unit_scaled(self.lengths[t])[0].tolist()
         A, B, C = row[c], row[(c + 2) % 3], row[(c + 1) % 3]
         cos = (A * A + B * B - C * C) / (2.0 * A * B)
         return math.acos(min(1.0, max(-1.0, cos)))
 
     def triangle_area(self, t):
-        (a, b, c), k = _scaled(self.lengths[t].tolist())
+        unit, k = unit_scaled(self.lengths[t])
+        a, b, c = unit.tolist()
         s = 0.5 * (a + b + c)
         try:
             return math.ldexp(math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0)), 2 * k)
@@ -273,8 +264,9 @@ def _develop_quad(mesh, t, e):
     """
     t2, e2 = mesh.sigma[(t, e)]
     # L, |C - a|, |C - b|, |C2 - a|, |C2 - b|
-    (L, dA, dB, dA2, dB2), k = _scaled(mesh.lengths[[t, t, t, t2, t2], [
-        e, (e + 2) % 3, (e + 1) % 3, (e2 + 1) % 3, (e2 + 2) % 3]].tolist())
+    unit, k = unit_scaled(mesh.lengths[[t, t, t, t2, t2], [
+        e, (e + 2) % 3, (e + 1) % 3, (e2 + 1) % 3, (e2 + 2) % 3]])
+    L, dA, dB, dA2, dB2 = unit.tolist()
     x = (L * L + dA * dA - dB * dB) / (2.0 * L)
     y2 = dA * dA - x * x
     C = np.array([x, math.sqrt(max(y2, 0.0))])

@@ -442,22 +442,17 @@ def test_polytope_boundary_metric_where_the_square_of_h_overflows(capsys, tmp_pa
 
 @pytest.mark.parametrize("op", ["build", "sphere-area"])
 def test_non_finite_report_is_bad_input(tmp_path, op):
-    # at h = 1e200 (1, 1, 2, 2, 3, 3) the box's volume overflows, which the
-    # volume reports itself with no numpy warning, and its sphere quadrature
-    # is nan, which the report check catches; a child interpreter shows the
-    # CLI as run, where numpy's overflow warnings go to stderr
+    # at h = 1e200 (1, 1, 2, 2, 3, 3) the box's volume and its sphere quadrature
+    # overflow, which each reports itself with no numpy warning; a child
+    # interpreter shows the CLI as run, where numpy's warnings go to stderr
     box = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [1e200 * x for x in (1, 1, 2, 2, 3, 3)]}
     path = write_json(tmp_path, "huge_box.json", box)
     for mode in ([], ["--json"]):
         proc = subprocess.run([sys.executable, "-m", "mixedform", "polytope", op, path, *mode],
                               capture_output=True, text=True, env=geomfix.child_env(), timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
-        if op == "build":
-            assert proc.stderr == ("mixedform: volume: the value overflows the "
-                                   "floating-point range\n")
-        else:
-            assert proc.stderr.splitlines()[-1].startswith(
-                "mixedform: the report holds a non-finite number")
+        what = {"build": "volume", "sphere-area": "area_via_sphere_integral"}[op]
+        assert proc.stderr == f"mixedform: {what}: the value overflows the floating-point range\n"
 
 
 @pytest.mark.parametrize("side", [1e100, 1e-100, 1e-170])
@@ -885,17 +880,18 @@ def test_golden_cases_scale_with_the_input(unscaled_golden_runs, tmp_path, expon
         _assert_scaled(report["results"], expected["results"], exponent, _case_id(case))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow warnings at 2^700
 @pytest.mark.parametrize("exponent", [700, -700])
 def test_golden_cases_at_extreme_scales_exit_0_or_2(capsys, tmp_path, exponent):
     # results may leave the floating-point range here: that is bad input, never
-    # a traceback (exit 1) or a falsified theorem (exit 3)
+    # a traceback (exit 1) or a falsified theorem (exit 3), and no numpy warning
+    # (the test configuration turns any RuntimeWarning into an error)
     inputs = write_golden_inputs(str(tmp_path), exponent)
     for case in GOLDEN_CASES:
         code, _, err = run(capsys, *golden_argv(inputs, case, exponent), "--json")
         assert code in (0, 2), (_case_id(case), err)
         if code == 2:
-            assert err.splitlines()[-1].startswith("mixedform: "), _case_id(case)
+            assert len(err.splitlines()) == 1, (_case_id(case), err)
+            assert err.startswith("mixedform: "), _case_id(case)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["large", "small"])

@@ -138,7 +138,7 @@ def test_forms_scale_without_cubic_memory_m200():
         tracemalloc.stop()
     # a dense m^3 tensor alone would take 8 m^3 bytes = 61 MiB
     assert peak <= 16 * 2**20
-    assert area.signature().as_tuple == (1, 3, m - 4)
+    assert area.signature() == (1, 3, m - 4)
 
 
 def test_forms_at_m1000():

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -74,15 +76,14 @@ def test_jacobi_rejects_nonsquare():
 def test_signature_counts_and_threshold():
     form = forms.SymmetricForm(np.diag([5.0, 1e-12, -2.0]))
     sig = form.signature()
-    assert sig.as_tuple == (1, 1, 1)
     assert sig == (1, 1, 1)
     # the threshold is relative: shrinking the whole matrix changes nothing
     small = forms.SymmetricForm(1e-8 * np.diag([5.0, 1e-12, -2.0]))
-    assert small.signature().as_tuple == (1, 1, 1)
+    assert small.signature() == (1, 1, 1)
 
 
 def test_signature_zero_form():
-    assert forms.SymmetricForm(np.zeros((4, 4))).signature().as_tuple == (0, 4, 0)
+    assert forms.SymmetricForm(np.zeros((4, 4))).signature() == (0, 4, 0)
 
 
 def test_signature_threshold_validation():
@@ -197,7 +198,7 @@ def test_hermitian_pauli_y_oracle():
     # [[0, -i], [i, 0]] has eigenvalues -1, 1
     H = forms.HermitianForm([[0.0, -1j], [1j, 0.0]])
     assert np.allclose(H.eigenvalues(), [-1.0, 1.0], atol=1e-13)
-    assert H.signature().as_tuple == (1, 0, 1)
+    assert H.signature() == (1, 0, 1)
     z = np.array([1.0, 1j])
     assert abs(H.q(z) - 2.0) < 1e-13     # z*Hz = 2 Im(conj(z0) z1)
 
@@ -358,6 +359,54 @@ def test_stacked_forms_round_as_single_vectors():
         assert np.array_equal(form.b(U, V[0]), [form.b(u, V[0]) for u in U])
     with pytest.raises(errors.InvalidInput):
         forms.SymmetricForm(np.eye(3)).q(np.ones((2, 2, 3)))
+
+
+# =============================================================================
+# CELL DISTANCE AND OVERFLOW
+# =============================================================================
+
+def test_projective_distance_lorentzian_branch():
+    # diag(1, -1) at h = (2, 1), k = (1, 0): q(h) = 3, q(k) = 1, b = 2
+    form = forms.SymmetricForm(np.diag([1.0, -1.0]))
+    d = forms.projective_distance(form, np.array([2.0, 1.0]), np.array([1.0, 0.0]), "d")
+    assert d == pytest.approx(math.acosh(2.0 / math.sqrt(3.0)), rel=1e-14)
+    # the same pair at any scale: the vectors are scaled to unit size first
+    assert forms.projective_distance(form, 2.0 ** 600 * np.array([2.0, 1.0]),
+                                     2.0 ** -600 * np.array([1.0, 0.0]), "d") == d
+    with pytest.raises(errors.DomainError, match="^d: needs positive areas$"):
+        forms.projective_distance(form, np.array([1.0, 2.0]), np.array([1.0, 0.0]), "d")
+
+
+def test_projective_distance_definite_branch():
+    # the identity form measures the Euclidean angle between the rays
+    rng = np.random.default_rng(23)
+    form = forms.SymmetricForm(np.eye(4))
+    for _ in range(20):
+        h, k = rng.standard_normal((2, 4))
+        cos = h @ k / (np.linalg.norm(h) * np.linalg.norm(k))
+        assert forms.projective_distance(form, h, k, "d") == pytest.approx(
+            math.acos(cos), rel=1e-12, abs=1e-7)
+    h = np.array([1.0, 2.0, 0.0, 0.0])
+    assert forms.projective_distance(form, h, -h, "d") == pytest.approx(math.pi)
+    assert forms.projective_distance(form, h, 3.0 * h, "d") == pytest.approx(0.0, abs=1e-7)
+
+
+def test_projective_distance_falsified_pairing_is_a_plain_float():
+    # h and -h lie in opposite time cones of diag(1, -1): r = -1 < 1
+    form = forms.SymmetricForm(np.diag([1.0, -1.0]))
+    h = np.array([2.0, 1.0])
+    with pytest.raises(errors.InvariantFalsified) as info:
+        forms.projective_distance(form, h, -h, "d")
+    assert str(info.value) == "normalized pairing -1.0 < 1: Minkowski inequality violated"
+
+
+def test_overflow_checked_raises_domain_error():
+    assert forms.overflow_checked("x", np.multiply, 2.0, 3.0) == 6.0
+    with pytest.raises(errors.DomainError,
+                       match="^x: the value overflows the floating-point range$"):
+        forms.overflow_checked("x", np.multiply, np.float64(1e200), 1e200)
+    with pytest.raises(errors.DomainError, match="^q: the value overflows"):
+        forms.SymmetricForm(np.eye(3)).q(np.full((2, 3), 1e200))
 
 
 def test_abc_residuals_discriminant_bound():

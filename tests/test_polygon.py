@@ -114,7 +114,7 @@ def test_signature_and_kernel():
     for n in (4, 6, 9):
         fan = polygon.NormalFan2D.regular(n, offset=0.21)
         form = polygon.area_form(fan)
-        assert form.signature().as_tuple == (1, 2, n - 3)
+        assert form.signature() == (1, 2, n - 3)
         K = form.kernel()
         assert K.shape[1] == 2
         # the kernel is exactly the span of the two point-support vectors
@@ -356,6 +356,24 @@ def test_distance_scale_invariance():
     assert abs(d - d_scaled) < 1e-10
 
 
+def test_distance_on_a_triangle_is_zero():
+    # a triangle's area form is semidefinite (signature (1, 2, 0)) and every
+    # interior h is a translate of a homothety of any other: distance about 0
+    # whichever branch the computed smallest eigenvalue picks
+    rng = np.random.default_rng(47)
+    fan = polygon.NormalFan2D.from_degrees([10.0, 130.0, 235.0])
+    assert polygon.area_form(fan).signature() == (1, 2, 0)
+    for h, k in polygon.sample_interior(fan, rng, 10).reshape(5, 2, 3):
+        assert polygon.hyperbolic_distance(fan, h, k) < 1e-7
+
+
+def test_area_form_overflow_is_domain_error():
+    # the unit square at 2^700: its area 2^1400 leaves the float range
+    fan = polygon.NormalFan2D.regular(4)
+    with pytest.raises(errors.DomainError, match="^q: the value overflows"):
+        polygon.area_form(fan).q(np.full(4, 2.0 ** 699))
+
+
 def test_distance_requires_interior():
     # h = (0,1,0,1) on the square fan is a degenerate 2 x 0 "rectangle"
     fan = polygon.NormalFan2D.regular(4)
@@ -390,7 +408,7 @@ def test_shoelace_restricted_signature_triangle():
     form = polygon.shoelace_hermitian_form(3)
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     sub = form.restrict(basis)
-    assert sub.signature().as_tuple == (1, 0, 1)
+    assert sub.signature() == (1, 0, 1)
     assert np.allclose(sub.eigenvalues(), [-0.25, 0.25], atol=1e-14)
 
 
