@@ -25,8 +25,8 @@ Generic machinery shared by the geometry modules:
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
     also take (S, n) stacks, and each row rounds exactly as it would alone;
     ``segment_sums`` sums consecutive runs of rows, each as np.sum sums it
-    alone, ``runs`` cuts a flat list into them and ``cyclic_runs`` indexes
-    their entries cyclically.
+    alone, ``runs`` cuts a flat list into them, ``cyclic_runs`` indexes
+    their entries cyclically and ``fan_triangles`` fan-triangulates them.
 
 Eigenvalues come from LAPACK's symmetric/Hermitian solvers (numpy
 ``eigvalsh``/``eigh``); a complex matrix goes to the complex solver.
@@ -110,6 +110,14 @@ def cyclic_runs(sizes):
     size = np.repeat(sizes, sizes)
     pos = np.arange(len(run)) - start
     return run, pos, start + (pos + 1) % size, start + (pos - 1) % size
+
+
+def fan_triangles(flat, sizes):
+    """The rows (first, k, k + 1), 0 < k < size - 1, of the consecutive runs of ``sizes``
+    entries of the array ``flat``, run by run: each run fan-triangulated from its first."""
+    run, pos, _, _ = cyclic_runs(sizes)
+    tri = np.flatnonzero((pos > 0) & (pos < np.asarray(sizes)[run] - 1))
+    return flat[np.column_stack([tri - pos[tri], tri, tri + 1])]
 
 
 def segment_sums(values, sizes):

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .faces import FaceAssembly, agreeing_form
 from .forms import (MEMBERSHIP_TOL, as_index, json_numbers, locate, overflow_checked,
-                    projective_distance, support_vector, unit_scaled)
+                    projective_distance, support_vector, unit_scaled, wall_bound)
 
 PAIRING_TOL = 1e-9
 ANGLE_SUM_TOL = 1e-9
@@ -228,16 +228,17 @@ def covolume_hessian(fan, h):
     checked to equal 6 covol(., ., h) from the covolume form and returned
     as a SymmetricForm, which checks its symmetry.  Strict diagonal
     dominance with positive diagonal (hence positive definiteness) holds
-    on the open cone.
+    on the open cone: no edge length within ``forms.wall_bound`` at
+    MEMBERSHIP_TOL, the wall rule of ``cone_membership``.
     """
     v = fan._vector(h, "covolume_hessian")
     F = fan.assembly
     lengths = F.lengths(v)
-    bad = np.flatnonzero(lengths <= 0.0)
+    bad = np.flatnonzero(lengths <= wall_bound(v, MEMBERSHIP_TOL))
     if len(bad):
         raise DomainError(
-            f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has a "
-            f"non-positive edge)")
+            f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has an "
+            f"edge on a wall or past it)")
     return agreeing_form(F.jacobian(lengths), 6.0 * covolume_form(fan).contract(v).entries,
                          "covolume Hessian and 6 covol(.,.,h)")
 

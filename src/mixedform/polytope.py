@@ -51,9 +51,9 @@ from .errors import (
     UnboundedRegionError,
 )
 from .faces import FaceAssembly, _clamp
-from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, json_numbers, locate,
-                    overflow_checked, reversed_cauchy_schwarz_check, row_dot, runs,
-                    sample_cone, segment_sums, support_vector)
+from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, fan_triangles,
+                    json_numbers, locate, overflow_checked, reversed_cauchy_schwarz_check,
+                    row_dot, runs, sample_cone, segment_sums, support_vector, wall_bound)
 from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
@@ -300,7 +300,8 @@ def build_fan(normals, h):
     { (x, rho) : <u_i, x> + rho <= g_i, rho >= rho_low }, found by the 4D
     hull of its dual points around the known interior point (0, min g - 1).  The
     vertices are then the facets of the 3D hull of the dual points
-    u_i / (g_i - <u_i, x0>); positions (and the inradius and slack that
+    u_i / (g_i - <u_i, x0>).  Faces are ordered at this unit scale, where
+    no sum overflows; cell positions (and the inradius and slack that
     error messages report) are scaled back by max|h|.  Every tolerance is
     relative to r, so the result does not change under scaling,
     translation, rotation or a permutation of the faces.  Facets with the
@@ -378,8 +379,8 @@ def build_fan(normals, h):
         raise StructuralError("vertex with fewer than 3 active planes")
     vertex_of = vertex_of.reshape(-1)
     merged = np.bincount(vertex_of, minlength=len(first))
-    positions = scale * (segment_sums(corners[np.argsort(vertex_of, kind="stable")], merged)
-                         / merged[:, None])
+    unit_positions = (segment_sums(corners[np.argsort(vertex_of, kind="stable")], merged)
+                      / merged[:, None])
 
     face_size = np.count_nonzero(incidence, axis=0)
     empty = np.flatnonzero(face_size < 3).tolist()
@@ -391,7 +392,8 @@ def build_fan(normals, h):
     # edge i -> j, face by face ----
     src, vid = np.nonzero(incidence.T)
     e1, e2 = _frames(U)
-    pts = np.column_stack([row_dot(positions[vid], e1[src]), row_dot(positions[vid], e2[src])])
+    pts = np.column_stack([row_dot(unit_positions[vid], e1[src]),
+                           row_dot(unit_positions[vid], e2[src])])
     center = segment_sums(pts, face_size) / face_size[:, None]
     # (src is sorted, so sorting by (src, angle) orders each face in place)
     vid = vid[np.lexsort((np.arctan2(pts[:, 1] - center[src, 1], pts[:, 0] - center[src, 0]),
@@ -444,19 +446,15 @@ def build_fan(normals, h):
     faces = faces[np.lexsort(([math.atan2(y, x) for y, x in zip(
         row_dot(U[faces], f2[cell_of]).tolist(), row_dot(U[faces], f1[cell_of]).tolist())],
         cell_of))]
-    cell_start = np.cumsum(degree) - degree
-    pos = np.arange(len(faces)) - cell_start[cell_of]
-    tri = np.flatnonzero((pos >= 1) & (pos <= degree[cell_of] - 2))
-    cell_area = segment_sums(_spherical_triangle_areas(
-        U[np.column_stack([faces[cell_start[cell_of[tri]]], faces[tri], faces[tri + 1]])]),
-        degree - 2)
+    cell_area = segment_sums(_spherical_triangle_areas(U[fan_triangles(faces, degree)]),
+                             degree - 2)
     total_area = float(np.cumsum(cell_area)[-1])
     if abs(total_area - 4.0 * math.pi) > SPHERE_TILING_TOL:
         raise ConsistencyError(
             f"Gauss image does not tile the sphere: total cell area {total_area!r}")
 
     cells = [VertexCell(cyc, p, area) for cyc, p, area in
-             zip(runs(faces.tolist(), degree), positions, cell_area.tolist())]
+             zip(runs(faces.tolist(), degree), scale * unit_positions, cell_area.tolist())]
     U.setflags(write=False)
     # edge e = (i -> j) of face i: h_ij = -cot(phi_ij) h_i + h_j / sin(phi_ij)
     return PolytopeFan(U, runs(dst_list, face_size), face_fans, runs(vid.tolist(), face_size),
@@ -520,7 +518,7 @@ def boundary_area_form(fan):
 def alexandrov_fenchel_check(fan, h, k, p):
     """Verify v(h,k,p)^2 >= v(h,h,p) v(k,k,p) and detect equality.
 
-    p must lie in the closed cone.  In the equality case the witness
+    h, k and p must lie in the closed cone.  In the equality case the witness
     h = h^x + lambda k is recovered over (x, lambda) by least squares.
     ``h`` and ``k`` may be row-aligned (S, m) stacks against the one p: the
     result then holds arrays (see ``forms.reversed_cauchy_schwarz_check``).
@@ -534,6 +532,13 @@ def alexandrov_fenchel_check(fan, h, k, p):
     if cone_membership(fan, pv).status == "outside":
         raise DomainError("alexandrov_fenchel_check: p lies outside the closed cone")
     h2, k2 = hv.reshape(-1, fan.m), kv.reshape(-1, fan.m)
+    # the rows h, k pair by pair: the first one outside is the first failing pair's h or k
+    rows = np.stack([h2, k2], axis=1).reshape(-1, fan.m)
+    outside = np.flatnonzero((fan.assembly.lengths(rows)[:, fan._edges]
+                              < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1))
+    if len(outside):
+        raise DomainError(f"alexandrov_fenchel_check: {'hk'[outside[0] % 2]} lies outside "
+                          "the closed cone")
     # v(h,k,p), v(h,h,p) and v(k,k,p) as one stack
     v = volume_form(fan).v(np.concatenate([h2, h2, k2]), np.concatenate([k2, h2, k2]), pv)
     v = v.reshape(3, *hv.shape[:-1])
@@ -570,23 +575,21 @@ def first_area_measure(fan, h):
 # SPHERICAL INTEGRAL
 # =============================================================================
 
-def _subdivided(tri_block, depth):
-    """Recursive 4-way geodesic midpoint split of an (N,3,3) triangle block."""
-    T = tri_block
+def _midpoints(T):
+    """The unit edge midpoints (ab, bc, ca) of an (N,3,3) block of unit triangles (a, b, c)."""
+    M = T + T[:, [1, 2, 0]]
+    M /= np.linalg.norm(M, axis=-1)[..., None]
+    return M
+
+
+def _subdivided(T, depth):
+    """Recursive 4-way geodesic midpoint split of an (N,3,3) triangle block: (a, b, c) gives
+    (a, ab, ca), (ab, b, bc), (ca, bc, c) and (ab, bc, ca), child-major (every triangle's
+    first child, then every second child, ...)."""
     for _ in range(depth):
-        a, b, c = T[:, 0], T[:, 1], T[:, 2]
-        ab = a + b
-        bc = b + c
-        ca = c + a
-        ab /= np.linalg.norm(ab, axis=1)[:, None]
-        bc /= np.linalg.norm(bc, axis=1)[:, None]
-        ca /= np.linalg.norm(ca, axis=1)[:, None]
-        T = np.concatenate([
-            np.stack([a, ab, ca], axis=1),
-            np.stack([ab, b, bc], axis=1),
-            np.stack([ca, bc, c], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ])
+        points = np.concatenate([T, _midpoints(T)], axis=1)         # a, b, c, ab, bc, ca
+        children = points[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]]
+        T = children.transpose(1, 0, 2, 3).reshape(-1, 3, 3)
     return T
 
 
@@ -619,23 +622,18 @@ def area_via_sphere_integral(fan, h, depth):
 
 def _sphere_integral(fan, positions, depth):
     """The quadrature over every Gauss cell, once the cells tile the sphere."""
+    sizes = np.array([len(cell.faces) for cell in fan.vertex_cells])
+    base = fan_triangles(np.concatenate([cell.faces for cell in fan.vertex_cells]), sizes)
     total = 0.0
     covered = 0.0
-    for cell, p in zip(fan.vertex_cells, positions):
-        units = fan.normals[cell.faces]
-        p2 = float(np.dot(p, p))
-        base = [np.stack([units[0], units[k], units[k + 1]])
-                for k in range(1, len(units) - 1)]
-        for tri in base:
-            leaves = _subdivided(tri[None, :, :], depth)
-            areas = _spherical_triangle_areas(leaves)
-            a, b, c = leaves[:, 0], leaves[:, 1], leaves[:, 2]
-            mids = np.stack([a + b, b + c, c + a], axis=1)
-            mids /= np.linalg.norm(mids, axis=2)[:, :, None]
-            dots = mids @ p
-            fvals = 1.5 * dots * dots - 0.5 * p2
-            total += np.sum(areas * np.mean(fvals, axis=1))     # a numpy sum: overflow raises
-            covered += float(np.sum(areas))
+    # one base triangle at a time: a block of all of them would hold every leaf at once
+    for tri, p in zip(fan.normals[base], np.repeat(positions, sizes - 2, axis=0)):
+        leaves = _subdivided(tri[None], depth)
+        areas = _spherical_triangle_areas(leaves)
+        dots = _midpoints(leaves) @ p
+        fvals = 1.5 * dots * dots - 0.5 * float(np.dot(p, p))
+        total += np.sum(areas * np.mean(fvals, axis=1))     # a numpy sum: overflow raises
+        covered += float(np.sum(areas))
     if abs(covered - 4.0 * math.pi) > 1e-8:
         raise StructuralError(
             f"Gauss image does not tile the sphere: covered {covered!r} of 4*pi")
@@ -656,13 +654,8 @@ def boundary_metric(fan, h):
     v = support_vector(h, fan.m, "boundary_metric")
     if cone_membership(fan, v).status != "interior":
         raise DomainError("boundary_metric: h is not interior")
-    positions = fan.vertex_positions(v)
-    triangles = []
-    for i in range(fan.m):
-        cyc = fan.face_vertices[i]
-        for k in range(1, len(cyc) - 1):
-            triangles.append((cyc[0], cyc[k], cyc[k + 1]))
-    return mesh_from_indexed_triangles(positions, triangles)
+    return mesh_from_indexed_triangles(fan.vertex_positions(v), fan_triangles(
+        np.concatenate(fan.face_vertices), np.diff(fan.assembly.offsets)))
 
 
 # =============================================================================

@@ -11,6 +11,10 @@ three-body argument behind the discriminant bound B^2 <= A C.
 ``loop_build_fan`` and ``loop_vertex_positions`` derive a polytope fan one
 face and one vertex at a time, as ``polytope`` did before it took each
 stage as one array pass; the fan must come out ``==``.
+``loop_sphere_integral`` and ``loop_boundary_metric`` fan-triangulate each
+Gauss cell and each face in a Python loop, and ``loop_subdivided`` stacks
+the four children of a midpoint split one by one, as ``polytope`` did
+before ``forms.fan_triangles``; the quadrature and the mesh must be ``==``.
 """
 
 import math
@@ -24,6 +28,7 @@ from mixedform.errors import (ConsistencyError, InvalidInput, MixedFormError, Re
 from mixedform.faces import _clamp
 from mixedform.forms import TrilinearForm, support_vector
 from mixedform.polygon import NormalFan2D
+from mixedform.surface import mesh_from_indexed_triangles
 
 HOMOGENEITY_SAMPLES = 16
 HOMOGENEITY_FACTORS = (0.5, 2.0)
@@ -178,7 +183,8 @@ def loop_build_fan(normals, h):
     active_sets = sorted(groups)
     if any(len(active) < 3 for active in active_sets):
         raise StructuralError("vertex with fewer than 3 active planes")
-    positions = [scale * np.mean(groups[active], axis=0) for active in active_sets]
+    unit_positions = [np.mean(groups[active], axis=0) for active in active_sets]
+    positions = [scale * p for p in unit_positions]
     active_sets = [set(active) for active in active_sets]
 
     face_to_vertices = [[] for _ in range(m)]
@@ -195,7 +201,8 @@ def loop_build_fan(normals, h):
     for i in range(m):
         e1, e2 = _frame(U[i])
         vids = face_to_vertices[i]
-        pts = np.array([[np.dot(positions[v], e1), np.dot(positions[v], e2)] for v in vids])
+        pts = np.array([[np.dot(unit_positions[v], e1), np.dot(unit_positions[v], e2)]
+                        for v in vids])
         center = pts.mean(axis=0)
         cyc = [vids[o] for o in np.argsort(np.arctan2(pts[:, 1] - center[1],
                                                        pts[:, 0] - center[0]))]
@@ -261,3 +268,57 @@ def loop_vertex_positions(fan, h):
         else:
             out[idx], *_ = np.linalg.lstsq(U, v[cell.faces], rcond=None)
     return out
+
+
+def loop_subdivided(tri_block, depth):
+    """``polytope._subdivided`` with the four children of each level stacked one by one."""
+    T = tri_block
+    for _ in range(depth):
+        a, b, c = T[:, 0], T[:, 1], T[:, 2]
+        ab = a + b
+        bc = b + c
+        ca = c + a
+        ab /= np.linalg.norm(ab, axis=1)[:, None]
+        bc /= np.linalg.norm(bc, axis=1)[:, None]
+        ca /= np.linalg.norm(ca, axis=1)[:, None]
+        T = np.concatenate([
+            np.stack([a, ab, ca], axis=1),
+            np.stack([ab, b, bc], axis=1),
+            np.stack([ca, bc, c], axis=1),
+            np.stack([ab, bc, ca], axis=1),
+        ])
+    return T
+
+
+def loop_sphere_integral(fan, h, depth):
+    """``polytope.area_via_sphere_integral`` as one loop per Gauss cell and per fan triangle."""
+    positions = fan.vertex_positions(h)
+    total = 0.0
+    covered = 0.0
+    for cell, p in zip(fan.vertex_cells, positions):
+        units = fan.normals[cell.faces]
+        p2 = float(np.dot(p, p))
+        base = [np.stack([units[0], units[k], units[k + 1]])
+                for k in range(1, len(units) - 1)]
+        for tri in base:
+            leaves = loop_subdivided(tri[None, :, :], depth)
+            areas = polytope._spherical_triangle_areas(leaves)
+            a, b, c = leaves[:, 0], leaves[:, 1], leaves[:, 2]
+            mids = np.stack([a + b, b + c, c + a], axis=1)
+            mids /= np.linalg.norm(mids, axis=2)[:, :, None]
+            dots = mids @ p
+            fvals = 1.5 * dots * dots - 0.5 * p2
+            total += np.sum(areas * np.mean(fvals, axis=1))
+            covered += float(np.sum(areas))
+    assert abs(covered - 4.0 * math.pi) <= 1e-8
+    return float(total)
+
+
+def loop_boundary_metric(fan, h):
+    """``polytope.boundary_metric`` with each face fan-triangulated in a double loop."""
+    triangles = []
+    for i in range(fan.m):
+        cyc = fan.face_vertices[i]
+        for k in range(1, len(cyc) - 1):
+            triangles.append((cyc[0], cyc[k], cyc[k + 1]))
+    return mesh_from_indexed_triangles(fan.vertex_positions(h), triangles)

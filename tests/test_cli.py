@@ -372,6 +372,12 @@ def test_polytope_af_check_explicit(capsys, cube_file):
     assert res["residual"] >= -1e-12 * res["scale"]
 
 
+def test_polytope_af_check_k_outside_the_cone_is_bad_input(capsys, cube_file):
+    code, out, err = run(capsys, "polytope", "af-check", cube_file, "--k", "0,0,1,1,-1,-1")
+    assert (code, out) == (2, "")
+    assert err == "mixedform: alexandrov_fenchel_check: k lies outside the closed cone\n"
+
+
 def test_polytope_af_check_sampled(capsys, cube_file):
     code, out, _ = run(capsys, "polytope", "af-check", cube_file, "--json",
                        "--samples", "10", "--seed", "3")

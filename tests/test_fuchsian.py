@@ -277,6 +277,26 @@ def test_hessian_rejects_boundary_point(base_fan):
         fuchsian.covolume_hessian(base_fan, np.ones(2))
 
 
+def test_hessian_rejects_a_point_on_the_wall_bound(base_fan, base_interior):
+    # on the segment toward the boundary point (1, 1), the point whose smallest
+    # edge is 1e-13 |h|: membership calls it boundary, the distance rejects it as
+    # not interior, and the Hessian applies the same wall rule
+    def smallest(t):
+        h = base_interior + t * (np.ones(2) - base_interior)
+        return float(np.min(base_fan.assembly.lengths(h)) / np.linalg.norm(h)), h
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if smallest(mid)[0] > 1e-13 else (lo, mid)
+    ratio, h = smallest(lo)
+    assert 1e-13 < ratio < 1.1e-13
+    assert fuchsian.cone_membership(base_fan, h).status == "boundary"
+    with pytest.raises(errors.DomainError, match="h is not interior"):
+        fuchsian.spherical_distance(base_fan, h, base_interior)
+    with pytest.raises(errors.DomainError, match=r"not in the open cone \(face \d+ has an edge"):
+        fuchsian.covolume_hessian(base_fan, h)
+
+
 def test_area_form_positive_definite(base_fan):
     form = fuchsian.fuchsian_area_form(base_fan)
     assert form.signature() == (base_fan.m, 0, 0)

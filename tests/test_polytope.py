@@ -97,6 +97,19 @@ def test_cube_builds_at_extreme_scales(cube_fan, tmp_path, capsys):
         polytope.build_fan(CUBE, [1e308, -1e308, 1.0, 1.0, 1.0, 1.0])
 
 
+def test_cube_builds_at_the_top_of_the_float_range(cube_fan, tmp_path, capsys):
+    # the faces are ordered at unit scale: at 1.5e308 the face centres of the
+    # scaled positions overflowed, and the build failed on a misordered face
+    fan = polytope.build_fan(CUBE, np.full(6, 1.5e308))
+    assert fan.face_cycles == cube_fan.face_cycles
+    assert fan.face_vertices == cube_fan.face_vertices
+    path = tmp_path / "huge_cube.json"
+    path.write_text(json.dumps({"normals": CUBE.tolist(), "h": [1.5e308] * 6}))
+    assert cli.main(["polytope", "build", str(path)]) == 2
+    assert capsys.readouterr() == ("", "mixedform: volume: the value overflows the "
+                                       "floating-point range\n")
+
+
 def test_redundant_halfspace_lists_faces():
     # a seventh plane far outside the unit cube touches nothing
     normals = np.vstack([CUBE, [[0, 0, 1]]])
@@ -705,6 +718,25 @@ def test_af_rejects_outside_reference(cube_fan):
         polytope.alexandrov_fenchel_check(cube_fan, np.ones(6), np.ones(6), bad)
 
 
+def test_af_rejects_h_or_k_outside_the_closed_cone(cube_fan):
+    # both outside the cone, with v(h,h,p) = v(k,k,p) = -8/3: not a counterexample
+    # to the inequality, but a pair outside its domain
+    h = np.array([1.0, 1.0, -1.0, -1.0, 0.0, 0.0])
+    k = np.array([0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
+    for pair, side in (((h, k), "h"), ((np.ones(6), k), "k"), ((h, np.ones(6)), "h")):
+        message = f"^alexandrov_fenchel_check: {side} lies outside the closed cone$"
+        with pytest.raises(errors.DomainError, match=message):
+            polytope.alexandrov_fenchel_check(cube_fan, *pair, np.ones(6))
+    # in a stack the first failing pair raises: pair 3's k, not pair 4's h
+    H, K = np.ones((5, 6)), np.full((5, 6), 2.0)
+    K[3], H[4] = k, h
+    with pytest.raises(errors.DomainError, match="k lies outside"):
+        polytope.alexandrov_fenchel_check(cube_fan, H, K, np.ones(6))
+    H[3] = h
+    with pytest.raises(errors.DomainError, match="h lies outside"):
+        polytope.alexandrov_fenchel_check(cube_fan, H, K, np.ones(6))
+
+
 def test_minkowski_sum_volume_polynomial(cube_fan):
     # V(h + t k) is cubic in t with coefficients given by mixed volumes
     rng = np.random.default_rng(47)
@@ -775,6 +807,35 @@ def test_sphere_integral_depth_validation(cube_fan):
             polytope.area_via_sphere_integral(cube_fan, np.ones(6), depth=depth)
     assert polytope.area_via_sphere_integral(cube_fan, np.ones(6), depth=np.int64(2)) == \
         polytope.area_via_sphere_integral(cube_fan, np.ones(6), depth=2)
+
+
+def _triangulation_oracle_fans():
+    yield "cube", CUBE, np.ones(6)
+    yield "box", CUBE, np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    yield "octahedron", OCTA, np.full(8, 1.0 / math.sqrt(3.0))
+    fan, h = geomfix.random_simple_polytope(10, np.random.default_rng(17))
+    yield "random simple 10", fan.normals, h
+    yield "fibonacci 48", geomfix.fibonacci_sphere(48), np.ones(48)
+
+
+@pytest.mark.parametrize("name, normals, h", list(_triangulation_oracle_fans()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_quadrature_and_boundary_metric_match_the_loop_oracle(name, normals, h):
+    # one fan_triangles call and one midpoint rule give, bit for bit, what the
+    # per-cell and per-face loops with the four stacked children give
+    fan = polytope.build_fan(normals, h)
+    for depth in range(6 if name == "box" else 5):
+        assert polytope.area_via_sphere_integral(fan, h, depth) == \
+            oracles.loop_sphere_integral(fan, h, depth)
+    assert polytope.boundary_metric(fan, h).to_json_dict() == \
+        oracles.loop_boundary_metric(fan, h).to_json_dict()
+
+
+def test_subdivided_leaves_match_the_loop_oracle():
+    # the leaves come child-major, as the four stacked children gave them
+    T = CUBE[[[0, 2, 4], [1, 3, 5]]]
+    for depth in range(4):
+        assert np.array_equal(polytope._subdivided(T, depth), oracles.loop_subdivided(T, depth))
 
 
 # =============================================================================
