@@ -16,7 +16,9 @@ Generic machinery shared by the geometry modules:
     of two rays in a spherical (definite) or hyperbolic (Lorentzian) cell;
   * ``overflow_checked``, the one overflow rule (DomainError, no numpy warning);
   * ``support_vector``, the length and finiteness check of support vectors
-    and of the forms' (real or complex) arguments;
+    and of the forms' (real or complex) arguments, made once, by the public
+    function the caller called: code holding checked arrays evaluates
+    ``SymmetricForm._b`` or ``FaceTrilinearForm._v`` under one guard a stage;
   * ``wall_bound``, the one rule that puts an edge length below -tol |h|
     outside a cone and one within tol |h| on its wall, at any scale of h,
     with ``locate`` and ``sample_cone``, the cone classifier and the
@@ -165,12 +167,14 @@ def as_index(x, what):
 def support_vector(h, n, what, stack=False, dtype=float):
     """``h`` as a finite vector of length n with ``dtype`` entries (with ``stack``,
     also an (S, n) stack of them); errors name ``what``."""
-    if np.iscomplexobj(h) and not np.issubdtype(dtype, np.complexfloating):
-        raise InvalidInput(f"{what}: support vector must be real, got complex entries")
-    v = np.asarray(h, dtype=dtype)
+    v = np.asarray(h)
+    if v.dtype != dtype:
+        if v.dtype.kind == "c" and not np.issubdtype(dtype, np.complexfloating):
+            raise InvalidInput(f"{what}: support vector must be real, got complex entries")
+        v = np.asarray(h, dtype=dtype)
     if v.shape[-1:] != (n,) or v.ndim > 1 + stack:
         raise InvalidInput(f"{what}: expected a support vector of length {n}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInput(f"{what}: support vector must be finite")
     return v
 
@@ -189,7 +193,7 @@ def wall_bound(h, tol):
     ``row_dot``; when a square overflows or underflows, |h| is taken from
     each row scaled to unit size by a power of two (as ``unit_scaled``
     scales a vector), which gives the same bits wherever the plain square
-    is exact, so the bound scales with h at any scale.
+    is exact, so the bound (finite also where |h| is not) scales with h at any scale.
     """
     try:
         with np.errstate(over="raise", under="raise"):
@@ -197,7 +201,7 @@ def wall_bound(h, tol):
     except FloatingPointError:
         e = np.frexp(abs(h).max(axis=-1))[1]
         unit = np.ldexp(h, -e[..., None])
-        return tol * np.ldexp(np.sqrt(row_dot(unit, unit)), e)[..., None]
+        return np.ldexp(tol * np.sqrt(row_dot(unit, unit)), e)[..., None]
 
 
 def locate(lengths, h, tol, labels):
@@ -227,17 +231,20 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     n = len(base)
     delta = rng.standard_normal(n if size is None else (size, n))
     pending = delta.reshape(-1, n)
-    rows = np.arange(len(pending))
-    out = np.empty_like(pending)
+    rows = out = None       # the per-row bookkeeping, once a draw misses a pass
     for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
         s = spread * 0.5 ** start * _HALVINGS[:shrinks - start]
         h = base * (1.0 + s[:, None, None] * pending)
         clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
         hit = clear.any(axis=0)
-        if hit.all():       # the common case: no per-row bookkeeping
-            out[rows] =h[clear.argmax(axis=0), np.arange(len(rows))]
+        first = h[clear.argmax(axis=0), np.arange(len(pending))]
+        if out is None:
+            if hit.all():       # the common case
+                return first.reshape(delta.shape)
+            rows, out = np.arange(len(pending)), np.empty_like(pending)
+        out[rows[hit]] = first[hit]
+        if hit.all():
             return out.reshape(delta.shape)
-        out[rows[hit]] = h[clear.argmax(axis=0)[hit], hit]
         pending, rows = pending[~hit], rows[~hit]
     raise DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "
                       f"after {shrinks} shrinks")
@@ -428,17 +435,18 @@ def reversed_cauchy_schwarz_check(name, b, qh, qk, h, k, normals):
     then (S,) arrays and an (S, d) ``witness_x``, NaN where a pair has no
     witness, and the first failing pair raises as it would alone.
     """
+    if np.ndim(b) == 0:     # Python floats: IEEE results, no numpy warning to silence
+        b, qh, qk = float(b), float(qh), float(qk)
+        residual, scale = b * b - qh * qk, max(b * b, abs(qh * qk))
+        near = not residual > EQUALITY_TOL * max(scale, 1e-300)
+        witness = _witness(name, residual, scale, h, k, normals) if near else None
+        return InequalityResult(residual, scale, witness is not None, *(witness or (None, None)))
     with np.errstate(over="ignore", invalid="ignore"):      # _witness judges such pairs
         bb = np.multiply(b, b)
         qq = np.multiply(qh, qk)
         residual = bb - qq
     scale = np.maximum(bb, abs(qq))
     near = ~(residual > EQUALITY_TOL * np.maximum(scale, 1e-300))
-    if residual.ndim == 0:
-        witness = _witness(name, float(residual), float(scale), h, k, normals) if near else None
-        if witness is None:
-            return InequalityResult(float(residual), float(scale), False, None, None)
-        return InequalityResult(float(residual), float(scale), True, *witness)
     witness_x = np.full((len(residual), normals.shape[1]), np.nan)
     witness_lambda = np.full(len(residual), np.nan)
     for i in np.flatnonzero(near):
@@ -490,10 +498,10 @@ def projective_distance(form, h, k, what):
     size (the same r, and no overflow).  A q <= 0 raises DomainError naming ``what``; r
     past 1 by more than ROUNDING_TOL falsifies Cauchy-Schwarz or Minkowski."""
     (u, _), (v, _) = unit_scaled(h), unit_scaled(k)
-    qh, qk = form.q(u), form.q(v)
+    qh, qk, b = overflow_checked(what, lambda: (form._b(u, u), form._b(v, v), form._b(u, v)))
     if qh <= 0.0 or qk <= 0.0:
         raise DomainError(f"{what}: needs positive areas")
-    r = form.b(u, v) / math.sqrt(qh * qk)
+    r = b / math.sqrt(qh * qk)
     if form.eigenvalues()[0] > 0.0:
         if r > 1.0 + ROUNDING_TOL:
             raise InvariantFalsified(f"normalized pairing {r!r} > 1: Cauchy-Schwarz violated "

@@ -266,9 +266,10 @@ def spherical_distance(fan, h, k):
     """arccos( b(h,k) / sqrt(q(h)q(k)) ) between interior rays (``forms.projective_distance``)."""
     u = fan._vector(h, "spherical_distance")
     v = fan._vector(k, "spherical_distance")
-    for name, w in (("h", u), ("k", v)):
-        if cone_membership(fan, w).status != "interior":
-            raise DomainError(f"spherical_distance: {name} is not interior")
+    rows = np.stack([u, v])
+    off = (fan.assembly.lengths(rows) <= wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+    if off.any():
+        raise DomainError(f"spherical_distance: {'hk'[int(np.argmax(off))]} is not interior")
     return projective_distance(fuchsian_area_form(fan), u, v, "spherical_distance")
 
 

@@ -42,6 +42,7 @@ from .forms import (
     cyclic_runs,
     json_numbers,
     locate,
+    overflow_checked,
     projective_distance,
     reversed_cauchy_schwarz_check,
     runs,
@@ -174,6 +175,10 @@ class NormalFan2D:
     def area_form(self):
         return SymmetricForm(0.5 * self.length_matrix, symmetry_tol=1e-12)
 
+    @cached_property
+    def _ones(self):        # h = 1, always interior: the sampler's base
+        return np.ones(self.n)
+
 
 # =============================================================================
 # SUPPORT GEOMETRY
@@ -280,7 +285,7 @@ def minkowski_check(fan, h, k):
         raise InvalidInput(f"minkowski_check: h and k differ in shape, {u.shape} vs {v.shape}")
     rows = np.concatenate([u.reshape(-1, fan.n), v.reshape(-1, fan.n)])
     form = area_form(fan)
-    q = form.q(rows).reshape(2, -1)
+    q = overflow_checked("q", form._b, rows, rows).reshape(2, -1)
     outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
     outside = outside.reshape(2, -1)
     bad = (outside | (q <= 0.0)).any(axis=0)
@@ -289,19 +294,25 @@ def minkowski_check(fan, h, k):
         for name, side in (("h", 0), ("k", 1)):
             if outside[side, i]:
                 raise DomainError(f"minkowski_check: {name} lies outside the closed cone")
-        raise DomainError(f"minkowski_check: needs positive areas, got {q[0, i]:.3e}, {q[1, i]:.3e}")
+        # an area that is positive at unit size has only left the float range
+        lost = any(form.q(unit_scaled(rows[side * q.shape[1] + i])[0]) > 0.0
+                   for side in (0, 1) if q[side, i] <= 0.0)
+        why = "the pair's values leave the floating-point range" if lost else "needs positive areas"
+        raise DomainError(f"minkowski_check: {why}, got {q[0, i]:.3e}, {q[1, i]:.3e}")
     shape = u.shape[:-1]
-    return reversed_cauchy_schwarz_check("Minkowski", form.b(u, v), q[0].reshape(shape),
-                                         q[1].reshape(shape), u, v, fan.normals)
+    return reversed_cauchy_schwarz_check("Minkowski", overflow_checked("b", form._b, u, v),
+                                         q[0].reshape(shape), q[1].reshape(shape), u, v,
+                                         fan.normals)
 
 
 def hyperbolic_distance(fan, h, k):
     """arccosh( a(h,k) / sqrt(a(h)a(k)) ) between interior rays (``forms.projective_distance``)."""
     u = support_vector(h, fan.n, "hyperbolic_distance")
     v = support_vector(k, fan.n, "hyperbolic_distance")
-    for name, w in (("h", u), ("k", v)):
-        if cone_membership(fan, w).status != "interior":
-            raise DomainError(f"hyperbolic_distance: {name} is not interior")
+    rows = np.stack([u, v])
+    off = (_row_lengths(fan, rows) <= wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+    if off.any():
+        raise DomainError(f"hyperbolic_distance: {'hk'[int(np.argmax(off))]} is not interior")
     return projective_distance(area_form(fan), u, v, "hyperbolic_distance")
 
 
@@ -356,5 +367,5 @@ def sample_interior(fan, rng, size=None):
     """Random interior support vector near h = 1 (always interior), or a (size, n) stack:
     ``forms.sample_cone`` with base 1, raising DomainError when no size clears
     SAMPLE_MARGIN x |h| (the fan has a side too short for the margin)."""
-    return sample_cone(lambda rows: _row_lengths(fan, rows), np.ones(fan.n), rng, size,
+    return sample_cone(lambda rows: _row_lengths(fan, rows), fan._ones, rng, size,
                        SAMPLE_SPREAD, SAMPLE_MARGIN, SAMPLE_SHRINKS, "side")

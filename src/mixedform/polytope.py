@@ -529,19 +529,18 @@ def alexandrov_fenchel_check(fan, h, k, p):
     if hv.shape != kv.shape:
         raise InvalidInput(f"alexandrov_fenchel_check: h and k differ in shape, "
                            f"{hv.shape} vs {kv.shape}")
-    if cone_membership(fan, pv).status == "outside":
-        raise DomainError("alexandrov_fenchel_check: p lies outside the closed cone")
     h2, k2 = hv.reshape(-1, fan.m), kv.reshape(-1, fan.m)
-    # the rows h, k pair by pair: the first one outside is the first failing pair's h or k
-    rows = np.stack([h2, k2], axis=1).reshape(-1, fan.m)
-    outside = np.flatnonzero((fan.assembly.lengths(rows)[:, fan._edges]
-                              < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1))
-    if len(outside):
-        raise DomainError(f"alexandrov_fenchel_check: {'hk'[outside[0] % 2]} lies outside "
-                          "the closed cone")
+    # p, then h and k pair by pair: the first row outside names the first failure
+    rows = np.concatenate([pv[None], np.stack([h2, k2], axis=1).reshape(-1, fan.m)])
+    lengths = overflow_checked("alexandrov_fenchel_check", fan.assembly.lengths, rows)
+    outside = (lengths[:, fan._edges] < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+    if outside.any():
+        o = int(np.argmax(outside))
+        raise DomainError(f"alexandrov_fenchel_check: {'hk'[(o - 1) % 2] if o else 'p'} lies "
+                          "outside the closed cone")
     # v(h,k,p), v(h,h,p) and v(k,k,p) as one stack
-    v = volume_form(fan).v(np.concatenate([h2, h2, k2]), np.concatenate([k2, h2, k2]), pv)
-    v = v.reshape(3, *hv.shape[:-1])
+    v = overflow_checked("v", volume_form(fan)._v, np.concatenate([h2, h2, k2]),
+                         np.concatenate([k2, h2, k2]), pv).reshape(3, *hv.shape[:-1])
     return reversed_cauchy_schwarz_check("Alexandrov-Fenchel", v[0], v[1], v[2], hv, kv,
                                          fan.normals)
 
@@ -562,7 +561,7 @@ def first_area_measure(fan, h):
     weighted total sum l_ij * phi_ij (total mean curvature) is informational.
     """
     v = support_vector(h, fan.m, "first_area_measure")
-    if cone_membership(fan, v).status == "outside":
+    if overflow_checked("first_area_measure", cone_membership, fan, v).status == "outside":
         raise DomainError("first_area_measure: h lies outside the closed cone")
     arcs = [Arc(ij, fan.phi[ij], w) for ij, w in zip(
         fan._edge_labels, fan.assembly.lengths(v)[fan._edges].tolist())]
@@ -652,7 +651,7 @@ def boundary_metric(fan, h):
     a vertex equals the spherical area of its Gauss cell.
     """
     v = support_vector(h, fan.m, "boundary_metric")
-    if cone_membership(fan, v).status != "interior":
+    if overflow_checked("boundary_metric", cone_membership, fan, v).status != "interior":
         raise DomainError("boundary_metric: h is not interior")
     return mesh_from_indexed_triangles(fan.vertex_positions(v), fan_triangles(
         np.concatenate(fan.face_vertices), np.diff(fan.assembly.offsets)))

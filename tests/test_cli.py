@@ -461,6 +461,24 @@ def test_non_finite_report_is_bad_input(tmp_path, op):
         assert proc.stderr == f"mixedform: {what}: the value overflows the floating-point range\n"
 
 
+@pytest.mark.parametrize("op, what", [
+    (["boundary-metric"], "boundary_metric"),
+    (["measure"], "first_area_measure"),
+    (["af-check", "--k", "1,1,1,1,1,1"], "alexandrov_fenchel_check"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_edge_lengths_beyond_the_float_range_are_bad_input(tmp_path, op, what):
+    # the cube at 1.5e308 builds, but its edges, 3e308 long, overflow: one line
+    # and no numpy warning (|h| overflows too, its wall bound does not)
+    cube = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [1.5e308] * 6}
+    path = write_json(tmp_path, "huge_cube.json", cube)
+    for mode in ([], ["--json"]):
+        proc = subprocess.run([sys.executable, "-m", "mixedform", "polytope", op[0], path,
+                               *op[1:], *mode],
+                              capture_output=True, text=True, env=geomfix.child_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"mixedform: {what}: the value overflows the floating-point range\n"
+
+
 @pytest.mark.parametrize("side", [1e100, 1e-100, 1e-170])
 def test_surface_check_at_extreme_scales(capsys, tmp_path, side):
     mesh = dict(MESH, triangles=[{"lengths": [side] * 3}] * 2)
@@ -916,6 +934,18 @@ def test_pair_beyond_the_float_range_is_bad_input(capsys, tmp_path, case, expone
     assert len(err.splitlines()) == 1
     assert err.startswith("mixedform: ")
     assert "the pair's values leave the floating-point range" in err
+
+
+@pytest.mark.parametrize("k", ["2,2,2,2", "1,2,1,2"])
+def test_minkowski_areas_that_underflow_are_bad_input(capsys, tmp_path, k):
+    # at 2^-700 the square's areas underflow to 0: the range error that af-check
+    # gives, not "needs positive areas"
+    inputs = write_golden_inputs(str(tmp_path), -700)
+    code, out, err = run(capsys, *golden_argv(inputs, ("polygon", "minkowski", "square",
+                                                       ["--k", k]), -700))
+    assert (code, out) == (2, "")
+    assert err == ("mixedform: minkowski_check: the pair's values leave the floating-point "
+                   "range, got 0.000e+00, 0.000e+00\n")
 
 
 def test_fuchsian_distance_at_any_scale(capsys, tmp_path):

@@ -137,6 +137,31 @@ def test_real_form_rejects_complex_vectors(h):
         polygon.cone_membership(polygon.NormalFan2D.regular(4), np.array([1 - 5j, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("h, stack, message", [
+    (np.array([1 + 1j, 0.0, 0.0]), False, "support vector must be real, got complex entries"),
+    ([1 + 1j, 0.0, 0.0], True, "support vector must be real, got complex entries"),
+    (np.ones(4), False, "expected a support vector of length 3"),
+    ([1.0, 2.0], True, "expected a support vector of length 3"),
+    (np.array([1.0, np.nan, 0.0]), False, "support vector must be finite"),
+    ([[1.0, 0.0, 0.0], [1.0, np.inf, 0.0]], True, "support vector must be finite"),
+    (np.ones((2, 3)), False, "expected a support vector of length 3"),
+    (np.ones((2, 2, 3)), True, "expected a support vector of length 3"),
+])
+def test_support_vector_errors(h, stack, message):
+    with pytest.raises(errors.InvalidInput) as info:
+        forms.support_vector(h, 3, "x", stack=stack)
+    assert str(info.value) == f"x: {message}"
+
+
+def test_support_vector_passes_a_checked_array_through():
+    v = np.arange(3.0)
+    assert forms.support_vector(v, 3, "x") is v
+    assert forms.support_vector(np.ones((2, 3)), 3, "x", stack=True).shape == (2, 3)
+    assert forms.support_vector([1, 2, 3], 3, "x").dtype == np.float64
+    z = forms.support_vector([1j, 0.0, 1], 3, "x", dtype=complex)
+    assert z.dtype == np.complex128 and z.tolist() == [1j, 0, 1]
+
+
 def test_kernel_of_rank_deficient_form():
     # x'My = (x0+x1)(y0+y1): kernel spanned by (1,-1)/sqrt(2)
     form = forms.SymmetricForm([[1.0, 1.0], [1.0, 1.0]])
@@ -344,6 +369,48 @@ def test_reversed_cauchy_schwarz_check_stacked():
     assert res.equality.tolist() == [False, True]
     assert np.isnan(res.witness_x[0]).all() and np.isnan(res.witness_lambda[0])
     assert np.allclose(res.witness_x[1], [0.3, -0.1]) and res.witness_lambda[1] == pytest.approx(2.0)
+
+
+def _same(x, y):
+    """Equal values, NaN equal to NaN, None to None."""
+    return (x is None and y is None) or np.array_equal(x, y, equal_nan=True)
+
+
+def test_reversed_cauchy_schwarz_scalar_path_matches_the_stacked_path():
+    # one pair runs in Python floats, a stack in numpy: the same residual, scale,
+    # equality and witness, also where b^2 and q(h)q(k) overflow (2^700 values)
+    # or underflow (2^-700), and the same error where a pair raises
+    fan = polygon.NormalFan2D.regular(4)
+    form = fan.area_form
+    k = np.array([1.0, 2.0, 1.0, 2.0])
+    pairs = [(np.array([1.0, 1.5, 2.0, 1.0]), k),               # strict
+             (2.5 * k + fan.normals @ np.array([0.3, -0.1]), k)]  # equality, with witness
+    check = forms.reversed_cauchy_schwarz_check
+    for exponent in (0, 350, -350):
+        H, K = np.ldexp([h for h, _ in pairs], exponent), np.ldexp([k for _, k in pairs], exponent)
+        b, qh, qk = form.b(H, K), form.q(H), form.q(K)
+        for i in range(len(pairs)):
+            try:
+                alone = check("X", b[i], qh[i], qk[i], H[i], K[i], fan.normals)
+            except errors.MixedFormError as exc:
+                with pytest.raises(type(exc)) as stacked:
+                    check("X", b[i:i + 1], qh[i:i + 1], qk[i:i + 1], H[i:i + 1], K[i:i + 1],
+                          fan.normals)
+                assert str(stacked.value) == str(exc)
+                assert exponent != 0
+                continue
+            stacked = check("X", b[i:i + 1], qh[i:i + 1], qk[i:i + 1], H[i:i + 1], K[i:i + 1],
+                            fan.normals)
+            assert type(alone.residual) is type(alone.scale) is float
+            assert _same(alone.residual, stacked.residual[0])
+            assert _same(alone.scale, stacked.scale[0])
+            assert alone.equality == stacked.equality[0] == (i == 1)
+            assert _same(alone.witness_x, None if i == 0 else stacked.witness_x[0])
+            assert _same(alone.witness_lambda, None if i == 0 else stacked.witness_lambda[0])
+    # the equality pair at 2^350: b^2 and q(h)q(k) are inf, the residual NaN
+    H = np.ldexp(pairs[1][0], 350), np.ldexp(k, 350)
+    res = check("X", form.b(*H), form.q(H[0]), form.q(H[1]), *H, fan.normals)
+    assert math.isnan(res.residual) and res.scale == math.inf and res.equality
 
 
 def test_stacked_forms_round_as_single_vectors():

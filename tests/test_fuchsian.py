@@ -291,8 +291,10 @@ def test_hessian_rejects_a_point_on_the_wall_bound(base_fan, base_interior):
     ratio, h = smallest(lo)
     assert 1e-13 < ratio < 1.1e-13
     assert fuchsian.cone_membership(base_fan, h).status == "boundary"
-    with pytest.raises(errors.DomainError, match="h is not interior"):
+    with pytest.raises(errors.DomainError, match="^spherical_distance: h is not interior$"):
         fuchsian.spherical_distance(base_fan, h, base_interior)
+    with pytest.raises(errors.DomainError, match="^spherical_distance: k is not interior$"):
+        fuchsian.spherical_distance(base_fan, base_interior, h)
     with pytest.raises(errors.DomainError, match=r"not in the open cone \(face \d+ has an edge"):
         fuchsian.covolume_hessian(base_fan, h)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geomfix
-from mixedform import errors, polygon
+from mixedform import errors, forms, polygon
 
 
 def shoelace_area(pts):
@@ -261,6 +261,46 @@ def test_minkowski_rejects_outside():
         polygon.minkowski_check(fan, np.array([1, 1, 1, -4.0]), np.ones(4))
 
 
+def test_minkowski_areas_that_underflow_leave_the_float_range():
+    # at 2^-700 the square's areas underflow to 0 although both bodies have area:
+    # a range error, as af-check reports it; a segment has no area at any scale
+    fan = polygon.NormalFan2D.regular(4)
+    h, k = np.ldexp(np.ones(4), -700), np.ldexp(np.array([1.0, 2.0, 1.0, 2.0]), -700)
+    with pytest.raises(errors.DomainError) as info:
+        polygon.minkowski_check(fan, h, k)
+    assert str(info.value) == ("minkowski_check: the pair's values leave the floating-point "
+                               "range, got 0.000e+00, 0.000e+00")
+    with pytest.raises(errors.DomainError) as info:
+        polygon.minkowski_check(fan, np.array([1.0, 0.0, 1.0, 0.0]), np.ones(4))
+    assert str(info.value).startswith("minkowski_check: needs positive areas, got ")
+
+
+def test_minkowski_pair_validates_twice_and_guards_three_times(monkeypatch):
+    # each vector is validated once, where the caller passed it, and the check
+    # enters numpy's error state once for q, once for the wall bound and once for b
+    rng = np.random.default_rng(5)
+    fan = geomfix.perturbed_polygon_fan(12, rng)
+    h, k = polygon.sample_interior(fan, rng), polygon.sample_interior(fan, rng)
+    validated, entered = [], []
+
+    def support_vector(*args, support_vector=forms.support_vector, **kwargs):
+        validated.append(args[2])
+        return support_vector(*args, **kwargs)
+
+    def errstate(errstate=np.errstate, **kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    for module in (forms, polygon):
+        monkeypatch.setattr(module, "support_vector", support_vector)
+    monkeypatch.setattr(np, "errstate", errstate)
+    res = polygon.minkowski_check(fan, h, k)
+    monkeypatch.undo()
+    assert not res.equality and res.residual > 0.0
+    assert validated == ["minkowski_check", "minkowski_check"]
+    assert 1 <= len(entered) <= 3
+
+
 def _stacked_pairs(fan, rng, pairs):
     """(H, K, x, lambda): sampled pairs, with pair 3 made an equality pair."""
     rows = polygon.sample_interior(fan, rng, size=2 * pairs)
@@ -377,8 +417,11 @@ def test_area_form_overflow_is_domain_error():
 def test_distance_requires_interior():
     # h = (0,1,0,1) on the square fan is a degenerate 2 x 0 "rectangle"
     fan = polygon.NormalFan2D.regular(4)
-    with pytest.raises(errors.DomainError):
-        polygon.hyperbolic_distance(fan, np.array([0.0, 1.0, 0.0, 1.0]), np.ones(4))
+    flat = np.array([0.0, 1.0, 0.0, 1.0])
+    for h, k, name in ((flat, np.ones(4), "h"), (np.ones(4), flat, "k"), (flat, -flat, "h")):
+        with pytest.raises(errors.DomainError) as info:
+            polygon.hyperbolic_distance(fan, h, k)
+        assert str(info.value) == f"hyperbolic_distance: {name} is not interior"
 
 
 # =============================================================================

@@ -110,6 +110,23 @@ def test_cube_builds_at_the_top_of_the_float_range(cube_fan, tmp_path, capsys):
                                        "floating-point range\n")
 
 
+def test_wall_bound_is_finite_where_h_is_not(cube_fan):
+    # |h| of the cube at 0.75e308 and at 1.5e308 exceeds the float range, tol |h|
+    # does not: the bound is finite, with no numpy warning, and both cubes are
+    # interior (at the parent the bound was inf, so every edge sat on a wall);
+    # the edges of the larger cube, 3e308 long, overflow themselves
+    for s in (0.75e308, 1.5e308):
+        h = np.full(6, s)
+        bound = forms.wall_bound(h, forms.MEMBERSHIP_TOL)
+        assert bound.tolist() == [pytest.approx(forms.MEMBERSHIP_TOL * s * math.sqrt(6.0),
+                                                rel=1e-15)]
+        with np.errstate(over="ignore" if s > 1e308 else "raise"):
+            assert polytope.cone_membership(cube_fan, h).status == "interior"
+    with pytest.raises(errors.DomainError,
+                       match="^boundary_metric: the value overflows the floating-point range$"):
+        polytope.boundary_metric(cube_fan, h)
+
+
 def test_redundant_halfspace_lists_faces():
     # a seventh plane far outside the unit cube touches nothing
     normals = np.vstack([CUBE, [[0, 0, 1]]])
