@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from . import __version__, forms, fuchsian, polygon, polytope, surface
+from . import __version__, forms
 from .errors import DomainError, InvalidInput, InvariantFalsified, MixedFormError
 
 EXIT_OK = 0
@@ -79,16 +79,20 @@ def _matrix_lines(entries):
 # =============================================================================
 # SHARED REPORTS
 # =============================================================================
-# A command maps (args, fan, h) -- (mesh, None) for surfaces -- to (results,
-# tolerances, human lines).  It looks library functions up when it runs, so
-# that wrappers installed on the library modules after import see each call.
+# A command maps (lib, args, fan, h) -- (mesh, None) for surfaces -- to
+# (results, tolerances, human lines), where lib is the module of its family
+# (the commands of one family name it after the family).  ``main`` imports
+# only that module, so a call loads, and with bytecode writing off compiles,
+# no other family's code.  Commands look library functions up on lib when
+# they run, so that wrappers installed on the library modules after import
+# see each call.
 
-def _area_form_report(module, name, key):
-    """The matrix of ``module.name(fan)`` and its value at h, named ``key``."""
+def _area_form_report(name, key):
+    """The matrix of ``lib.name(fan)`` and its value at h, named ``key``."""
     label = key.replace("_", " ")
 
-    def command(args, fan, h):
-        form = getattr(module, name)(fan)
+    def command(lib, args, fan, h):
+        form = getattr(lib, name)(fan)
         results = {"dim": form.dim, "entries": form.entries.tolist(), key: form.q(h)}
         lines = [f"{label} form ({form.dim} x {form.dim}):"]
         lines += _matrix_lines(form.entries)
@@ -97,11 +101,11 @@ def _area_form_report(module, name, key):
     return command
 
 
-def _signature_report(module, name):
-    """Signature and eigenvalues of ``module.name(fan)`` at the --tol threshold."""
+def _signature_report(name):
+    """Signature and eigenvalues of ``lib.name(fan)`` at the --tol threshold."""
 
-    def command(args, fan, h):
-        form = getattr(module, name)(fan)
+    def command(lib, args, fan, h):
+        form = getattr(lib, name)(fan)
         sig = form.signature(zero_threshold=args.tol)
         results = {"signature": list(sig), "eigenvalues": form.eigenvalues().tolist()}
         lines = [f"signature (+, 0, -) = {tuple(sig)}",
@@ -111,17 +115,17 @@ def _signature_report(module, name):
 
 
 def _inequality_report(check, sample, residual_label, pairs_label):
-    """``check(fan, h, k, p)`` on --k (--p, default h), or on sampled pairs with p = h.
+    """``check(lib, fan, h, k, p)`` on --k (--p, default h), or on sampled pairs with p = h.
 
-    ``sample(fan, h, rng, size)`` draws a (size, n) stack; ``check`` takes
+    ``sample(lib, fan, h, rng, size)`` draws a (size, n) stack; ``check`` takes
     row-aligned stacks of h and k.  Both run once per chunk of pairs.
     """
-    def command(args, fan, h):
+    def command(lib, args, fan, h):
         tolerances = {"equality": forms.EQUALITY_TOL, "witness": forms.WITNESS_TOL}
         if args.k is not None:
             k = _parse_vector(args.k, len(h), "--k")
             p = h if getattr(args, "p", None) is None else _parse_vector(args.p, len(h), "--p")
-            res = check(fan, h, k, p)
+            res = check(lib, fan, h, k, p)
             results = {"residual": res.residual, "scale": res.scale,
                        "equality": res.equality,
                        "witness": None if res.witness_x is None else
@@ -138,8 +142,8 @@ def _inequality_report(check, sample, residual_label, pairs_label):
         chunk = max(1, SAMPLE_BATCH_ELEMENTS // (2 * len(h)))
         worst, n_equal = None, 0
         for start in range(0, args.samples, chunk):
-            rows = sample(fan, h, rng, 2 * min(chunk, args.samples - start))
-            res = check(fan, rows[0::2], rows[1::2], h)
+            rows = sample(lib, fan, h, rng, 2 * min(chunk, args.samples - start))
+            res = check(lib, fan, rows[0::2], rows[1::2], h)
             low = float(np.min(res.residual / res.scale))
             worst = low if worst is None else min(worst, low)
             n_equal += int(np.count_nonzero(res.equality))
@@ -157,7 +161,7 @@ def _inequality_report(check, sample, residual_label, pairs_label):
 # COMMANDS WITH THEIR OWN COMPUTATIONS
 # =============================================================================
 
-def _polygon_embed(args, fan, h):
+def _polygon_embed(polygon, args, fan, h):
     z, herm = polygon.double_chart_embedding(fan, h)
     sig = herm.signature()
     results = {"vertices": [[float(w.real), float(w.imag)] for w in z],
@@ -170,7 +174,7 @@ def _polygon_embed(args, fan, h):
     return results, {}, lines
 
 
-def _surface_check(args, mesh, h):
+def _surface_check(surface, args, mesh, h):
     cone = surface.cone_data(mesh)
     results = {
         "triangles": mesh.num_triangles,
@@ -192,7 +196,7 @@ def _surface_check(args, mesh, h):
                      "singular": surface.SINGULAR_TOL}, lines
 
 
-def _surface_flip(args, mesh, h):
+def _surface_flip(surface, args, mesh, h):
     flipped = surface.flip(mesh, (args.triangle, args.edge))
     results = {"mesh": flipped.to_json_dict(),
                "total_area": surface.total_area(flipped)}
@@ -201,7 +205,7 @@ def _surface_flip(args, mesh, h):
     return results, {}, lines
 
 
-def _polytope_build(args, fan, h):
+def _polytope_build(polytope, args, fan, h):
     results = dict(fan.metadata)
     results["volume"] = polytope.volume(fan, h)
     lines = [f"faces: {results['faces']}, vertices: {results['vertices']}, "
@@ -211,7 +215,7 @@ def _polytope_build(args, fan, h):
     return results, {}, lines
 
 
-def _polytope_volume(args, fan, h):
+def _polytope_volume(polytope, args, fan, h):
     direct = polytope.volume(fan, h)
     via_form = polytope.volume_form(fan).v(h, h, h)
     results = {"volume": direct, "volume_from_form": via_form,
@@ -221,7 +225,7 @@ def _polytope_volume(args, fan, h):
     return results, {}, lines
 
 
-def _polytope_measure(args, fan, h):
+def _polytope_measure(polytope, args, fan, h):
     measure = polytope.first_area_measure(fan, h)
     results = {"arcs": [{"faces": list(a.faces), "arc_length": a.arc_length,
                          "weight": a.weight} for a in measure.arcs],
@@ -234,7 +238,7 @@ def _polytope_measure(args, fan, h):
     return results, {}, lines
 
 
-def _polytope_sphere_area(args, fan, h):
+def _polytope_sphere_area(polytope, args, fan, h):
     value = polytope.area_via_sphere_integral(fan, h, depth=args.depth)
     exact = polytope.boundary_area_form(fan).q(h)
     results = {"depth": args.depth, "quadrature": value, "quadratic_form": exact,
@@ -245,7 +249,9 @@ def _polytope_sphere_area(args, fan, h):
     return results, {}, lines
 
 
-def _polytope_boundary_metric(args, fan, h):
+def _polytope_boundary_metric(polytope, args, fan, h):
+    from . import surface       # the one command that reads a second family
+
     mesh = polytope.boundary_metric(fan, h)
     cone = surface.cone_data(mesh)
     results = {"mesh": mesh.to_json_dict(),
@@ -258,7 +264,7 @@ def _polytope_boundary_metric(args, fan, h):
     return results, {}, lines
 
 
-def _fuchsian_hessian(args, fan, h):
+def _fuchsian_hessian(fuchsian, args, fan, h):
     hess = fuchsian.covolume_hessian(fan, h)
     eigs = hess.eigenvalues()
     J = hess.entries
@@ -273,8 +279,8 @@ def _fuchsian_hessian(args, fan, h):
     return results, {}, lines
 
 
-def _fuchsian_check_pd(args, fan, h):
-    results, tolerances, _ = _signature_report(fuchsian, "fuchsian_area_form")(args, fan, h)
+def _fuchsian_check_pd(fuchsian, args, fan, h):
+    results, tolerances, _ = _signature_report("fuchsian_area_form")(fuchsian, args, fan, h)
     sig, eigs = tuple(results["signature"]), results["eigenvalues"]
     if sig != (fan.m, 0, 0):
         raise InvariantFalsified(
@@ -287,7 +293,7 @@ def _fuchsian_check_pd(args, fan, h):
     return results, tolerances, lines
 
 
-def _fuchsian_distance(args, fan, h):
+def _fuchsian_distance(fuchsian, args, fan, h):
     k = _parse_vector(args.k, fan.m, "--k")
     dist = fuchsian.spherical_distance(fan, h, k)
     homothety = fuchsian.is_homothety_pair(fan, h, k)
@@ -301,20 +307,22 @@ def _fuchsian_distance(args, fan, h):
 # COMMAND TABLE
 # =============================================================================
 
-def _load_polygon(data):
+def _load_polygon(polygon, data):
     support = polygon.PolygonSupport.from_json_dict(data)
     return support.fan, support.h
 
 
-# family -> (help, JSON document -> (fan or mesh, h))
+def _load_fan(lib, data):
+    return lib.fan_from_json_dict(data)
+
+
+# family -> (help, (family module, JSON document) -> (fan or mesh, h))
 LOADERS = {
     "polygon": ("planar support-number computations", _load_polygon),
     "surface": ("flat cone metrics from glued triangles",
-                lambda data: (surface.TriangleMesh.from_json_dict(data), None)),
-    "polytope": ("3D support-number computations",
-                 lambda data: polytope.fan_from_json_dict(data)),
-    "fuchsian": ("equivariant polyhedra modulo a lattice",
-                 lambda data: fuchsian.fan_from_json_dict(data)),
+                lambda surface, data: (surface.TriangleMesh.from_json_dict(data), None)),
+    "polytope": ("3D support-number computations", _load_fan),
+    "fuchsian": ("equivariant polyhedra modulo a lattice", _load_fan),
 }
 
 # option group -> [(flag, add_argument keywords)]
@@ -335,13 +343,13 @@ OPTIONS = {
 # (family, op) -> (help, option groups, command)
 COMMANDS = {
     ("polygon", "area-form"): (
-        "area as a quadratic form", (), _area_form_report(polygon, "area_form", "area")),
+        "area as a quadratic form", (), _area_form_report("area_form", "area")),
     ("polygon", "signature"): (
-        "inertia of the area form", ("tol",), _signature_report(polygon, "area_form")),
+        "inertia of the area form", ("tol",), _signature_report("area_form")),
     ("polygon", "minkowski"): (
         "mixed area inequality with witnesses", ("samples", "k"),
-        _inequality_report(lambda fan, h, k, p: polygon.minkowski_check(fan, h, k),
-                           lambda fan, h, rng, size: polygon.sample_interior(fan, rng, size),
+        _inequality_report(lambda lib, fan, h, k, p: lib.minkowski_check(fan, h, k),
+                           lambda lib, fan, h, rng, size: lib.sample_interior(fan, rng, size),
                            "mixed area inequality residual b(h,k)^2 - a(h)a(k)", "")),
     ("polygon", "embed"): ("vertex chart and its Hermitian area form", (), _polygon_embed),
     ("surface", "check"): ("cone angles, curvature, Gauss-Bonnet", (), _surface_check),
@@ -350,14 +358,14 @@ COMMANDS = {
     ("polytope", "volume"): ("volume, two independent routes", (), _polytope_volume),
     ("polytope", "area-form"): (
         "boundary area as a quadratic form", (),
-        _area_form_report(polytope, "boundary_area_form", "boundary_area")),
+        _area_form_report("boundary_area_form", "boundary_area")),
     ("polytope", "signature"): (
         "inertia of the boundary area form", ("tol",),
-        _signature_report(polytope, "boundary_area_form")),
+        _signature_report("boundary_area_form")),
     ("polytope", "af-check"): (
         "mixed volume inequality with witnesses", ("samples", "k", "p"),
-        _inequality_report(lambda fan, h, k, p: polytope.alexandrov_fenchel_check(fan, h, k, p),
-                           lambda fan, h, rng, size: polytope.sample_interior(fan, h, rng, size),
+        _inequality_report(lambda lib, fan, h, k, p: lib.alexandrov_fenchel_check(fan, h, k, p),
+                           lambda lib, fan, h, rng, size: lib.sample_interior(fan, h, rng, size),
                            "v(h,k,p)^2 - v(h,h,p)v(k,k,p)", " against the reference body")),
     ("polytope", "measure"): ("first area measure on the sphere", (), _polytope_measure),
     ("polytope", "sphere-area"): (
@@ -366,7 +374,7 @@ COMMANDS = {
     ("fuchsian", "hessian"): ("covolume Hessian at h", (), _fuchsian_hessian),
     ("fuchsian", "area-form"): (
         "total face area as a quadratic form", (),
-        _area_form_report(fuchsian, "fuchsian_area_form", "area")),
+        _area_form_report("fuchsian_area_form", "area")),
     ("fuchsian", "check-pd"): ("assert positive definiteness", ("tol",), _fuchsian_check_pd),
     ("fuchsian", "distance"): (
         "spherical distance between supports", ("required k",), _fuchsian_distance),
@@ -377,17 +385,24 @@ COMMANDS = {
 # PARSER AND DISPATCH
 # =============================================================================
 
-def build_parser():
+def build_parser(families):
+    """The parser with the operations of ``families`` only.  argparse enters a family's
+    parser only when argv names it, so ``main`` passes the families its argv names and
+    gets the usage, help and error texts of the parser with every family (``LOADERS``)."""
     parser = _Parser(prog="mixedform",
                      description="deformation forms of polygons, polytopes, "
                                  "and their Fuchsian quotients")
     parser.add_argument("--version", action="version", version=f"mixedform {__version__}")
     top = parser.add_subparsers(dest="family", required=True, metavar="FAMILY")
-    families = {family: top.add_parser(family, help=text).add_subparsers(
-                    dest="op", required=True, metavar="OP")
-                for family, (text, _) in LOADERS.items()}
+    ops = {}
+    for family, (text, _) in LOADERS.items():
+        family_parser = top.add_parser(family, help=text)
+        if family in families:
+            ops[family] = family_parser.add_subparsers(dest="op", required=True, metavar="OP")
     for (family, op), (text, options, _) in COMMANDS.items():
-        sp = families[family].add_parser(op, help=text)
+        if family not in ops:
+            continue
+        sp = ops[family].add_parser(op, help=text)
         sp.add_argument("file", help="input JSON file")
         sp.add_argument("--json", action="store_true", help="machine-readable report")
         for option in options:
@@ -398,7 +413,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser([family for family in LOADERS if family in argv])
     try:
         args = parser.parse_args(argv)
         for flag in ("samples", "seed"):
@@ -409,14 +425,16 @@ def main(argv=None):
             args.usage_error("argument --p: only allowed together with --k")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
+    # as ``from . import <family>``, which ``-X importtime`` reports (import_module is not)
+    lib = getattr(__import__(__package__, fromlist=[args.family]), args.family)
     start = time.perf_counter()
     try:
         data, digest = _load_json(args.file)
         try:
-            fan, h = LOADERS[args.family][1](data)
+            fan, h = LOADERS[args.family][1](lib, data)
         except (TypeError, ValueError) as exc:      # a JSON value of the wrong type
             raise InvalidInput(f"{args.file}: wrongly typed value: {exc}") from exc
-        results, tolerances, lines = COMMANDS[args.family, args.op][2](args, fan, h)
+        results, tolerances, lines = COMMANDS[args.family, args.op][2](lib, args, fan, h)
         elapsed = time.perf_counter() - start
         report = {
             "schema": 1,

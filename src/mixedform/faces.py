@@ -218,9 +218,13 @@ class FaceTrilinearForm:
         """The symmetric matrix (R + R' + P) / 3 of the bilinear form v(., ., p)."""
         F = self._faces
         c = support_vector(p, F.m, "contract")
-        R = F.jacobian(F.lengths(c)) / 6.0
-        P = F.gram_sum(c) / 3.0
-        return SymmetricForm((R + R.T + P) / 3.0, symmetry_tol=1e-10)
+        return SymmetricForm(self.contraction(c, F.jacobian(F.lengths(c))), symmetry_tol=1e-10)
+
+    def contraction(self, c, jacobian):
+        """(R + R' + P) / 3 unsymmetrized, for a checked vector c and its J(l(c)), R = J / 6."""
+        R = jacobian / 6.0
+        P = self._faces.gram_sum(c) / 3.0
+        return (R + R.T + P) / 3.0
 
 
 def agreeing_form(M, reference, what):

@@ -239,8 +239,10 @@ def covolume_hessian(fan, h):
         raise DomainError(
             f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has an "
             f"edge on a wall or past it)")
-    return agreeing_form(F.jacobian(lengths), 6.0 * covolume_form(fan).contract(v).entries,
-                         "covolume Hessian and 6 covol(.,.,h)")
+    J = F.jacobian(lengths)
+    X = covolume_form(fan).contraction(v, J)
+    # 6 covol(., ., h) is 6 times the symmetric part of X, rounded as SymmetricForm(X) would
+    return agreeing_form(J, 6.0 * (0.5 * (X + X.T)), "covolume Hessian and 6 covol(.,.,h)")
 
 
 def fuchsian_area_form(fan):

@@ -54,7 +54,6 @@ from .faces import FaceAssembly, _clamp
 from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, fan_triangles,
                     json_numbers, locate, overflow_checked, reversed_cauchy_schwarz_check,
                     row_dot, runs, sample_cone, segment_sums, support_vector, wall_bound)
-from .surface import mesh_from_indexed_triangles
 
 FEASIBILITY_TOL = 1e-9
 ACTIVE_TOL = 1e-8
@@ -650,6 +649,8 @@ def boundary_metric(fan, h):
     corners carry the polytope vertex ids as labels.  The cone curvature at
     a vertex equals the spherical area of its Gauss cell.
     """
+    from .surface import mesh_from_indexed_triangles     # only this function needs surface
+
     v = support_vector(h, fan.m, "boundary_metric")
     if overflow_checked("boundary_metric", cone_membership, fan, v).status != "interior":
         raise DomainError("boundary_metric: h is not interior")

@@ -1,8 +1,9 @@
 """Output parity dump of the CLI: compare two trees call by call.
 
 Runs every ``GOLDEN_CASES`` entry of ``test_cli`` at the scales 2^0,
-2^+-40, 2^+-150 and 2^+-700, with and without ``--json``, through
-``cli.main`` in this process, and prints one JSON object (keys sorted): per
+2^+-40, 2^+-150 and 2^+-700, with and without ``--json``, and the usage,
+help and error command lines of ``USAGE_ARGV``, through ``cli.main`` in
+this process, and prints one JSON object (keys sorted): per
 call, its exit code, its stdout without the wall-time line, and its stderr.
 The temporary input directory reads as ``$INPUTS``, and a numpy warning as
 ``<category>: <message>`` without its source line, which moves with any
@@ -26,7 +27,8 @@ import tempfile
 import warnings
 
 from mixedform import cli
-from test_cli import GOLDEN_CASES, _case_id, golden_argv, write_golden_inputs
+from test_cli import (GOLDEN_CASES, USAGE_ARGV, _case_id, golden_argv, usage_argv,
+                      write_golden_inputs)
 
 EXPONENTS = (0, 40, -40, 150, -150, 700, -700)
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -51,7 +53,8 @@ def _call(argv, directory):
 
 
 def golden_calls(directory):
-    """{key: argv} for every golden case at every scale, in both output modes."""
+    """{key: argv} for every golden case at every scale, in both output modes,
+    and for every usage command line on the unscaled inputs."""
     calls = {}
     for exponent in EXPONENTS:
         where = os.path.join(directory, f"2^{exponent}")
@@ -61,6 +64,9 @@ def golden_calls(directory):
             argv = golden_argv(inputs, case, exponent)
             calls[f"2^{exponent} {_case_id(case)}"] = argv
             calls[f"2^{exponent} {_case_id(case)} --json"] = argv + ["--json"]
+        if exponent == 0:
+            for argv in USAGE_ARGV:
+                calls[f"usage {' '.join(argv)}"] = usage_argv(inputs, argv)
     return calls
 
 

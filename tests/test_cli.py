@@ -713,6 +713,81 @@ def test_no_command_loads_scipy(square_file, mesh_file, fuchsian_file, cube_file
     assert proc.returncode == 0, proc.stderr
 
 
+# the geometry modules each family's commands import, besides cli, errors and forms
+FAMILY_MODULES = {"polygon": {"polygon"}, "surface": {"surface"},
+                  "polytope": {"faces", "polygon", "polytope"},
+                  "fuchsian": {"faces", "fuchsian", "polygon"}}
+
+
+def test_each_command_loads_only_its_family(golden_inputs):
+    # one fresh interpreter per family runs each of its commands once and
+    # lists the mixedform modules loaded after each call
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mixedform import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = cli.main(argv)\n"
+        "    loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'mixedform')\n"
+        "    print(json.dumps([argv[:2], status, loaded]))\n")
+    common = {"mixedform", "mixedform.cli", "mixedform.errors", "mixedform.forms"}
+    runs = {"--version": [["--version"]]}
+    for case in GOLDEN_CASES:
+        if case[:2] not in [tuple(argv[:2]) for argv in runs.get(case[0], [])]:
+            runs.setdefault(case[0], []).append(golden_argv(golden_inputs, case))
+    # the one command that reads a second family runs last in its interpreter
+    runs["polytope"].sort(key=lambda argv: argv[1] == "boundary-metric")
+    for family, calls in runs.items():
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                              capture_output=True, text=True, env=geomfix.child_env(),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(lines) == len(calls)
+        for command, status, loaded in lines:
+            expected = common | {f"mixedform.{name}" for name in FAMILY_MODULES.get(family, ())}
+            if command == ["polytope", "boundary-metric"]:
+                expected.add("mixedform.surface")
+            assert status == 0, command
+            assert set(loaded) == expected, command
+
+
+# usage, help and error command lines; a golden fixture name stands for its file
+USAGE_ARGV = [
+    ["--help"],
+    ["polygon", "--help"],
+    ["polytope", "af-check", "--help"],
+    ["frobnicate", "square"],
+    ["polygon"],
+    ["polygon", "signature", "square", "--frobnicate"],
+    ["polytope", "af-check", "cube", "--samples", "5", "--p", "1,1,1,1,1,3"],
+    ["polygon", "minkowski", "square", "--samples", "-1"],
+    ["surface", "check", "polygon"],
+]
+
+
+def usage_argv(inputs, argv):
+    return [inputs.get(word, word) for word in argv]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
+def test_parser_scoped_to_argv_matches_the_whole_parser(capsys, monkeypatch, golden_inputs,
+                                                        argv):
+    # main adds the operations of the families named in argv only; argparse
+    # enters no other family, so every text and exit code stays the same
+    argv = usage_argv(golden_inputs, argv)
+    scoped = run(capsys, *argv)
+    whole, named = cli.build_parser, []
+
+    def every_family(families):
+        named.append(list(families))
+        return whole(cli.LOADERS)
+
+    monkeypatch.setattr(cli, "build_parser", every_family)
+    assert run(capsys, *argv) == scoped
+    assert named == [[family for family in cli.LOADERS if family in argv]]
+
+
 # =============================================================================
 # GOLDEN REPORTS
 # =============================================================================
