@@ -268,7 +268,11 @@ def _fuchsian_hessian(fuchsian, args, fan, h):
     hess = fuchsian.covolume_hessian(fan, h)
     eigs = hess.eigenvalues()
     J = hess.entries
-    margins = 2.0 * np.abs(np.diag(J)) - np.abs(J).sum(axis=1)
+    absolute = np.abs(J)
+    diagonal = np.diag(absolute)
+    rows = forms.overflow_checked("min_dominance_margin", np.sum, absolute, 1)
+    # 2 |J_ii| - sum_j |J_ij|, doubled last, so that 2 |J_ii| cannot leave the float range
+    margins = 2.0 * (diagonal - 0.5 * rows)
     results = {"dim": hess.dim, "entries": J.tolist(),
                "eigenvalues": eigs.tolist(),
                "min_dominance_margin": float(np.min(margins))}

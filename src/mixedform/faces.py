@@ -1,16 +1,17 @@
 """Face-local assembly of volume-type cubics over a fan of polygons.
 
-A polytope fan and a Fuchsian quotient fan are both m faces, each a 2D
-normal fan (``polygon.NormalFan2D``) whose in-face support numbers are
-linear in the support vector h.  Entry k of face i is a directed edge
-e = (i -> j), possibly with j = i, and
+A polytope fan and a Fuchsian quotient fan are both m faces, each a convex
+polygon with a fixed 2D normal fan (its normal angles) whose in-face support
+numbers are linear in the support vector h.  Entry k of face i is a directed
+edge e = (i -> j), possibly with j = i, and
 
     hs_e(h) = a_e h_i + b_e h_j
 
 (row k of the support map S_i).  The polygon's cyclic tridiagonal, the
-closed-form coefficients ``c_self``, ``c_next`` and ``c_prev`` of
-``NormalFan2D`` (the three diagonals of its length matrix L_i), turns these
-into edge lengths
+closed-form coefficients ``c_self``, ``c_next`` and ``c_prev`` that
+``forms.fan_arrays`` derives from all faces' angles at once (the three
+diagonals of the length matrix L_i of the face's ``polygon.NormalFan2D``),
+turns these into edge lengths
 
     l_e(h) = c_self[e] hs_e + c_next[e] hs_next(e) + c_prev[e] hs_prev(e).
 
@@ -40,8 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError
-from .forms import (SymmetricForm, cyclic_runs, overflow_checked, row_dot, scalar_or_rows,
-                    support_vector)
+from .forms import (SymmetricForm, cyclic_runs, fan_arrays, overflow_checked, row_dot,
+                    scalar_or_rows, support_vector)
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
 SYMMETRY_TOL = 1e-10
@@ -57,14 +58,16 @@ def _clamp(x):
 class FaceAssembly:
     """Per-directed-edge arrays of a fan and the face sums built from them.
 
-    ``dst``, ``a`` and ``b`` list the directed edges face by face, in each
-    face's cycle order (face i contributes ``face_fans[i].n`` entries).
+    ``angles`` (each face's normal angles, checked by ``forms.fan_arrays``) and
+    the directed edges' ``dst``, ``a`` and ``b`` run face by face in runs of the
+    array ``sizes``; edge k of face i is the side of its normal angle k.
     """
 
-    def __init__(self, face_fans, dst, a, b):
-        m = len(face_fans)
-        sizes = np.array([fan.n for fan in face_fans])
+    def __init__(self, angles, sizes, dst, a, b):
+        m = len(sizes)
         self.m = m
+        #: the faces' normal angles, flat and read-only
+        self.angles = np.array(angles, dtype=float)
         #: offsets[i]:offsets[i+1] are the edges of face i
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         #: each edge's face, its position in the face's cycle, and the next and previous edge
@@ -73,9 +76,7 @@ class FaceAssembly:
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         #: each face's cyclic tridiagonal (``NormalFan2D.c_self`` etc.), face by face
-        self.c_self = np.concatenate([fan.c_self for fan in face_fans])
-        self.c_next = np.concatenate([fan.c_next for fan in face_fans])
-        self.c_prev = np.concatenate([fan.c_prev for fan in face_fans])
+        *_, self.c_self, self.c_next, self.c_prev = fan_arrays(self.angles, sizes)
 
         # J(l) scatters a_e l_e to (src, src) and b_e l_e to (src, dst)
         self._jacobian_keys = np.concatenate([self.src * m + self.src, self.src * m + self.dst])

@@ -15,6 +15,11 @@ Generic machinery shared by the geometry modules:
     WITNESS_TOL and ROUNDING_TOL), and ``projective_distance``, the distance
     of two rays in a spherical (definite) or hyperbolic (Lorentzian) cell;
   * ``overflow_checked``, the one overflow rule (DomainError, no numpy warning);
+  * ``fan_arrays``, the one rule of a polygon's normal fan (angles in
+    [0, TWO_PI), cyclic gaps in (0, pi) summing to TWO_PI, and the length
+    coefficients), checked and derived for any number of polygons in one
+    pass: ``polygon.NormalFan2D`` calls it on one polygon, the face assembly
+    of polytope and Fuchsian fans on all faces at once;
   * ``support_vector``, the length and finiteness check of support vectors
     and of the forms' (real or complex) arguments, made once, by the public
     function the caller called: code holding checked arrays evaluates
@@ -52,6 +57,7 @@ EQUALITY_TOL = 1e-10
 WITNESS_TOL = 1e-7
 ROUNDING_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-12
+TWO_PI = 2.0 * np.pi
 #: perturbation sizes one pass of ``sample_cone`` tries at once: a pass costs
 #: a single draw about as much as one size, and a draw on a perturbed 12-gon
 #: (48-gon) settles after 3 to 5 (8 to 10) sizes
@@ -136,6 +142,52 @@ def segment_sums(values, sizes):
         of_size = np.flatnonzero(sizes == k)
         out[of_size] = values[starts[of_size, None] + np.arange(k)].sum(axis=1)
     return out
+
+
+def _first_failure(checks):
+    """Raise the message of the first failing check of the first run that fails one.
+
+    ``checks`` lists (per-run failure flags, message of a run index) in check order.
+    """
+    failing = np.array([flags for flags, _ in checks])
+    failed = np.flatnonzero(failing.any(axis=0))
+    if len(failed):
+        run = int(failed[0])
+        raise InvalidInput("NormalFan2D: " + checks[int(np.argmax(failing[:, run]))][1](run))
+
+
+def fan_arrays(a, sizes):
+    """Check the cyclic angle lists in runs of ``sizes`` along ``a`` and derive, flat:
+    gaps, unit normals, edge angles and the length coefficients c_self, c_next, c_prev
+    (all read-only, ``a`` too).  The first run that fails a check raises what
+    ``polygon.NormalFan2D`` of that run alone raises; the count and range checks of
+    every run come before the order checks of any."""
+    run, _, nxt, prv = cyclic_runs(sizes)
+
+    def any_in_run(mask):
+        return np.bincount(run, weights=mask, minlength=len(sizes)) > 0
+
+    _first_failure([
+        (sizes < 3, lambda r: "need at least 3 normal angles"),
+        (any_in_run(~np.isfinite(a)), lambda r: "angles must be finite"),
+        (any_in_run((a < 0.0) | (a >= TWO_PI)), lambda r: "angles must lie in [0, 2*pi)")])
+    gaps = np.mod(a[nxt] - a, TWO_PI)
+    totals = segment_sums(gaps, sizes)
+    _first_failure([
+        (np.bincount(run, weights=a[nxt] < a, minlength=len(sizes)) != 1,
+         lambda r: "angles must be strictly increasing cyclically"),
+        (any_in_run((gaps <= 0.0) | (gaps >= np.pi)),
+         lambda r: "every gap between consecutive normals must lie in (0, pi)"),
+        (np.abs(totals - TWO_PI) > 1e-9,
+         lambda r: f"gaps sum to {float(totals[r])!r}, expected 2*pi")])
+    sin_g = np.sin(gaps)
+    cot_g = np.cos(gaps) / sin_g
+    c_next = 1.0 / sin_g
+    arrays = (a, gaps, np.column_stack([np.cos(a), np.sin(a)]), np.mod(a + 0.5 * np.pi, TWO_PI),
+              -cot_g - cot_g[prv], c_next, c_next[prv])
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays[1:]
 
 
 def scalar_or_rows(x):
@@ -300,7 +352,8 @@ class SymmetricForm:
             raise ConsistencyError(
                 f"matrix is not symmetric: max asymmetry {defect:.3e} "
                 f"exceeds {symmetry_tol:.1e} x scale {scale:.3e}")
-        self._M = 0.5 * (M + M.conj().T)
+        # halved before the sum, which cannot leave the float range
+        self._M = 0.5 * M + 0.5 * M.conj().T
         self._M.setflags(write=False)
         self._eigen = None
 

@@ -39,7 +39,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import polygon as poly
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -47,7 +46,7 @@ from .errors import (
     InvariantFalsified,
 )
 from .faces import FaceAssembly, agreeing_form
-from .forms import (MEMBERSHIP_TOL, as_index, json_numbers, locate, overflow_checked,
+from .forms import (MEMBERSHIP_TOL, TWO_PI, as_index, json_numbers, locate, overflow_checked,
                     projective_distance, support_vector, unit_scaled, wall_bound)
 
 PAIRING_TOL = 1e-9
@@ -64,7 +63,7 @@ AdjacencyEntry = namedtuple("AdjacencyEntry", ["to", "phi", "omega"])
 # =============================================================================
 
 class QuotientFan:
-    """Face classes with hyperbolic adjacency angles and per-face 2D fans.
+    """Face classes with hyperbolic adjacency angles and in-face turning angles.
 
     ``faces`` is a list over classes; each class is a cyclic list of
     (to, phi, omega) entries.  Validation is local: per-face fan
@@ -96,7 +95,7 @@ class QuotientFan:
                         f"QuotientFan: face {i}: omega must lie in (0, pi), got {omega!r}")
                 face.append(AdjacencyEntry(to, phi, omega))
             total = sum(e.omega for e in face)
-            if abs(total - poly.TWO_PI) > ANGLE_SUM_TOL:
+            if abs(total - TWO_PI) > ANGLE_SUM_TOL:
                 raise InvalidInput(
                     f"QuotientFan: face {i}: turning angles sum to {total!r}, expected 2*pi")
             parsed.append(face)
@@ -129,16 +128,15 @@ class QuotientFan:
                     f"QuotientFan: declared vertex count {vertices} gives "
                     f"{expected_faces} faces by Euler bookkeeping, fan has {m}")
 
-        # per-face Euclidean fans: normal angles are cumulative turnings
-        self.face_fans = poly.NormalFan2D.stack(
-            np.concatenate([np.cumsum([0.0] + [e.omega for e in face[:-1]]) for face in parsed]),
-            np.array([len(face) for face in parsed]))
         # entry e = (i -> j): h_ij = coth(phi) h_i - h_j / sinh(phi), j = i allowed
         entries = [e for face in parsed for e in face]
-        #: face-local assembly of covolume, edge lengths, area form and Hessian
-        self.assembly = FaceAssembly(self.face_fans, [e.to for e in entries],
-                                     [math.cosh(e.phi) / math.sinh(e.phi) for e in entries],
-                                     [-1.0 / math.sinh(e.phi) for e in entries])
+        #: face-local assembly of covolume, edge lengths, area form and Hessian; each
+        #: face's Euclidean normal angles are its cumulative turnings
+        self.assembly = FaceAssembly(
+            np.concatenate([np.cumsum([0.0] + [e.omega for e in face[:-1]]) for face in parsed]),
+            np.array([len(face) for face in parsed]), [e.to for e in entries],
+            [math.cosh(e.phi) / math.sinh(e.phi) for e in entries],
+            [-1.0 / math.sinh(e.phi) for e in entries])
         #: edge e as (i, k): entry k of face class i
         self._edge_labels = list(zip(self.assembly.src.tolist(), self.assembly.pos.tolist()))
 
@@ -233,16 +231,29 @@ def covolume_hessian(fan, h):
     """
     v = fan._vector(h, "covolume_hessian")
     F = fan.assembly
-    lengths = F.lengths(v)
-    bad = np.flatnonzero(lengths <= wall_bound(v, MEMBERSHIP_TOL))
-    if len(bad):
-        raise DomainError(
-            f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has an "
-            f"edge on a wall or past it)")
-    J = F.jacobian(lengths)
-    X = covolume_form(fan).contraction(v, J)
-    # 6 covol(., ., h) is 6 times the symmetric part of X, rounded as SymmetricForm(X) would
-    return agreeing_form(J, 6.0 * (0.5 * (X + X.T)), "covolume Hessian and 6 covol(.,.,h)")
+
+    def assemble():
+        lengths = F.lengths(v)
+        bad = np.flatnonzero(lengths <= wall_bound(v, MEMBERSHIP_TOL))
+        if len(bad):
+            raise DomainError(
+                f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has an "
+                f"edge on a wall or past it)")
+        # J and the grams are bincount sums, whose overflow sets no floating-point flag:
+        # a finite J keeps X free of inf - inf, and a finite reference does the rest
+        J = F.jacobian(lengths)
+        if not np.isfinite(J).all():
+            raise FloatingPointError
+        X = covolume_form(fan).contraction(v, J)
+        # 6 covol(., ., h) is 6 times the symmetric part of X, rounded as SymmetricForm(X)
+        # rounds it
+        reference = 6.0 * (0.5 * X + 0.5 * X.T)
+        if not np.isfinite(reference).all():
+            raise FloatingPointError
+        return J, reference
+
+    return agreeing_form(*overflow_checked("covolume_hessian", assemble),
+                         "covolume Hessian and 6 covol(.,.,h)")
 
 
 def fuchsian_area_form(fan):

@@ -11,8 +11,9 @@ and they sum to 2 pi), the side lengths are linear in h:
 
 The coefficients of this cyclic tridiagonal rule, c_self = -cot gamma_i
 - cot gamma_{i-1}, c_next = 1 / sin gamma_i and c_prev = 1 / sin gamma_{i-1},
-are computed once per fan; the faces of polytope and Fuchsian fans use the
-same ones.
+are computed once per fan by ``forms.fan_arrays``, the rule that the face
+assembly of polytope and Fuchsian fans (``mixedform.faces``) applies to all
+their faces' angles at once.
 
 The set { h : l_i(h) > 0 for all i } is an open convex polyhedral cone --
 the deformation space of the polygon.  ``cone_membership`` places h
@@ -37,23 +38,21 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, InvalidInput
 from .forms import (
     MEMBERSHIP_TOL,
+    TWO_PI,
     HermitianForm,
     SymmetricForm,
-    cyclic_runs,
+    fan_arrays,
     json_numbers,
     locate,
     overflow_checked,
     projective_distance,
     reversed_cauchy_schwarz_check,
-    runs,
     sample_cone,
-    segment_sums,
     support_vector,
     unit_scaled,
     wall_bound,
 )
 
-TWO_PI = 2.0 * np.pi
 CLOSURE_TOL = 1e-10
 EMBED_AREA_TOL = 1e-12
 SAMPLE_SPREAD = 0.5
@@ -64,50 +63,6 @@ SAMPLE_SHRINKS = 80
 # =============================================================================
 # NORMAL FAN
 # =============================================================================
-
-def _first_failure(checks):
-    """Raise the message of the first failing check of the first run that fails one.
-
-    ``checks`` lists (per-run failure flags, message of a run index) in check order.
-    """
-    failing = np.array([flags for flags, _ in checks])
-    failed = np.flatnonzero(failing.any(axis=0))
-    if len(failed):
-        run = int(failed[0])
-        raise InvalidInput("NormalFan2D: " + checks[int(np.argmax(failing[:, run]))][1](run))
-
-
-def _fan_arrays(a, sizes):
-    """Check the cyclic angle lists in runs of ``sizes`` along ``a`` and derive, flat:
-    gaps, unit normals, edge angles and the length coefficients c_self, c_next, c_prev
-    (all read-only, ``a`` too)."""
-    run, _, nxt, prv = cyclic_runs(sizes)
-
-    def any_in_run(mask):
-        return np.bincount(run, weights=mask, minlength=len(sizes)) > 0
-
-    _first_failure([
-        (sizes < 3, lambda r: "need at least 3 normal angles"),
-        (any_in_run(~np.isfinite(a)), lambda r: "angles must be finite"),
-        (any_in_run((a < 0.0) | (a >= TWO_PI)), lambda r: "angles must lie in [0, 2*pi)")])
-    gaps = np.mod(a[nxt] - a, TWO_PI)
-    totals = segment_sums(gaps, sizes)
-    _first_failure([
-        (np.bincount(run, weights=a[nxt] < a, minlength=len(sizes)) != 1,
-         lambda r: "angles must be strictly increasing cyclically"),
-        (any_in_run((gaps <= 0.0) | (gaps >= np.pi)),
-         lambda r: "every gap between consecutive normals must lie in (0, pi)"),
-        (np.abs(totals - TWO_PI) > 1e-9,
-         lambda r: f"gaps sum to {float(totals[r])!r}, expected 2*pi")])
-    sin_g = np.sin(gaps)
-    cot_g = np.cos(gaps) / sin_g
-    c_next = 1.0 / sin_g
-    arrays = (a, gaps, np.column_stack([np.cos(a), np.sin(a)]), np.mod(a + 0.5 * np.pi, TWO_PI),
-              -cot_g - cot_g[prv], c_next, c_next[prv])
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays[1:]
-
 
 class NormalFan2D:
     """Cyclic list of outward unit normal directions of a convex polygon.
@@ -122,32 +77,13 @@ class NormalFan2D:
         a = np.array(angles, dtype=float)
         if a.ndim != 1:
             raise InvalidInput("NormalFan2D: need at least 3 normal angles")
-        self._take(a, *_fan_arrays(a, np.array([len(a)])))
-
-    @classmethod
-    def stack(cls, angles, sizes):
-        """The fans of the consecutive runs of ``sizes`` angles along ``angles``,
-        checked in one pass: the first run that fails a check raises the
-        InvalidInput that its own construction raises (the count and range checks
-        of every run come before the order checks of any)."""
-        a = np.array(angles, dtype=float)
-        fans = []
-        for parts in zip(*(runs(x, sizes) for x in (a, *_fan_arrays(a, sizes)))):
-            fan = cls.__new__(cls)
-            fan._take(*parts)
-            fans.append(fan)
-        return fans
-
-    def _take(self, angles, gaps, normals, edge_angles, c_self, c_next, c_prev):
-        self.n = len(angles)
-        self.angles = angles
-        #: turning angle of the boundary between edges i and i+1
-        self.gaps = gaps
-        self.normals = normals
-        #: edge direction angles (counterclockwise boundary orientation)
-        self.edge_angles = edge_angles
-        # l_i(h) = c_self[i] h_i + c_next[i] h_{i+1} + c_prev[i] h_{i-1}
-        self.c_self, self.c_next, self.c_prev = c_self, c_next, c_prev
+        self.n = len(a)
+        self.angles = a
+        #: turning angle of the boundary between edges i and i+1 (``gaps``), unit
+        #: normals, edge direction angles (counterclockwise boundary orientation) and
+        #: l_i(h) = c_self[i] h_i + c_next[i] h_{i+1} + c_prev[i] h_{i-1}
+        (self.gaps, self.normals, self.edge_angles,
+         self.c_self, self.c_next, self.c_prev) = fan_arrays(a, np.array([len(a)]))
 
     @classmethod
     def from_degrees(cls, degrees):
@@ -336,9 +272,9 @@ def double_chart_embedding(fan, h):
     polygon (two copies glued along the boundary) has total area 2 a(h).
     """
     u = support_vector(h, fan.n, "double_chart_embedding")
-    if cone_membership(fan, u).status != "interior":
-        raise DomainError("double_chart_embedding: h is not interior")
     lengths = fan.length_matrix @ u
+    if locate(lengths, u, MEMBERSHIP_TOL, range(fan.n)).status != "interior":
+        raise DomainError("double_chart_embedding: h is not interior")
     turn = np.exp(1j * fan.edge_angles)
     z = lengths * turn
     # the closure defect against |z|, both on z scaled to unit size by a power
@@ -351,8 +287,8 @@ def double_chart_embedding(fan, h):
         raise ConsistencyError(f"edge vectors do not close up: defect "
                                f"{math.ldexp(closure, e):.3e} vs norm {math.ldexp(znorm, e):.3e}")
     form = shoelace_hermitian_form(fan.n)
-    area_z = form.q(z)
-    area_h = area_form(fan).q(u)
+    area_z = overflow_checked("q", form._b, z, z)
+    area_h = overflow_checked("q", area_form(fan)._b, u, u)
     if abs(area_z - area_h) > EMBED_AREA_TOL * max(abs(area_z), abs(area_h)):
         raise ConsistencyError(
             f"shoelace area {area_z!r} disagrees with the support-number area {area_h!r}")

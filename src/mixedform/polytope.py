@@ -41,7 +41,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import polygon as poly
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -75,16 +74,14 @@ VertexCell = namedtuple("VertexCell", ["faces", "position", "area"])
 
 
 class PolytopeFan:
-    """Combinatorics of a 3-polytope: normals, adjacency, per-face 2D fans."""
+    """Combinatorics of a 3-polytope: normals, adjacency, Gauss cells, face assembly."""
 
-    def __init__(self, normals, face_cycles, face_fans, face_vertices,
-                 vertex_cells, phi, reference_h, edge_rule):
+    def __init__(self, normals, face_cycles, face_vertices, vertex_cells, phi, reference_h,
+                 assembly):
         self.normals = normals
         self.m = normals.shape[0]
         #: per face, the cyclic list of neighboring face indices
         self.face_cycles = face_cycles
-        #: per face, the induced NormalFan2D (indices aligned with face_cycles)
-        self.face_fans = face_fans
         #: per face, the cyclic list of vertex ids (vertex k meets edge k)
         self.face_vertices = face_vertices
         self.vertex_cells = vertex_cells
@@ -101,9 +98,9 @@ class PolytopeFan:
             "cone_dim": self.m - 3 if self.simple else None,
             "faces_from_euler": n_vertices / 2 + 2,
         }
-        #: face-local assembly of volume, edge lengths and area form; ``edge_rule``
-        #: holds the directed edges' (dst, a, b), face by face in cycle order
-        self.assembly = FaceAssembly(face_fans, *edge_rule)
+        #: face-local assembly of volume, edge lengths and area form (edges face by
+        #: face in cycle order, aligned with face_cycles)
+        self.assembly = assembly
         #: the directed edges with i < j: each polytope edge once, and its label (i, j)
         self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
         self._edge_labels = list(zip(self.assembly.src[self._edges].tolist(),
@@ -430,9 +427,10 @@ def build_fan(normals, h):
     if len(lonely):
         i, j = src_list[lonely[0]], dst_list[lonely[0]]
         raise StructuralError(f"adjacency is not symmetric: {i}->{j} without {j}->{i}")
-    # fmod of a tiny negative rounds up to 2*pi
-    face_fans = poly.NormalFan2D.stack([0.0 if a >= 2.0 * math.pi else a for a in angles],
-                                       face_size)
+    # fmod of a tiny negative rounds up to 2*pi; edge e = (i -> j) of face i:
+    # h_ij = -cot(phi_ij) h_i + h_j / sin(phi_ij)
+    assembly = FaceAssembly([0.0 if a >= 2.0 * math.pi else a for a in angles], face_size,
+                            dst, -cos_ph / sin_ph, 1.0 / sin_ph)
 
     # ---- Gauss cells at the vertices: the faces of each in angular order
     # about their mean normal, fan-triangulated from the first ----
@@ -455,9 +453,8 @@ def build_fan(normals, h):
     cells = [VertexCell(cyc, p, area) for cyc, p, area in
              zip(runs(faces.tolist(), degree), scale * unit_positions, cell_area.tolist())]
     U.setflags(write=False)
-    # edge e = (i -> j) of face i: h_ij = -cot(phi_ij) h_i + h_j / sin(phi_ij)
-    return PolytopeFan(U, runs(dst_list, face_size), face_fans, runs(vid.tolist(), face_size),
-                       cells, phi, hv.copy(), (dst, -cos_ph / sin_ph, 1.0 / sin_ph))
+    return PolytopeFan(U, runs(dst_list, face_size), runs(vid.tolist(), face_size), cells, phi,
+                       hv.copy(), assembly)
 
 
 # =============================================================================
@@ -560,10 +557,10 @@ def first_area_measure(fan, h):
     weighted total sum l_ij * phi_ij (total mean curvature) is informational.
     """
     v = support_vector(h, fan.m, "first_area_measure")
-    if overflow_checked("first_area_measure", cone_membership, fan, v).status == "outside":
+    lengths = overflow_checked("first_area_measure", fan.assembly.lengths, v)[fan._edges]
+    if locate(lengths, v, MEMBERSHIP_TOL, fan._edge_labels).status == "outside":
         raise DomainError("first_area_measure: h lies outside the closed cone")
-    arcs = [Arc(ij, fan.phi[ij], w) for ij, w in zip(
-        fan._edge_labels, fan.assembly.lengths(v)[fan._edges].tolist())]
+    arcs = [Arc(ij, fan.phi[ij], w) for ij, w in zip(fan._edge_labels, lengths.tolist())]
     total = sum(arc.arc_length * arc.weight for arc in arcs)
     arcs.sort(key=lambda a: a.faces)
     return FirstAreaMeasure(arcs, total)

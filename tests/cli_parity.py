@@ -8,12 +8,15 @@ call, its exit code, its stdout without the wall-time line, and its stderr.
 The temporary input directory reads as ``$INPUTS``, and a numpy warning as
 ``<category>: <message>`` without its source line, which moves with any
 edit.  ``--fixtures WORKLOAD:SEED`` (repeatable) adds the calls of that
-benchmark manifest (``perfbench/fixtures.write_fixtures``).  Pytest does not
-collect this file.  To compare a change against its parent checkout:
+benchmark manifest (``perfbench/fixtures.write_fixtures``) and the sha256 of
+every fixture it writes, so a manifest without calls (``sampling:SEED``)
+still pins its inputs.  Pytest does not collect this file.  To compare a
+change against its parent checkout (the copy makes the parent's own
+``tests`` and ``perfbench`` write the parent's fixtures):
 
     PYTHONPATH=src python tests/cli_parity.py --fixtures cli-small:1 > new.json
-    (cd PARENT && PYTHONPATH=src python /path/to/tests/cli_parity.py \\
-        --fixtures cli-small:1) > old.json
+    cp tests/cli_parity.py PARENT/tests/
+    (cd PARENT && PYTHONPATH=src python tests/cli_parity.py --fixtures cli-small:1) > old.json
     diff old.json new.json
 """
 
@@ -70,15 +73,18 @@ def golden_calls(directory):
     return calls
 
 
-def fixture_calls(directory, workload, seed):
-    """{key: argv} for the calls of one benchmark manifest (inputs under ``directory``)."""
+def fixture_manifest(directory, workload, seed):
+    """({key: argv} for the calls of one benchmark manifest, {key: sha256} for its
+    fixtures), inputs under ``directory``."""
     sys.path.insert(0, PERFBENCH)
     import fixtures     # perfbench's own module; it needs scipy and tests/geomfix.py
 
     manifest = fixtures.write_fixtures(workload, seed,
                                        os.path.join(directory, f"{workload}-{seed}"))
-    return {f"{workload}:{seed} {' '.join(call['argv'])}": call["argv"]
-            for call in manifest["calls"]}
+    return ({f"{workload}:{seed} {' '.join(call['argv'])}": call["argv"]
+             for call in manifest["calls"]},
+            {f"{workload}:{seed} fixture {name}": fixture["sha256"]
+             for name, fixture in manifest["fixtures"].items()})
 
 
 def main(argv=None):
@@ -88,12 +94,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     with tempfile.TemporaryDirectory() as directory:
-        calls = golden_calls(directory)
+        calls, hashes = golden_calls(directory), {}
         for spec in args.fixtures:
             workload, seed = spec.split(":")
-            calls.update(fixture_calls(directory, workload, int(seed)))
+            more_calls, more_hashes = fixture_manifest(directory, workload, int(seed))
+            calls.update(more_calls)
+            hashes.update(more_hashes)
         dump = {key.replace(directory, "$INPUTS"): _call(argv, directory)
                 for key, argv in calls.items()}
+        dump.update(hashes)
     print(json.dumps(dump, indent=1, sort_keys=True))
 
 

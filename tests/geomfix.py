@@ -14,7 +14,7 @@ import sys
 import numpy as np
 from scipy.optimize import linprog
 
-from mixedform import fuchsian, polygon, surface
+from mixedform import forms, fuchsian, polygon, surface
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,6 +22,13 @@ TWO_PI = 2.0 * math.pi
 def child_env():
     """Environment for a child interpreter that imports what this one imports."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+def face_fans(fan):
+    """The NormalFan2D of every face of a polytope or quotient fan, rebuilt from
+    the normal angles that its face assembly keeps."""
+    F = fan.assembly
+    return [polygon.NormalFan2D(a) for a in forms.runs(F.angles, np.diff(F.offsets))]
 
 
 # =============================================================================
@@ -295,8 +302,8 @@ def fan_from_triangulation(mesh, L=None):
 def find_interior_h(fan, floor=0.2, cap=1.0, min_margin=1e-4):
     """Max-margin support vector: all edge lengths >= t, h in [floor, cap]."""
     rows = []
-    for i in range(fan.m):
-        rows.extend(fan.face_fans[i].length_matrix @ fan.assembly.support_map(i))
+    for i, face in enumerate(face_fans(fan)):
+        rows.extend(face.length_matrix @ fan.assembly.support_map(i))
     A = np.array(rows)
     n_rows, m = A.shape
     A_ub = np.hstack([-A, np.ones((n_rows, 1))])
@@ -340,9 +347,9 @@ def batched_covolume(fan, H):
     """covol on a batch of support vectors, one vectorized pass per face."""
     H = np.asarray(H, dtype=float)
     total = np.zeros(H.shape[0])
-    for i in range(fan.m):
+    for i, face in enumerate(face_fans(fan)):
         X = H @ fan.assembly.support_map(i).T
-        A = polygon.area_form(fan.face_fans[i]).entries
+        A = polygon.area_form(face).entries
         total += H[:, i] * np.einsum("nd,de,ne->n", X, A, X)
     return total / 3.0
 

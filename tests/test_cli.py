@@ -113,6 +113,12 @@ def test_bad_flag_value(capsys, square_file):
 # EXIT 2: BAD INPUT
 # =============================================================================
 
+def test_non_numeric_k(capsys, square_file):
+    code, out, err = run(capsys, "polygon", "minkowski", square_file, "--k", "1,a,1,1")
+    assert (code, out) == (2, "")
+    assert err == "mixedform: --k: expected comma-separated numbers, got '1,a,1,1'\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "polygon", "area-form", "/no/such/file.json")
     assert code == 2
@@ -502,6 +508,21 @@ def test_fuchsian_hessian(capsys, fuchsian_file):
     assert res["min_dominance_margin"] > 0.0
 
 
+def test_fuchsian_hessian_near_the_float_maximum(tmp_path):
+    # a child interpreter shows the CLI as run, where numpy's warnings go to stderr
+    fan = fuchsian.regular_genus2_fan()
+    for h, want in ((2.247e307, ""), (4.49e307, "mixedform: covolume_hessian: the value "
+                                                "overflows the floating-point range\n")):
+        path = write_json(tmp_path, "huge.json", fan.to_json_dict([h]))
+        proc = subprocess.run([sys.executable, "-m", "mixedform", "fuchsian", "hessian", path,
+                               "--json"], capture_output=True, text=True,
+                              env=geomfix.child_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == ((0 if not want else 2), want)
+        if not want:
+            res = json.loads(proc.stdout)["results"]
+            assert res["min_dominance_margin"] == res["entries"][0][0] > 1.2e308
+
+
 def test_fuchsian_area_form(capsys, fuchsian_file):
     code, out, _ = run(capsys, "fuchsian", "area-form", fuchsian_file, "--json")
     assert code == 0
@@ -715,8 +736,7 @@ def test_no_command_loads_scipy(square_file, mesh_file, fuchsian_file, cube_file
 
 # the geometry modules each family's commands import, besides cli, errors and forms
 FAMILY_MODULES = {"polygon": {"polygon"}, "surface": {"surface"},
-                  "polytope": {"faces", "polygon", "polytope"},
-                  "fuchsian": {"faces", "fuchsian", "polygon"}}
+                  "polytope": {"faces", "polytope"}, "fuchsian": {"faces", "fuchsian"}}
 
 
 def test_each_command_loads_only_its_family(golden_inputs):

@@ -63,8 +63,8 @@ def test_sparse_symmetry_check_reports_the_dense_defect():
     face0 = [(1, 1.0, np.pi / 4.0)] * 8
     face1 = [(0, 1.0, np.pi / 4.0 + 0.3), (0, 1.0, np.pi / 4.0 - 0.3)] * 4
     fan = fuchsian.QuotientFan([face0, face1], genus=2)
-    slices = [fan.assembly.support_map(i).T @ polygon.area_form(fan.face_fans[i]).entries
-              @ fan.assembly.support_map(i) for i in range(fan.m)]
+    slices = [fan.assembly.support_map(i).T @ polygon.area_form(face).entries
+              @ fan.assembly.support_map(i) for i, face in enumerate(geomfix.face_fans(fan))]
     with pytest.raises(errors.ConsistencyError) as dense:
         forms.TrilinearForm(np.stack(slices) / 3.0, symmetry_tol=1e-10)
     with pytest.raises(errors.ConsistencyError) as sparse:
@@ -92,7 +92,7 @@ def test_assembly_coefficients_are_the_length_matrix_diagonals(build):
     # both consumers of NormalFan2D's closed-form tridiagonal read the same numbers
     fan = build()
     F = fan.assembly
-    for i, face in enumerate(fan.face_fans):
+    for i, face in enumerate(geomfix.face_fans(fan)):
         L = face.length_matrix
         k = np.arange(face.n)
         edges = slice(F.offsets[i], F.offsets[i + 1])
@@ -102,8 +102,8 @@ def test_assembly_coefficients_are_the_length_matrix_diagonals(build):
 
 
 def _loop_lengths(fan, h):
-    return np.concatenate([polygon.edge_lengths(fan.face_fans[i], fan.assembly.support_map(i) @ h)
-                           for i in range(fan.m)])
+    return np.concatenate([polygon.edge_lengths(face, fan.assembly.support_map(i) @ h)
+                           for i, face in enumerate(geomfix.face_fans(fan))])
 
 
 def test_lengths_and_membership_match_per_face_loop():

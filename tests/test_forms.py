@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -474,6 +475,17 @@ def test_overflow_checked_raises_domain_error():
         forms.overflow_checked("x", np.multiply, np.float64(1e200), 1e200)
     with pytest.raises(errors.DomainError, match="^q: the value overflows"):
         forms.SymmetricForm(np.eye(3)).q(np.full((2, 3), 1e200))
+
+
+def test_symmetrizing_near_the_float_maximum():
+    # halved before the sum: entries above 2^1023 symmetrize without leaving the float range
+    big = np.array([[1.5e308, -1e308], [-1e308, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(forms.SymmetricForm(big).entries, big)
+        skew = np.array([[1.5e308, -1e308], [-1.2e308, 1.7e308]])
+        form = forms.SymmetricForm(skew, symmetry_tol=1.0)
+    assert form.entries[0, 1] == form.entries[1, 0] == 0.5 * -1e308 + 0.5 * -1.2e308
 
 
 def test_abc_residuals_discriminant_bound():

@@ -75,6 +75,19 @@ def _octagon_entries(to=0, phi=1.0):
     return [(to, phi, math.pi / 4.0)] * 8
 
 
+def test_rejects_an_empty_fan():
+    with pytest.raises(errors.InvalidInput) as info:
+        fuchsian.QuotientFan([], genus=2)
+    assert str(info.value) == "QuotientFan: need at least one face class"
+
+
+def test_rejects_zero_phi():
+    with pytest.raises(errors.InvalidInput) as info:
+        fuchsian.QuotientFan([_octagon_entries(phi=0.0)], genus=2)
+    assert str(info.value) == ("QuotientFan: face 0: phi must be positive with a finite cosh "
+                               f"(at most {fuchsian.MAX_PHI!r}), got 0.0")
+
+
 def test_rejects_small_genus():
     with pytest.raises(errors.InvalidInput):
         fuchsian.QuotientFan([_octagon_entries()], genus=1)
@@ -357,6 +370,17 @@ def test_distance_at_any_scale(base_fan, base_interior):
         assert fuchsian.spherical_distance(base_fan, s * h, s * k) == pytest.approx(d, rel=1e-12)
     with pytest.raises(errors.DomainError, match="covolume: the value overflows"):
         fuchsian.covolume(base_fan, 1e120 * h)
+
+
+def test_hessian_near_the_float_maximum(one_class):
+    # the 1 x 1 Hessian is about 5.49 h: at h = 2.247e307 its symmetric part no longer
+    # overflows, and at 4.49e307 the Jacobian's sum does, reported by name
+    hess = fuchsian.covolume_hessian(one_class, [2.247e307])
+    assert np.isfinite(hess.entries).all() and hess.entries[0, 0] > 1.2e308
+    assert hess.eigenvalues()[0] == hess.entries[0, 0]
+    with pytest.raises(errors.DomainError) as info:
+        fuchsian.covolume_hessian(one_class, [4.49e307])
+    assert str(info.value) == "covolume_hessian: the value overflows the floating-point range"
 
 
 def test_distance_symmetry(base_fan, base_interior):

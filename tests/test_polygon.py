@@ -465,6 +465,31 @@ def test_embedding_closure_and_area(pair):
     assert abs(form.q(z) - area) < 1e-12 * max(1.0, area)
 
 
+def test_embedding_validates_and_measures_once(monkeypatch):
+    # one support_vector call and one length evaluation per call, accepted or not
+    fan = polygon.NormalFan2D.regular(6)
+    validated, located = [], []
+
+    def support_vector(*args, support_vector=forms.support_vector, **kwargs):
+        validated.append(args[2])
+        return support_vector(*args, **kwargs)
+
+    def locate(lengths, *args, locate=forms.locate):
+        located.append(lengths.shape)
+        return locate(lengths, *args)
+
+    for module in (forms, polygon):
+        monkeypatch.setattr(module, "support_vector", support_vector)
+    monkeypatch.setattr(polygon, "locate", locate)
+    z, _ = polygon.double_chart_embedding(fan, np.ones(6))
+    with pytest.raises(errors.DomainError):
+        polygon.double_chart_embedding(fan, np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
+    monkeypatch.undo()
+    assert abs(np.sum(z)) < 1e-12
+    assert validated == ["double_chart_embedding"] * 2
+    assert located == [(6,)] * 2
+
+
 def test_embedding_requires_interior():
     fan = polygon.NormalFan2D.regular(4)
     with pytest.raises(errors.DomainError):
@@ -481,6 +506,20 @@ def test_polygon_json_roundtrip():
     assert support.interior
     assert support.fan.n == 4
     assert abs(polygon.area_form(support.fan).q(support.h) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("data, key", [({"normals_deg": [0, 90, 180, 270]}, "'h'"),
+                                       ({"h": [1, 1, 1, 1]}, "'normals_deg'")])
+def test_polygon_json_names_the_missing_key(data, key):
+    with pytest.raises(errors.InvalidInput) as info:
+        polygon.PolygonSupport.from_json_dict(data)
+    assert str(info.value) == f"polygon JSON needs 'normals_deg' and 'h': {key}"
+
+
+def test_fan_rejects_a_matrix_of_angles():
+    with pytest.raises(errors.InvalidInput) as info:
+        polygon.NormalFan2D(np.zeros((2, 2)))
+    assert str(info.value) == "NormalFan2D: need at least 3 normal angles"
 
 
 def test_polygon_json_rejects_mismatch():

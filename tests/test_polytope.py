@@ -219,16 +219,21 @@ def test_build_fan_matches_the_loop_oracle(name, normals, h):
     assert fan.face_vertices == ref.face_vertices
     assert fan.face_cycles == ref.face_cycles
     assert list(fan.phi.items()) == list(ref.phi.items())
-    for ours, theirs in zip(fan.face_fans, ref.face_fans, strict=True):
+    F = fan.assembly
+    for i, (ours, theirs) in enumerate(zip(geomfix.face_fans(fan), ref.face_fans, strict=True)):
         assert np.array_equal(ours.angles, theirs.angles)
-        # the closed-form coefficients as NormalFan2D computed them with np.roll
+        # the closed-form coefficients as NormalFan2D computed them with np.roll,
+        # in the face's fan and in the assembly's flat arrays
         a = theirs.angles
         gaps = np.mod(np.roll(a, -1) - a, 2.0 * math.pi)
         cot = np.cos(gaps) / np.sin(gaps)
+        edges = slice(F.offsets[i], F.offsets[i + 1])
         for got, want in ((ours.gaps, gaps), (ours.c_next, 1.0 / np.sin(gaps)),
                           (ours.c_prev, np.roll(1.0 / np.sin(gaps), 1)),
                           (ours.c_self, -cot - np.roll(cot, 1)),
-                          (ours.normals, np.column_stack([np.cos(a), np.sin(a)]))):
+                          (ours.normals, np.column_stack([np.cos(a), np.sin(a)])),
+                          (F.c_next[edges], ours.c_next), (F.c_prev[edges], ours.c_prev),
+                          (F.c_self[edges], ours.c_self)):
             assert np.array_equal(got, want)
     for ours, theirs in zip(fan.vertex_cells, ref.vertex_cells, strict=True):
         assert ours.faces == theirs.faces
@@ -780,6 +785,43 @@ def test_first_area_measure_cube(cube_fan):
     assert abs(measure.total_weighted_length - 12 * math.pi / 2.0) < 1e-10
 
 
+def test_first_area_measure_rejects_h_outside(cube_fan):
+    with pytest.raises(errors.DomainError) as info:
+        polytope.first_area_measure(cube_fan, [1, 1, 1, 1, 1, -3])
+    assert str(info.value) == "first_area_measure: h lies outside the closed cone"
+
+
+def _spy_measurements(monkeypatch, fan):
+    """Lists that record every support_vector call (by the name it reports) and
+    every edge-length evaluation of ``fan`` made while the spies are in place."""
+    validated, measured = [], []
+
+    def support_vector(*args, support_vector=forms.support_vector, **kwargs):
+        validated.append(args[2])
+        return support_vector(*args, **kwargs)
+
+    def lengths(h, lengths=fan.assembly.lengths):
+        measured.append(h.shape)
+        return lengths(h)
+
+    for module in (forms, polytope):
+        monkeypatch.setattr(module, "support_vector", support_vector)
+    monkeypatch.setattr(fan.assembly, "lengths", lengths)
+    return validated, measured
+
+
+def test_first_area_measure_validates_and_measures_once(monkeypatch):
+    fan = polytope.build_fan(CUBE, np.ones(6))
+    validated, measured = _spy_measurements(monkeypatch, fan)
+    measure = polytope.first_area_measure(fan, np.full(6, 0.5))
+    with pytest.raises(errors.DomainError):
+        polytope.first_area_measure(fan, [1, 1, 1, 1, 1, -3])
+    monkeypatch.undo()
+    assert len(measure.arcs) == 12
+    assert validated == ["first_area_measure"] * 2
+    assert measured == [(6,)] * 2
+
+
 def test_first_area_measure_scales_linearly(cube_fan):
     m1 = polytope.first_area_measure(cube_fan, np.ones(6))
     m2 = polytope.first_area_measure(cube_fan, 2.0 * np.ones(6))
@@ -898,6 +940,43 @@ def test_fan_from_json_roundtrip():
     fan, h = polytope.fan_from_json_dict(data)
     assert fan.m == 6
     assert abs(polytope.volume(fan, h) - 1.0) < 1e-12
+
+
+def test_sample_interior_rejects_a_reference_off_the_open_cone(cube_fan):
+    with pytest.raises(errors.DomainError) as info:
+        polytope.sample_interior(cube_fan, [1, 1, 1, 1, 1, -1], np.random.default_rng(0))
+    assert str(info.value) == "sample_interior: reference must be interior"
+
+
+def test_boundary_metric_rejects_h_off_the_open_cone(cube_fan):
+    with pytest.raises(errors.DomainError) as info:
+        polytope.boundary_metric(cube_fan, [1, 1, 1, 1, 1, -1])
+    assert str(info.value) == "boundary_metric: h is not interior"
+
+
+def test_af_check_rejects_stacks_of_different_shapes(cube_fan):
+    with pytest.raises(errors.InvalidInput) as info:
+        polytope.alexandrov_fenchel_check(cube_fan, np.ones((2, 6)), np.ones((3, 6)), np.ones(6))
+    assert str(info.value) == ("alexandrov_fenchel_check: h and k differ in shape, "
+                               "(2, 6) vs (3, 6)")
+
+
+def _nan_normal():
+    normals = np.array(CUBE, dtype=float)
+    normals[0, 0] = np.nan
+    return normals
+
+
+@pytest.mark.parametrize("normals, h, error, message", [
+    (CUBE, np.zeros(6), errors.StructuralError, "h = 0: the region is a single point"),
+    (_nan_normal(), np.ones(6), errors.InvalidInput, "build_fan: normals must be finite"),
+    (np.eye(3), np.ones(3), errors.InvalidInput,
+     "build_fan: need at least 4 normals of shape (m, 3), got (3, 3)"),
+], ids=["h-zero", "nan-normal", "three-normals"])
+def test_build_fan_error_messages(normals, h, error, message):
+    with pytest.raises(error) as info:
+        polytope.build_fan(normals, h)
+    assert str(info.value) == message
 
 
 def test_fan_json_missing_key():

@@ -57,6 +57,26 @@ def test_accepts_numpy_integer_gluing_index():
     assert surface.TriangleMesh([[1, 1, 1], [1, 1, 1]], gluing).sigma[(0, 0)] == (1, 0)
 
 
+@pytest.mark.parametrize("lengths, gluing, message", [
+    ([[1.0, 1.0]], [], "TriangleMesh: lengths must be (T, 3), got (1, 2)"),
+    ([[1.0, 1.0, 0.0]], [], "TriangleMesh: side lengths must be finite and positive"),
+    ([[1, 1, 1], [1, 1, 1]], [(0, 0, 5, 0)], "TriangleMesh: gluing refers to missing slot (5,0)"),
+], ids=["shape", "zero-side", "missing-slot"])
+def test_rejects_bad_lengths_and_slots(lengths, gluing, message):
+    with pytest.raises(errors.InvalidInput) as info:
+        surface.TriangleMesh(lengths, gluing)
+    assert str(info.value) == message
+
+
+def test_mesh_json_names_the_missing_key():
+    with pytest.raises(errors.InvalidInput) as info:
+        surface.TriangleMesh.from_json_dict({"gluing": []})
+    assert str(info.value) == "mesh JSON needs 'triangles' and 'gluing': 'triangles'"
+    with pytest.raises(errors.InvalidInput) as info:
+        surface.TriangleMesh.from_json_dict({"triangles": [{"lengths": [1, 1, 1]}]})
+    assert str(info.value) == "mesh JSON needs 'triangles' and 'gluing': 'gluing'"
+
+
 def test_rejects_boundary():
     with pytest.raises(errors.StructuralError):
         surface.TriangleMesh([[1, 1, 1], [1, 1, 1]], [(0, 0, 1, 0)])
@@ -75,6 +95,12 @@ def test_indexed_triangles_rejects_inconsistent_orientation():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     with pytest.raises(errors.StructuralError):
         surface.mesh_from_indexed_triangles(pts, [(0, 1, 2), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
+
+
+def test_indexed_triangles_rejects_an_open_triangle():
+    with pytest.raises(errors.StructuralError) as info:
+        surface.mesh_from_indexed_triangles(np.eye(3), [(0, 1, 2)])
+    assert str(info.value) == "edge (0, 1) has no partner (boundary edge)"
 
 
 # =============================================================================
