@@ -41,18 +41,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError
-from .forms import (SymmetricForm, cyclic_runs, fan_arrays, overflow_checked, row_dot,
-                    scalar_or_rows, support_vector)
+from .forms import (SymmetricForm, cyclic_runs, fan_arrays, finite, overflow_checked,
+                    row_dot, scalar_or_rows, support_vector)
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
 SYMMETRY_TOL = 1e-10
 #: the five non-identity permutations of a slice index (i, j, k)
 _PERMUTATIONS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
-def _clamp(x):
-    """x clamped to [-1, 1], the domain of acos."""
-    return min(1.0, max(-1.0, x))
 
 
 class FaceAssembly:
@@ -216,10 +211,13 @@ class FaceTrilinearForm:
         return self.v(h, h, h)
 
     def contract(self, p):
-        """The symmetric matrix (R + R' + P) / 3 of the bilinear form v(., ., p)."""
+        """The symmetric matrix (R + R' + P) / 3 of the bilinear form v(., ., p);
+        an overflow raises DomainError."""
         F = self._faces
         c = support_vector(p, F.m, "contract")
-        return SymmetricForm(self.contraction(c, F.jacobian(F.lengths(c))), symmetry_tol=1e-10)
+        # J and the grams are bincount sums: a finite J keeps the sum free of inf - inf
+        return SymmetricForm(overflow_checked("contract", lambda: finite(
+            self.contraction(c, finite(F.jacobian(F.lengths(c)))))), symmetry_tol=1e-10)
 
     def contraction(self, c, jacobian):
         """(R + R' + P) / 3 unsymmetrized, for a checked vector c and its J(l(c)), R = J / 6."""

@@ -14,7 +14,8 @@ Generic machinery shared by the geometry modules:
     Alexandrov-Fenchel checks, with their tolerances EQUALITY_TOL,
     WITNESS_TOL and ROUNDING_TOL), and ``projective_distance``, the distance
     of two rays in a spherical (definite) or hyperbolic (Lorentzian) cell;
-  * ``overflow_checked``, the one overflow rule (DomainError, no numpy warning);
+  * ``overflow_checked``, the one overflow rule (DomainError, no numpy warning),
+    and ``finite``, which hands it the overflows that set no flag;
   * ``fan_arrays``, the one rule of a polygon's normal fan (angles in
     [0, TWO_PI), cyclic gaps in (0, pi) summing to TWO_PI, and the length
     coefficients), checked and derived for any number of polygons in one
@@ -101,6 +102,14 @@ def overflow_checked(what, compute, *args):
             return compute(*args)
     except FloatingPointError:
         raise DomainError(f"{what}: the value overflows the floating-point range") from None
+
+
+def finite(x):
+    """x, once every entry is finite; else FloatingPointError, an overflow to
+    ``overflow_checked``: a bincount sum overflows to inf without a floating-point flag."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError
+    return x
 
 
 def runs(flat, sizes):

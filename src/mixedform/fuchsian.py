@@ -46,8 +46,9 @@ from .errors import (
     InvariantFalsified,
 )
 from .faces import FaceAssembly, agreeing_form
-from .forms import (MEMBERSHIP_TOL, TWO_PI, as_index, json_numbers, locate, overflow_checked,
-                    projective_distance, support_vector, unit_scaled, wall_bound)
+from .forms import (MEMBERSHIP_TOL, TWO_PI, as_index, finite, json_numbers, locate,
+                    overflow_checked, projective_distance, support_vector, unit_scaled,
+                    wall_bound)
 
 PAIRING_TOL = 1e-9
 ANGLE_SUM_TOL = 1e-9
@@ -241,16 +242,11 @@ def covolume_hessian(fan, h):
                 f"edge on a wall or past it)")
         # J and the grams are bincount sums, whose overflow sets no floating-point flag:
         # a finite J keeps X free of inf - inf, and a finite reference does the rest
-        J = F.jacobian(lengths)
-        if not np.isfinite(J).all():
-            raise FloatingPointError
+        J = finite(F.jacobian(lengths))
         X = covolume_form(fan).contraction(v, J)
         # 6 covol(., ., h) is 6 times the symmetric part of X, rounded as SymmetricForm(X)
         # rounds it
-        reference = 6.0 * (0.5 * X + 0.5 * X.T)
-        if not np.isfinite(reference).all():
-            raise FloatingPointError
-        return J, reference
+        return J, finite(6.0 * (0.5 * X + 0.5 * X.T))
 
     return agreeing_form(*overflow_checked("covolume_hessian", assemble),
                          "covolume Hessian and 6 covol(.,.,h)")

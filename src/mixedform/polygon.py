@@ -183,10 +183,6 @@ class PolygonSupport:
             raise DomainError(
                 f"support vector lies outside the cone: negative sides {self.membership.edges}")
 
-    @property
-    def interior(self):
-        return self.membership.status == "interior"
-
     @classmethod
     def from_json_dict(cls, data):
         try:

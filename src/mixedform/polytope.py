@@ -49,7 +49,7 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .faces import FaceAssembly, _clamp
+from .faces import FaceAssembly
 from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, fan_triangles,
                     json_numbers, locate, overflow_checked, reversed_cauchy_schwarz_check,
                     row_dot, runs, sample_cone, segment_sums, support_vector, wall_bound)
@@ -85,7 +85,7 @@ class PolytopeFan:
         #: per face, the cyclic list of vertex ids (vertex k meets edge k)
         self.face_vertices = face_vertices
         self.vertex_cells = vertex_cells
-        #: hyperplane angles phi[(i, j)] = arccos(u_i . u_j) for adjacent i, j
+        #: hyperplane angles phi[(i, j)] = atan2(|u_i x u_j|, u_i . u_j) for adjacent i, j
         self.phi = phi
         self.reference_h = reference_h
         self.simple = all(len(cell.faces) == 3 for cell in vertex_cells)
@@ -114,7 +114,10 @@ class PolytopeFan:
 
     def vertex_positions(self, h):
         """Vertex coordinates for support vector h (least squares at a non-simple vertex)."""
-        v = support_vector(h, self.m, "vertex_positions")
+        return self._positions(support_vector(h, self.m, "vertex_positions"))
+
+    def _positions(self, v):
+        """``vertex_positions`` of a checked support vector v."""
         out = np.empty((len(self.vertex_cells), 3))
         out[self._solved] = np.linalg.solve(self.normals[self._solved_faces],
                                             v[self._solved_faces][..., None])[..., 0]
@@ -303,7 +306,9 @@ def build_fan(normals, h):
     translation, rotation or a permutation of the faces.  Facets with the
     same active-plane set merge into one vertex, which is how non-simple
     vertices (cells with more than 3 faces) appear; they only clear the
-    ``simple`` flag.  Vertex ids follow the sorted active sets.  Each
+    ``simple`` flag; corners closer than the merge tolerance join too, and
+    an edge that more than one other face then shares is reported as
+    near-degenerate input.  Vertex ids follow the sorted active sets.  Each
     halfspace must support a 2-face (otherwise a redundancy error lists
     the offending indices) and the region must be bounded with nonempty
     interior.
@@ -313,10 +318,13 @@ def build_fan(normals, h):
     merge (one unique over the padded active sets), the face frames, the
     vertex cycles (one lexsort on face and angle), the neighbor across each
     cycle edge (from the incidence matrix), and the Gauss cells (one batch
-    of fan triangles, each cell summed alone).  Dots are ``row_dot`` and
-    sums ``segment_sums``, and acos/atan2 run on Python floats, so every
-    number has the bits of the per-face computation; an error is the one
-    the first failing face, edge or cell raises, in the order of the checks.
+    of fan triangles, each cell summed alone).  The angle phi between
+    adjacent normals is atan2(|u_i x u_j|, u_i . u_j), which keeps its
+    digits where they are nearly parallel, and an edge's in-plane normal
+    angle is that of u_j in face i's frame.  Dots are ``row_dot`` and sums
+    ``segment_sums``, and atan2 runs on Python floats, so every number has
+    the bits of the per-face computation; an error is the one the first
+    failing face, edge or cell raises, in the order of the checks.
     """
     U = np.asarray(normals, dtype=float)
     if U.ndim != 2 or U.shape[1] != 3 or U.shape[0] < 4:
@@ -401,7 +409,9 @@ def build_fan(normals, h):
               & incidence[after[:, None], candidates])
     count = np.count_nonzero(shared, axis=1)
     dst = candidates[np.arange(len(vid)), np.argmax(shared, axis=1)]
-    ph = [math.acos(_clamp(c)) for c in row_dot(U[src], U[dst]).tolist()]
+    cross = np.cross(U[src], U[dst])
+    ph = [math.atan2(y, x) for y, x in zip(np.sqrt(row_dot(cross, cross)).tolist(),
+                                            row_dot(U[src], U[dst]).tolist())]
     ph_array = np.array(ph)
     bad = np.flatnonzero((count != 1) | ~((ph_array > 0.0) & (ph_array < math.pi)))
     if len(bad):
@@ -410,13 +420,14 @@ def build_fan(normals, h):
         if count[e] != 1:
             raise StructuralError(
                 f"edge of face {i} between vertices {vid[e]},{after[e]} is shared by "
-                f"{count[e]} other faces (expected 1)")
+                f"{count[e]} other faces (expected 1)" + (
+                    "; near-degenerate input: vertices within the merge tolerance were joined"
+                    if count[e] > 1 else ""))
         raise StructuralError(f"adjacent faces {i},{j} with degenerate angle {ph[e]}")
     cos_ph = np.array([math.cos(x) for x in ph])
     sin_ph = np.array([math.sin(x) for x in ph])
-    w = (U[dst] - cos_ph[:, None] * U[src]) / sin_ph[:, None]
-    angles = [math.atan2(y, x) % (2.0 * math.pi)
-              for y, x in zip(row_dot(w, e2[src]).tolist(), row_dot(w, e1[src]).tolist())]
+    angles = [math.atan2(y, x) % (2.0 * math.pi) for y, x in
+              zip(row_dot(U[dst], e2[src]).tolist(), row_dot(U[dst], e1[src]).tolist())]
     src_list, dst_list = src.tolist(), dst.tolist()
     phi = dict(zip(zip(src_list, dst_list), ph))
     # (np.isin would import numpy.ma, about 15 ms of a fresh CLI call)
@@ -612,7 +623,7 @@ def area_via_sphere_integral(fan, h, depth):
         raise InvalidInput(f"depth must be in [0, {MAX_QUADRATURE_DEPTH}]")
     v = support_vector(h, fan.m, "area_via_sphere_integral")
     return overflow_checked("area_via_sphere_integral", _sphere_integral, fan,
-                            fan.vertex_positions(v), depth)
+                            fan._positions(v), depth)
 
 
 def _sphere_integral(fan, positions, depth):
@@ -649,9 +660,10 @@ def boundary_metric(fan, h):
     from .surface import mesh_from_indexed_triangles     # only this function needs surface
 
     v = support_vector(h, fan.m, "boundary_metric")
-    if overflow_checked("boundary_metric", cone_membership, fan, v).status != "interior":
+    lengths = overflow_checked("boundary_metric", fan.assembly.lengths, v)[fan._edges]
+    if locate(lengths, v, MEMBERSHIP_TOL, fan._edge_labels).status != "interior":
         raise DomainError("boundary_metric: h is not interior")
-    return mesh_from_indexed_triangles(fan.vertex_positions(v), fan_triangles(
+    return mesh_from_indexed_triangles(fan._positions(v), fan_triangles(
         np.concatenate(fan.face_vertices), np.diff(fan.assembly.offsets)))
 
 

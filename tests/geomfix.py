@@ -56,6 +56,19 @@ OCTAHEDRON_NORMALS = np.array([[sx, sy, sz] for sx in (1, -1)
                               dtype=float) / math.sqrt(3.0)
 
 
+def cut_cube(delta, depth):
+    """(normals, h) of the cube [-1, 1]^3 cut at its edge x = z = 1 by the plane
+    delta x + z <= 1 + delta - depth, whose unit normal (delta, 0, 1) / |.| comes last.
+
+    The cut is ``depth`` deep along z at x = 1; as delta falls the new face's
+    normal nears the top face's, the near-parallel case of ``build_fan``.
+    """
+    n = np.array([delta, 0.0, 1.0])
+    size = float(np.linalg.norm(n))
+    return (np.vstack([CUBE_NORMALS, n / size]),
+            np.append(np.ones(6), (1.0 + delta - depth) / size))
+
+
 def fibonacci_sphere(m, rng=None, jitter=0.0):
     """m roughly equidistributed unit vectors, optionally jittered."""
     idx = np.arange(m, dtype=float) + 0.5

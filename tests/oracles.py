@@ -25,7 +25,6 @@ import numpy as np
 from mixedform import polytope
 from mixedform.errors import (ConsistencyError, InvalidInput, MixedFormError, RedundancyError,
                               StructuralError)
-from mixedform.faces import _clamp
 from mixedform.forms import TrilinearForm, support_vector
 from mixedform.polygon import NormalFan2D
 from mixedform.surface import mesh_from_indexed_triangles
@@ -212,14 +211,16 @@ def loop_build_fan(normals, h):
             if len(shared) != 1:
                 raise StructuralError(
                     f"edge of face {i} between vertices {va},{vb} is shared by "
-                    f"{len(shared)} other faces (expected 1)")
+                    f"{len(shared)} other faces (expected 1)" + (
+                        "; near-degenerate input: vertices within the merge tolerance "
+                        "were joined" if len(shared) > 1 else ""))
             j = shared.pop()
-            ph = math.acos(_clamp(float(np.dot(U[i], U[j]))))
+            cross = np.cross(U[i], U[j])
+            ph = math.atan2(math.sqrt(float(np.dot(cross, cross))), float(np.dot(U[i], U[j])))
             if not (0.0 < ph < math.pi):
                 raise StructuralError(f"adjacent faces {i},{j} with degenerate angle {ph}")
             phi[(i, j)] = ph
-            w = (U[j] - math.cos(ph) * U[i]) / math.sin(ph)
-            ang = math.atan2(float(np.dot(w, e2)), float(np.dot(w, e1))) % (2.0 * math.pi)
+            ang = math.atan2(float(np.dot(U[j], e2)), float(np.dot(U[j], e1))) % (2.0 * math.pi)
             neighbors.append(j)
             # fmod of a tiny negative rounds up to 2*pi
             angles.append(0.0 if ang >= 2.0 * math.pi else ang)

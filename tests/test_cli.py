@@ -28,6 +28,9 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_gold
 
 SQUARE = {"normals_deg": [0, 90, 180, 270], "h": [1, 1, 1, 1]}
 CUBE = {"normals": geomfix.CUBE_NORMALS.tolist(), "h": [0.5] * 6}
+# the cube cut at an edge by a face whose normal is 1e-5 from the top face's
+_CUT_NORMALS, _CUT_H = geomfix.cut_cube(1e-5, 1e-6)
+CUT_CUBE = {"normals": _CUT_NORMALS.tolist(), "h": _CUT_H.tolist()}
 # doubled equilateral triangle: the flip across the seam is admissible
 MESH = {"triangles": [{"lengths": [1, 1, 1]}, {"lengths": [1, 1, 1]}],
         "gluing": [[0, 0, 1, 0], [0, 1, 1, 2], [0, 2, 1, 1]]}
@@ -830,6 +833,7 @@ GOLDEN_CASES = [
     ("polytope", "area-form", "cube", []),
     ("polytope", "signature", "cube", []),
     ("polytope", "signature", "cube", ["--tol", "1e-6"]),
+    ("polytope", "signature", "cut-cube", []),
     ("polytope", "af-check", "cube", ["--k", "1,1,1,1,1,1"]),
     ("polytope", "af-check", "cube", ["--k", "1,1,1,1,1,2", "--p", "1,1,1,1,1,1"]),
     ("polytope", "af-check", "cube", ["--samples", "10", "--seed", "3"]),
@@ -858,6 +862,7 @@ def write_golden_inputs(directory, exponent=0):
     h = s * h
     docs = {"square": {**SQUARE, "h": [s * x for x in SQUARE["h"]]},
             "cube": {**CUBE, "h": [s * x for x in CUBE["h"]]},
+            "cut-cube": {**CUT_CUBE, "h": [s * x for x in CUT_CUBE["h"]]},
             "mesh": {**MESH, "triangles": [{"lengths": [s * x for x in t["lengths"]]}
                                            for t in MESH["triangles"]]},
             "fuchsian": fan.to_json_dict(h=h)}

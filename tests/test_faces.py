@@ -150,3 +150,23 @@ def test_forms_at_m1000():
     # boundary_area_form raises unless area = 3 v(1, ., .) entrywise; with
     # h = 1 every face touches the unit sphere, so area(h) = 3 v(h)
     assert abs(polytope.boundary_area_form(fan).q(h) - 3.0 * vol) <= 1e-10 * vol
+
+
+def test_contract_overflow_is_a_domain_error():
+    # on the cube at 1e308 the edge lengths overflow; on the one-class Fuchsian fan
+    # at 4.49e307 they fit but the Jacobian's bincount sum, which sets no
+    # floating-point flag, does not: both name the float range, with no numpy
+    # warning (the test configuration turns one into an error)
+    cube = polytope.build_fan(geomfix.CUBE_NORMALS, np.ones(6))
+    one_class = fuchsian.regular_genus2_fan()
+    for form, p in ((polytope.volume_form(cube), np.full(6, 1e308)),
+                    (fuchsian.covolume_form(one_class), [4.49e307])):
+        with pytest.raises(errors.DomainError) as info:
+            form.contract(p)
+        assert str(info.value) == "contract: the value overflows the floating-point range"
+    # below the range the guard changes no bit
+    F = cube.assembly
+    p = np.array([1.0, 0.5, 2.0, 1.5, 0.75, 1.25])
+    unguarded = forms.SymmetricForm(polytope.volume_form(cube).contraction(
+        p, F.jacobian(F.lengths(p))), symmetry_tol=1e-10)
+    assert np.array_equal(polytope.volume_form(cube).contract(p).entries, unguarded.entries)

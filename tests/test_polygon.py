@@ -503,7 +503,7 @@ def test_embedding_requires_interior():
 def test_polygon_json_roundtrip():
     data = {"normals_deg": [0, 90, 180, 270], "h": [0.5, 0.5, 0.5, 0.5]}
     support = polygon.PolygonSupport.from_json_dict(data)
-    assert support.interior
+    assert support.membership.status == "interior"
     assert support.fan.n == 4
     assert abs(polygon.area_form(support.fan).q(support.h) - 1.0) < 1e-14
 

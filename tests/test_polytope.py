@@ -204,6 +204,7 @@ def _oracle_fans():
         yield f"fibonacci {m}", geomfix.fibonacci_sphere(m), np.ones(m)
         rng = np.random.default_rng(m)
         yield f"jittered fibonacci {m}", geomfix.fibonacci_sphere(m, rng, jitter=0.05), np.ones(m)
+    yield "cut cube 1e-4", *geomfix.cut_cube(1e-4, 1e-5)
     rng = np.random.default_rng(14)
     for k in range(20):
         fan, h = geomfix.random_simple_polytope(int(rng.integers(6, 31)), rng)
@@ -269,6 +270,33 @@ def test_build_fan_errors_match_the_loop_oracle():
         assert outcome[0] == outcome[1]
         seen.add(outcome[0][0])
     assert len(seen) >= 2
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5])
+def test_cut_cube_with_near_parallel_normals(delta):
+    # the cut face's normal is delta from the top face's: phi by atan2 keeps its
+    # digits (acos lost them, and the slices failed their symmetry check by 1.2e-6
+    # at delta = 1e-4 and 6.9e-4 at 1e-5)
+    normals, h = geomfix.cut_cube(delta, 0.1 * delta)
+    fan = polytope.build_fan(normals, h)
+    exact = 8.0 - 0.01 * delta
+    assert fan.simple
+    assert tuple(polytope.boundary_area_form(fan).signature()) == (1, 3, 3)
+    assert polytope.volume(fan, h) == pytest.approx(exact, rel=2e-12)
+    assert polytope.volume_form(fan).v(h, h, h) == pytest.approx(exact, rel=2e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-5])
+def test_deep_cut_cube_is_named_near_degenerate(delta):
+    # cut 0.5 delta^2 deep, two vertices lie about 5e-9 apart, within the merge
+    # tolerance: they join, and the error says why
+    normals, h = geomfix.cut_cube(delta, 0.5 * delta * delta)
+    message = ("edge of face 0 between vertices 0,2 is shared by 2 other faces (expected 1); "
+               "near-degenerate input: vertices within the merge tolerance were joined")
+    for build in (polytope.build_fan, oracles.loop_build_fan):
+        with pytest.raises(errors.StructuralError) as info:
+            build(normals, h)
+        assert str(info.value) == message
 
 
 # =============================================================================
@@ -820,6 +848,25 @@ def test_first_area_measure_validates_and_measures_once(monkeypatch):
     assert len(measure.arcs) == 12
     assert validated == ["first_area_measure"] * 2
     assert measured == [(6,)] * 2
+
+
+def test_boundary_metric_and_quadrature_validate_once(monkeypatch):
+    # boundary_metric measures its edges once for the interior test and solves the
+    # positions of the vector it checked; the quadrature measures none
+    fan = polytope.build_fan(CUBE, np.ones(6))
+    h = np.full(6, 0.5)
+    expected_mesh = polytope.boundary_metric(fan, h).to_json_dict()
+    expected_area = polytope.area_via_sphere_integral(fan, h, 2)
+    validated, measured = _spy_measurements(monkeypatch, fan)
+    mesh = polytope.boundary_metric(fan, h).to_json_dict()
+    assert validated == ["boundary_metric"]
+    assert measured == [(6,)]
+    del validated[:], measured[:]
+    area = polytope.area_via_sphere_integral(fan, h, 2)
+    monkeypatch.undo()
+    assert validated == ["area_via_sphere_integral"]
+    assert measured == []
+    assert (mesh, area) == (expected_mesh, expected_area)
 
 
 def test_first_area_measure_scales_linearly(cube_fan):
