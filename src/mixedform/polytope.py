@@ -5,13 +5,15 @@ the class is the halfspace intersection { x : <x, u_i> <= h_i }.  The
 combinatorics (vertices, face cycles, adjacency) are computed from a
 reference h as the facets of the convex hull of the dual points
 u_i / (h_i - <u_i, x0>) around an interior point x0 (a numpy
-beneath-beyond hull, ``_hull``), with tolerances relative to the inradius;
-the hulls see h / max|h|, so the construction works at any support scale.
-The Gauss image -- the tessellation of the unit sphere whose cell at a
-polytope vertex collects the normals of its faces -- is built alongside
-and must tile the full sphere.  Past the hulls, every stage of the
-construction (vertex merge, face cycles and neighbors, Gauss cells) is one
-numpy pass over all faces, vertices or edges.
+beneath-beyond hull, ``_hull``), with tolerances relative to the inradius.
+Boundedness and x0 each need one facet of a hull only, and ``_walk`` grows
+the hull toward that facet alone.  Both see h / max|h|, so the
+construction works at any support scale.  The Gauss image -- the
+tessellation of the unit sphere whose cell at a polytope vertex collects
+the normals of its faces -- is built alongside and must tile the full
+sphere.  Past the hull, every stage of the construction (vertex merge,
+face cycles and neighbors, Gauss cells) is one numpy pass over all faces,
+vertices or edges.
 
 Within a face i, the neighbors j induce a 2D normal fan; the in-plane
 support numbers are linear in h:
@@ -171,21 +173,17 @@ def _ridges(facets, others, n_points):
     return ridges, ridges @ n_points ** np.arange(others.shape[1], dtype=np.int64)
 
 
-def _hull(points, error, message):
-    """Facets of the convex hull of ``points``: vertex indices (F, d), equations (F, d + 1).
+#: a hull under construction: its points P, their rows (p, 1) as Q, the
+#: tolerance, a homogeneous point strictly inside and the minors' column sets
+_Frame = namedtuple("_Frame", ["P", "Q", "tol", "inside", "others"])
 
-    An equation n.p + c = 0 has the outward unit normal n (n.p + c <= 0
-    inside).  Beneath-beyond in any dimension d, in Quickhull order
-    (Barber, Dobkin and Huhdanpaa 1996): from a simplex of extreme points,
-    the point farthest above its facet is added next, the facets it sees
-    give way to the cone from it over their horizon ridges, and the points
-    above a removed facet are handed to the new ones.  Facets are
-    simplices, so a face with more than d coplanar points comes back
-    triangulated, one equation per simplex.  All tolerances are
-    HULL_TOL * max|p|.  Flat input is raised as
-    ``error(f"{message} (<reason>)")``; a result that is not a closed
-    simplicial surface with every point beneath every facet raises
-    ConsistencyError.
+
+def _start(points, error, message):
+    """The frame of the hull of ``points``, and the facets (d + 1, d) and equations of its simplex.
+
+    The simplex is d + 1 extreme points (``_simplex``); the tolerance is
+    HULL_TOL * max|p|.  Non-finite or flat input is raised as
+    ``error(f"{message} (<reason>)")``.
     """
     P = np.asarray(points, dtype=float)
     n_points, d = P.shape
@@ -196,13 +194,51 @@ def _hull(points, error, message):
     if len(simplex) <= d:
         raise error(f"{message} (flat input: the {n_points} points span "
                     f"{len(simplex) - 1} of {d} dimensions)")
-    inside = np.append(P[simplex].mean(axis=0), 1.0)
-    others = np.array([[j for j in range(d) if j != k] for k in range(d)])
+    frame = _Frame(P, np.column_stack([P, np.ones(n_points)]), tol,
+                   np.append(P[simplex].mean(axis=0), 1.0),
+                   np.array([[j for j in range(d) if j != k] for k in range(d)]))
     facets = np.array([simplex[:k] + simplex[k + 1:] for k in range(d + 1)])
-    H = _planes(P, facets, inside, others)
+    return frame, facets, _planes(P, facets, frame.inside, frame.others)
+
+
+def _step(frame, facets, H, apex, seen):
+    """Insert point ``apex``: the facets it sees, and the cone from it over their horizon.
+
+    Returns the mask of visible rows of ``facets`` (row ``seen`` always
+    among them, however its own test rounds, so that the point enters) and
+    the new facets over the horizon ridges (those of exactly one visible
+    facet) with their equations.
+    """
+    visible = H @ frame.Q[apex] > frame.tol
+    visible[seen] = True
+    ridges, keys = _ridges(facets[visible], frame.others, len(frame.P))
+    order = np.argsort(keys)
+    keys = keys[order]
+    once = np.ones(len(keys) + 1, dtype=bool)
+    once[1:-1] = keys[1:] != keys[:-1]
+    horizon = ridges[order[once[1:] & once[:-1]]]
+    new = np.column_stack([horizon, np.full(len(horizon), apex)])
+    return visible, new, _planes(frame.P, new, frame.inside, frame.others)
+
+
+def _hull(points, error, message):
+    """Facets of the convex hull of ``points``: vertex indices (F, d), equations (F, d + 1).
+
+    An equation n.p + c = 0 has the outward unit normal n (n.p + c <= 0
+    inside).  Beneath-beyond in any dimension d, in Quickhull order
+    (Barber, Dobkin and Huhdanpaa 1996): from the simplex of ``_start``,
+    the point farthest above its facet is added next (``_step``), and the
+    points above a removed facet are handed to the new ones.  Facets are
+    simplices, so a face with more than d coplanar points comes back
+    triangulated, one equation per simplex.  A result that is not a closed
+    simplicial surface with every point beneath every facet raises
+    ConsistencyError.
+    """
+    frame, facets, H = _start(points, error, message)
+    P, Q, tol = frame.P, frame.Q, frame.tol
+    n_points, d = P.shape
     # each point above the hull has an owner facet and its height over it;
     # every other point has height -inf
-    Q = np.column_stack([P, np.ones(n_points)])
     rise = Q @ H.T
     owner = np.argmax(rise, axis=1)
     height = np.max(rise, axis=1)
@@ -217,18 +253,7 @@ def _hull(points, error, message):
         if height[apex] == -np.inf:
             break
         height[apex] = -np.inf
-        visible = H[:size] @ Q[apex] > tol
-        if not np.any(visible):         # its height was within rounding of tol
-            continue
-        # horizon: the ridges of exactly one visible facet
-        ridges, keys = _ridges(facets[:size][visible], others, n_points)
-        order = np.argsort(keys)
-        keys = keys[order]
-        once = np.ones(len(keys) + 1, dtype=bool)
-        once[1:-1] = keys[1:] != keys[:-1]
-        horizon = ridges[order[once[1:] & once[:-1]]]
-        new = np.column_stack([horizon, np.full(len(horizon), apex)])
-        new_H = _planes(P, new, inside, others)
+        visible, new, new_H = _step(frame, facets[:size], H[:size], apex, owner[apex])
         # the points above a removed facet move to the new facet they are farthest above
         orphans = np.flatnonzero(visible[owner] & (height > tol))
         rise = Q[orphans] @ new_H.T
@@ -245,7 +270,7 @@ def _hull(points, error, message):
     live = np.isfinite(H[:size, -1])
     facets, H = facets[:size][live], H[:size][live]
 
-    _, count = np.unique(_ridges(facets, others, n_points)[1], return_counts=True)
+    _, count = np.unique(_ridges(facets, frame.others, n_points)[1], return_counts=True)
     if np.any(count != 2):
         raise ConsistencyError(f"convex hull in {d}-space is not closed: "
                                f"{np.count_nonzero(count != 2)} ridges not in exactly two facets")
@@ -256,11 +281,57 @@ def _hull(points, error, message):
     return facets, H
 
 
+def _walk(points, error, message, margin=None, direction=None):
+    """The equation of the one facet of the hull of ``points`` that a question needs.
+
+    Quickhull's step (``_step``) applied only where the question looks: each
+    pass inserts the point farthest above one facet of the partial hull,
+    first the facet the origin is least beneath while it is not ``margin``
+    beneath (default: the hull tolerance), then, given a ``direction``, the
+    facet through which the ray from the origin along it leaves.  A picked
+    facet with no point above it is a facet of the full hull and is
+    returned.  Without a direction, None means that the origin is ``margin``
+    beneath every facet of a partial hull, so of the full hull that contains
+    it; a ray that starts outside raises ConsistencyError.  Every pass
+    inserts a point, so at most n passes run.
+    """
+    frame, facets, H = _start(points, error, message)
+    margin = frame.tol if margin is None else margin
+    n_points, d = frame.P.shape
+    for _ in range(n_points):
+        offset = H[:, -1]
+        f = int(np.argmax(offset))
+        outside = offset[f] > -margin
+        if not outside:
+            if direction is None:
+                return None
+            rate = H[:, :-1] @ direction
+            f = int(np.argmin(np.divide(-offset, rate, out=np.full(len(H), np.inf),
+                                        where=rate > 0.0)))
+        rise = frame.Q @ H[f]
+        apex = int(np.argmax(rise))
+        if not rise[apex] > frame.tol:
+            if outside and direction is not None:
+                raise ConsistencyError(f"hull walk in {d}-space: the origin is not {margin:.3e} "
+                                       f"beneath a facet (offset {offset[f]:.3e})")
+            return H[f]
+        visible, new, new_H = _step(frame, facets, H, apex, f)
+        facets = np.concatenate([facets[~visible], new])
+        H = np.concatenate([H[~visible], new_H])
+    raise ConsistencyError(f"hull walk in {d}-space did not end in {n_points} passes")
+
+
 def _check_bounded(normals):
-    """Bounded iff the origin is strictly inside the hull of the normals."""
-    offsets = _hull(normals, UnboundedRegionError,
-                    "normals do not span 3-space; halfspace intersection is unbounded")[1][:, 3]
-    if np.any(offsets > -1e-9):
+    """Bounded iff the origin is at least 1e-9 beneath every facet of the hull of the normals.
+
+    Only the facets that the origin is not 1e-9 beneath grow (``_walk``).  A
+    partial hull lies inside the full one, so when none is left the region
+    is bounded; one with no normal above it is a facet of the full hull, and
+    the region is unbounded.
+    """
+    if _walk(normals, UnboundedRegionError,
+             "normals do not span 3-space; halfspace intersection is unbounded",
+             margin=1e-9) is not None:
         raise UnboundedRegionError(
             "origin is not strictly inside the hull of the normals: "
             "the halfspace intersection is unbounded")
@@ -291,14 +362,42 @@ def _dual_hull_vertices(A, b, center):
     return center - equations[:, :-1] / equations[:, -1:]
 
 
+def _interior_point(U, hn, scale):
+    """Interior point x0 and inradius r of { x : <u_i, x> <= hn_i }, hn at unit scale.
+
+    (x0, r) is the top vertex of the lifted region { (x, rho) :
+    <u_i, x> + rho <= hn_i, rho >= rho_c - 1 }, rho_c = min hn - 1.  Its dual
+    points around (0, rho_c) (as in ``_dual_hull_vertices``) enclose the
+    origin, and the facet n.p + c = 0 that the +rho ray leaves their hull
+    through is the dual of the top vertex (0, rho_c) - n / c; ``_walk`` grows
+    to that facet alone.  ``scale`` = max|h| scales the inradius in the errors.
+    """
+    m = len(hn)
+    rho_c = float(np.min(hn)) - 1.0
+    A = np.vstack([np.column_stack([U, np.ones(m)]), [0.0, 0.0, 0.0, -1.0]])
+    center = np.array([0.0, 0.0, 0.0, rho_c])
+    plane = _walk(A / (np.append(hn, 1.0 - rho_c) - A @ center)[:, None], StructuralError,
+                  "degenerate halfspace arrangement", direction=np.array([0.0, 0.0, 0.0, 1.0]))
+    top = center - plane[:-1] / plane[-1]
+    x0, r = top[:3], float(top[3])
+    if r < -FEASIBILITY_TOL:
+        raise RedundancyError(list(range(m)), "no feasible vertices: empty region")
+    if r <= FEASIBILITY_TOL:
+        raise StructuralError(
+            f"region has no interior: inradius {r * scale!r} at support scale {scale!r}")
+    return x0, r
+
+
 def build_fan(normals, h):
     """Extract the combinatorics of { x : <x, u_i> <= h_i }.
 
-    Both dual hulls see the unit-scale g = h / max|h|.  An interior point
-    x0 and the inradius r come from the top vertex of the lifted region
-    { (x, rho) : <u_i, x> + rho <= g_i, rho >= rho_low }, found by the 4D
-    hull of its dual points around the known interior point (0, min g - 1).  The
-    vertices are then the facets of the 3D hull of the dual points
+    The region must be bounded: the origin at least 1e-9 inside the hull
+    of the normals (``_check_bounded``).  Past that, every step sees the
+    unit-scale g = h / max|h|.  An interior point x0 and the inradius r are
+    the top vertex of the lifted region { (x, rho) : <u_i, x> + rho <= g_i,
+    rho >= min g - 2 }, read from the one facet of its dual points' 4D hull
+    that the +rho ray leaves through (``_interior_point``).  The vertices
+    are then the facets of the 3D hull of the dual points
     u_i / (g_i - <u_i, x0>).  Faces are ordered at this unit scale, where
     no sum overflows; cell positions (and the inradius and slack that
     error messages report) are scaled back by max|h|.  Every tolerance is
@@ -313,7 +412,7 @@ def build_fan(normals, h):
     the offending indices) and the region must be bounded with nonempty
     interior.
 
-    After the hulls, each stage is one array pass over all faces, vertices
+    After the hull, each stage is one array pass over all faces, vertices
     or directed edges (no loop per face or per Gauss cell): the vertex
     merge (one unique over the padded active sets), the face frames, the
     vertex cycles (one lexsort on face and angle), the neighbor across each
@@ -348,19 +447,7 @@ def build_fan(normals, h):
         raise StructuralError("h = 0: the region is a single point")
     hn = hv / scale
 
-    # ---- interior point and inradius: top vertex of the lifted region ----
-    rho_c = float(np.min(hn)) - 1.0
-    lift = _dual_hull_vertices(
-        np.vstack([np.column_stack([U, np.ones(m)]), [0.0, 0.0, 0.0, -1.0]]),
-        np.append(hn, 1.0 - rho_c),
-        np.array([0.0, 0.0, 0.0, rho_c]))
-    top = lift[np.argmax(lift[:, 3])]
-    x0, r = top[:3], float(top[3])
-    if r < -FEASIBILITY_TOL:
-        raise RedundancyError(list(range(m)), "no feasible vertices: empty region")
-    if r <= FEASIBILITY_TOL:
-        raise StructuralError(
-            f"region has no interior: inradius {r * scale!r} at support scale {scale!r}")
+    x0, r = _interior_point(U, hn, scale)
 
     # ---- vertices: facets of the dual hull, merged by active-plane set ----
     corners = _dual_hull_vertices(U, hn, x0)

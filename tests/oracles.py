@@ -9,8 +9,12 @@ so it shares no code with the face-local mixed forms of ``mixedform.faces``.
 ``abc_lemma_residuals`` gives the three scalars of the quadratic-in-lambda
 three-body argument behind the discriminant bound B^2 <= A C.
 ``loop_build_fan`` and ``loop_vertex_positions`` derive a polytope fan one
-face and one vertex at a time, as ``polytope`` did before it took each
-stage as one array pass; the fan must come out ``==``.
+face and one vertex at a time (after the interior-point stage, which they
+share with ``polytope``), as ``polytope`` did before it took each stage as
+one array pass; the fan must come out ``==``.
+``hull_interior_point`` reads the interior point and inradius from the full
+4D hull of the lifted dual points, which ``polytope._interior_point`` (the
+walk to one facet) must match.
 ``loop_sphere_integral`` and ``loop_boundary_metric`` fan-triangulate each
 Gauss cell and each face in a Python loop, and ``loop_subdivided`` stacks
 the four children of a midpoint split one by one, as ``polytope`` did
@@ -128,6 +132,23 @@ def _frame(u):
     return e1, np.cross(u, e1)
 
 
+def hull_interior_point(U, hn):
+    """``polytope._interior_point`` from the full 4D hull of the lifted dual points.
+
+    Every vertex of the lifted region comes back, and the top one (the first
+    of equal heights) gives x0 and r, as ``build_fan`` took them before it
+    walked to the one facet that the +rho ray leaves through.
+    """
+    m = len(hn)
+    rho_c = float(np.min(hn)) - 1.0
+    lift = polytope._dual_hull_vertices(
+        np.vstack([np.column_stack([U, np.ones(m)]), [0.0, 0.0, 0.0, -1.0]]),
+        np.append(hn, 1.0 - rho_c),
+        np.array([0.0, 0.0, 0.0, rho_c]))
+    top = lift[np.argmax(lift[:, 3])]
+    return top[:3], float(top[3])
+
+
 def loop_build_fan(normals, h):
     """``polytope.build_fan`` as one Python pass per face and per Gauss cell.
 
@@ -156,19 +177,7 @@ def loop_build_fan(normals, h):
         raise StructuralError("h = 0: the region is a single point")
     hn = hv / scale
 
-    # ---- interior point and inradius: top vertex of the lifted region ----
-    rho_c = float(np.min(hn)) - 1.0
-    lift = polytope._dual_hull_vertices(
-        np.vstack([np.column_stack([U, np.ones(m)]), [0.0, 0.0, 0.0, -1.0]]),
-        np.append(hn, 1.0 - rho_c),
-        np.array([0.0, 0.0, 0.0, rho_c]))
-    top = lift[np.argmax(lift[:, 3])]
-    x0, r = top[:3], float(top[3])
-    if r < -polytope.FEASIBILITY_TOL:
-        raise RedundancyError(list(range(m)), "no feasible vertices: empty region")
-    if r <= polytope.FEASIBILITY_TOL:
-        raise StructuralError(
-            f"region has no interior: inradius {r * scale!r} at support scale {scale!r}")
+    x0, r = polytope._interior_point(U, hn, scale)
 
     # ---- vertices: facets of the dual hull, merged by active-plane set ----
     corners = polytope._dual_hull_vertices(U, hn, x0)

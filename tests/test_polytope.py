@@ -376,6 +376,119 @@ def test_hull_of_flat_points_raises_typed_error(points, span):
                               f"{span} of {d} dimensions)")
 
 
+def _pierced(equations, direction):
+    """The planes through which the ray from the origin along ``direction`` leaves
+    (with those that tie within 1e-9)."""
+    rate = equations[:, :-1] @ direction
+    t = np.full(len(rate), np.inf)
+    t[rate > 0.0] = -equations[rate > 0.0, -1] / rate[rate > 0.0]
+    return equations[t <= np.min(t) * (1.0 + 1e-9)]
+
+
+@pytest.mark.parametrize("name", sorted(HULL_CASES))
+def test_walk_matches_qhull(name):
+    # the walk grows only toward the one facet a question needs: the facet the ray
+    # from the origin leaves through must be Qhull's, and so must the verdict
+    # whether the origin is 1e-9 beneath every facet
+    rng = np.random.default_rng(100 + sorted(HULL_CASES).index(name))
+    base = HULL_CASES[name](rng)
+    reference = ConvexHull(base).equations
+    assert np.max(reference[:, -1]) < -0.1         # the origin is inside every case
+    for points in (base, base[rng.permutation(len(base))]):
+        for direction in rng.normal(size=(8, base.shape[1])):
+            plane = polytope._walk(points, errors.StructuralError, "walk", direction=direction)
+            assert np.min(np.max(np.abs(_pierced(reference, direction) - plane), axis=1)) <= 1e-9
+    # the origin moved to a given offset from one of Qhull's facets: well inside,
+    # just past the margin, within it, and outside
+    for plane in reference[rng.choice(len(reference), 3, replace=False)]:
+        for offset in (-0.3, -2e-9, -0.5e-9, 1e-3):
+            shifted = base + (plane[-1] - offset) * plane[:-1]
+            qhull = np.max(ConvexHull(shifted).equations[:, -1]) <= -1e-9
+            walk = polytope._walk(shifted, errors.StructuralError, "walk", margin=1e-9)
+            assert (walk is None) == qhull
+            assert walk is None or walk[-1] > -1e-9
+    # a ray from outside has no exit facet
+    with pytest.raises(errors.ConsistencyError, match="the origin is not"):
+        polytope._walk(shifted, errors.StructuralError, "walk", direction=plane[:-1])
+
+
+def _near_flat_normals(seed):
+    """4 to 79 normals about the equator whose z entries have a size of 1e-12 to 1e-1,
+    alternating in sign, of mixed sign, or all but one positive (by seed % 3)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 80))
+    eps = 10.0 ** rng.uniform(-12.0, -1.0)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+    if seed % 3 == 0:
+        z = eps * (-1.0) ** np.arange(m)
+    elif seed % 3 == 1:
+        z = eps * rng.uniform(-1.0, 1.0, m)
+    else:
+        z = eps * rng.uniform(0.0, 1.0, m)
+        z[int(rng.integers(m))] *= -1.0
+    normals = np.column_stack([np.cos(angles), np.sin(angles), z])
+    return normals / np.linalg.norm(normals, axis=1)[:, None]
+
+
+def test_boundedness_of_near_flat_normals_matches_qhull():
+    # the full hull of the normals raised ConsistencyError ("not closed" or "a point
+    # lies above a facet") on 28 of these 200 sets (421 of the first 3 000 seeds);
+    # the walk gives Qhull's verdict on every one
+    verdicts = []
+    for seed in range(200):
+        normals = _near_flat_normals(seed)
+        try:
+            polytope._check_bounded(normals)
+            verdicts.append(True)
+        except errors.UnboundedRegionError:
+            verdicts.append(False)
+        assert verdicts[-1] == (np.max(ConvexHull(normals).equations[:, -1]) <= -1e-9), seed
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _lift_cases():
+    """(kind, unit normals, unit-scale h) for the interior point: random simple fans,
+    h = 1 Fibonacci fans, random simple fans translated so that h has negative
+    entries, and boxes."""
+    rng = np.random.default_rng(22)
+    for _ in range(25):
+        fan, h = geomfix.random_simple_polytope(int(rng.integers(6, 31)), rng)
+        yield "random simple", fan.normals, h / np.max(np.abs(h))
+        m = int(rng.integers(8, 61))
+        yield "fibonacci", geomfix.fibonacci_sphere(m, rng, jitter=0.05), np.ones(m)
+        direction = rng.normal(size=3)
+        h = h + fan.normals @ (rng.uniform(1.5, 4.0) * direction / np.linalg.norm(direction))
+        assert np.min(h) < 0.0
+        yield "shifted", fan.normals, h / np.max(np.abs(h))
+        h = np.repeat(rng.uniform(0.1, 2.0, 3), 2) + CUBE @ rng.normal(size=3)
+        yield "box", CUBE, h / np.max(np.abs(h))
+
+
+def test_interior_point_matches_the_full_hull():
+    # the walk reaches the top vertex of the lifted region that the full 4D hull
+    # of its dual points gives; a box's top vertex can tie, so there r alone
+    for kind, normals, hn in _lift_cases():
+        x0, r = polytope._interior_point(normals, hn, 1.0)
+        ref_x0, ref_r = oracles.hull_interior_point(normals, hn)
+        assert r == pytest.approx(ref_r, rel=1e-13, abs=0.0)
+        if kind != "box":
+            assert np.max(np.abs(x0 - ref_x0)) <= 2e-15
+
+
+def test_interior_point_at_h_one_inserts_at_most_one_point(monkeypatch):
+    # at h = 1 every lifted plane touches the top vertex; the full 4D hull spent
+    # its time triangulating that flat face, the walk stops on it at once (after
+    # at most one point that brings the origin inside)
+    steps = []
+    step = polytope._step
+    monkeypatch.setattr(polytope, "_step", lambda *args: steps.append(args[3]) or step(*args))
+    for m in (48, 96, 200, 1000):
+        steps.clear()
+        normals = geomfix.fibonacci_sphere(m, np.random.default_rng(m), jitter=0.05)
+        assert polytope._interior_point(normals, np.ones(m), 1.0)[1] == pytest.approx(1.0)
+        assert len(steps) <= 1
+
+
 def _triple_vertices(normals, h, tol=1e-9):
     """Brute-force oracle: feasible triple-plane intersections, deduplicated."""
     found = {}
