@@ -4,10 +4,11 @@ A polytope class is fixed by its m outward unit face normals; a member of
 the class is the halfspace intersection { x : <x, u_i> <= h_i }.  The
 combinatorics (vertices, face cycles, adjacency) are computed from a
 reference h as the facets of the convex hull of the dual points
-u_i / (h_i - <u_i, x0>) around an interior point x0 (a numpy
-beneath-beyond hull, ``_hull``), with tolerances relative to the inradius.
-Boundedness and x0 each need one facet of a hull only, and ``_walk`` grows
-the hull toward that facet alone.  Both see h / max|h|, so the
+u_i / (h_i - <u_i, x0>) around an interior point x0 (``_hull``, one
+beneath-beyond pass over the points in numpy, farthest first), with
+tolerances relative to the inradius.  Boundedness and x0 each need one
+facet of a hull only, and ``_walk`` grows a hull toward that facet alone,
+by the same insertion step (``_step``).  Both see h / max|h|, so the
 construction works at any support scale.  The Gauss image -- the
 tessellation of the unit sphere whose cell at a polytope vertex collects
 the normals of its faces -- is built alongside and must tile the full
@@ -201,74 +202,47 @@ def _start(points, error, message):
     return frame, facets, _planes(P, facets, frame.inside, frame.others)
 
 
-def _step(frame, facets, H, apex, seen):
-    """Insert point ``apex``: the facets it sees, and the cone from it over their horizon.
+def _step(frame, facets, H, apex, visible):
+    """Insert point ``apex``, which sees the rows ``visible``: the next facets and equations.
 
-    Returns the mask of visible rows of ``facets`` (row ``seen`` always
-    among them, however its own test rounds, so that the point enters) and
-    the new facets over the horizon ridges (those of exactly one visible
-    facet) with their equations.
+    The visible rows go, and the cone from ``apex`` over their horizon (the
+    ridges of exactly one visible facet) is appended, so rows stay in
+    creation order.
     """
-    visible = H @ frame.Q[apex] > frame.tol
-    visible[seen] = True
-    ridges, keys = _ridges(facets[visible], frame.others, len(frame.P))
+    # compress takes rows several times faster than a boolean index
+    ridges, keys = _ridges(facets.compress(visible, axis=0), frame.others, len(frame.P))
     order = np.argsort(keys)
     keys = keys[order]
     once = np.ones(len(keys) + 1, dtype=bool)
     once[1:-1] = keys[1:] != keys[:-1]
     horizon = ridges[order[once[1:] & once[:-1]]]
     new = np.column_stack([horizon, np.full(len(horizon), apex)])
-    return visible, new, _planes(frame.P, new, frame.inside, frame.others)
+    return (np.concatenate([facets.compress(~visible, axis=0), new]),
+            np.concatenate([H.compress(~visible, axis=0),
+                            _planes(frame.P, new, frame.inside, frame.others)]))
 
 
 def _hull(points, error, message):
     """Facets of the convex hull of ``points``: vertex indices (F, d), equations (F, d + 1).
 
     An equation n.p + c = 0 has the outward unit normal n (n.p + c <= 0
-    inside).  Beneath-beyond in any dimension d, in Quickhull order
-    (Barber, Dobkin and Huhdanpaa 1996): from the simplex of ``_start``,
-    the point farthest above its facet is added next (``_step``), and the
-    points above a removed facet are handed to the new ones.  Facets are
+    inside).  Beneath-beyond in any dimension d: from the simplex of
+    ``_start``, one pass over the points, farthest from the simplex's
+    centroid first, inserts (``_step``) each point above a facet of the
+    hull so far.  The hull only grows, so a point beneath it stays beneath,
+    and far points first leave few inner ones to insert.  Facets are
     simplices, so a face with more than d coplanar points comes back
     triangulated, one equation per simplex.  A result that is not a closed
     simplicial surface with every point beneath every facet raises
     ConsistencyError.
     """
     frame, facets, H = _start(points, error, message)
-    P, Q, tol = frame.P, frame.Q, frame.tol
-    n_points, d = P.shape
-    # each point above the hull has an owner facet and its height over it;
-    # every other point has height -inf
-    rise = Q @ H.T
-    owner = np.argmax(rise, axis=1)
-    height = np.max(rise, axis=1)
-    height[height <= tol] = -np.inf
-
-    # facets go to buffers that double when full; a removed facet keeps its
-    # row with the equation 0.p - inf, which no point is above
-    removed = np.append(np.zeros(d), -np.inf)
-    size = d + 1
-    for _ in range(n_points):
-        apex = int(np.argmax(height))
-        if height[apex] == -np.inf:
-            break
-        height[apex] = -np.inf
-        visible, new, new_H = _step(frame, facets[:size], H[:size], apex, owner[apex])
-        # the points above a removed facet move to the new facet they are farthest above
-        orphans = np.flatnonzero(visible[owner] & (height > tol))
-        rise = Q[orphans] @ new_H.T
-        owner[orphans] = size + np.argmax(rise, axis=1)
-        top = np.max(rise, axis=1, initial=-np.inf)
-        height[orphans] = np.where(top > tol, top, -np.inf)
-        H[:size][visible] = removed
-        end = size + len(new)
-        if end > len(H):
-            facets = np.resize(facets, (2 * end, d))
-            H = np.resize(H, (2 * end, d + 1))
-        facets[size:end], H[size:end] = new, new_H
-        size = end
-    live = np.isfinite(H[:size, -1])
-    facets, H = facets[:size][live], H[:size][live]
+    Q, tol = frame.Q, frame.tol
+    n_points, d = frame.P.shape
+    for apex in np.argsort(-np.linalg.norm(Q - frame.inside, axis=1), kind="stable").tolist():
+        visible = H @ Q[apex] > tol
+        if visible.any():
+            facets, H = _step(frame, facets, H, apex, visible)
 
     _, count = np.unique(_ridges(facets, frame.others, n_points)[1], return_counts=True)
     if np.any(count != 2):
@@ -284,7 +258,7 @@ def _hull(points, error, message):
 def _walk(points, error, message, margin=None, direction=None):
     """The equation of the one facet of the hull of ``points`` that a question needs.
 
-    Quickhull's step (``_step``) applied only where the question looks: each
+    Beneath-beyond (``_step``) applied only where the question looks: each
     pass inserts the point farthest above one facet of the partial hull,
     first the facet the origin is least beneath while it is not ``margin``
     beneath (default: the hull tolerance), then, given a ``direction``, the
@@ -292,8 +266,9 @@ def _walk(points, error, message, margin=None, direction=None):
     facet with no point above it is a facet of the full hull and is
     returned.  Without a direction, None means that the origin is ``margin``
     beneath every facet of a partial hull, so of the full hull that contains
-    it; a ray that starts outside raises ConsistencyError.  Every pass
-    inserts a point, so at most n passes run.
+    it; a ray that starts outside raises ConsistencyError.  The picked facet
+    counts as visible however its own test rounds, so every pass inserts a
+    point and at most n passes run.
     """
     frame, facets, H = _start(points, error, message)
     margin = frame.tol if margin is None else margin
@@ -315,9 +290,9 @@ def _walk(points, error, message, margin=None, direction=None):
                 raise ConsistencyError(f"hull walk in {d}-space: the origin is not {margin:.3e} "
                                        f"beneath a facet (offset {offset[f]:.3e})")
             return H[f]
-        visible, new, new_H = _step(frame, facets, H, apex, f)
-        facets = np.concatenate([facets[~visible], new])
-        H = np.concatenate([H[~visible], new_H])
+        visible = H @ frame.Q[apex] > frame.tol
+        visible[f] = True
+        facets, H = _step(frame, facets, H, apex, visible)
     raise ConsistencyError(f"hull walk in {d}-space did not end in {n_points} passes")
 
 

@@ -178,6 +178,18 @@ def test_restrict_diag():
     assert np.allclose(sub.entries, np.diag([1.0, 3.0]))
 
 
+@pytest.mark.parametrize("basis", [np.ones((2, 2)), np.ones(3)], ids=["wrong-rows", "vector"])
+def test_restrict_rejects_basis_of_wrong_shape(basis):
+    with pytest.raises(errors.InvalidInput, match=r"^restrict: basis must be dim x r$"):
+        forms.SymmetricForm(np.eye(3)).restrict(basis)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_symmetric_form_rejects_non_finite_entries(bad):
+    with pytest.raises(errors.InvalidInput, match=r"^SymmetricForm: entries must be finite$"):
+        forms.SymmetricForm([[1.0, bad], [bad, 1.0]])
+
+
 # =============================================================================
 # TRILINEAR FORMS
 # =============================================================================

@@ -119,6 +119,15 @@ def test_rejects_nonpositive_phi():
         fuchsian.QuotientFan([entries], genus=2)
 
 
+@pytest.mark.parametrize("omega", [0.0, math.pi, float("nan")])
+def test_rejects_omega_outside_open_interval(omega):
+    entries = _octagon_entries()
+    entries[7] = (0, 1.0, omega)
+    with pytest.raises(errors.InvalidInput) as info:
+        fuchsian.QuotientFan([entries], genus=2)
+    assert str(info.value) == f"QuotientFan: face 0: omega must lie in (0, pi), got {omega!r}"
+
+
 def test_rejects_missing_class_reference():
     entries = _octagon_entries(to=1)
     with pytest.raises(errors.InvalidInput):

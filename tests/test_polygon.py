@@ -110,6 +110,13 @@ def test_translation_invariance_of_area():
     assert abs(a0 - a1) < 1e-12
 
 
+@pytest.mark.parametrize("x", [[0.3, -1.1, 0.0], 0.3, [[0.3, -1.1]]], ids=["3d", "scalar", "row"])
+def test_point_support_vector_rejects_non_plane_point(x):
+    with pytest.raises(errors.InvalidInput,
+                       match=r"^point_support_vector: x must be a point in the plane$"):
+        polygon.point_support_vector(polygon.NormalFan2D.regular(6), x)
+
+
 def test_signature_and_kernel():
     for n in (4, 6, 9):
         fan = polygon.NormalFan2D.regular(n, offset=0.21)
@@ -443,6 +450,11 @@ def test_shoelace_matrix_values():
         j, k = np.triu_indices(n, 1)
         assert np.all(M[j, k] == -0.25j) and np.all(M[k, j] == 0.25j)
         assert np.all(np.diag(M) == 0)
+
+
+def test_shoelace_matrix_needs_three_vertices():
+    with pytest.raises(errors.InvalidInput, match=r"^shoelace_hermitian_form: need n >= 3$"):
+        polygon.shoelace_hermitian_form(2)
 
 
 def test_shoelace_restricted_signature_triangle():

@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import geomfix
 import oracles
@@ -446,6 +448,47 @@ def test_boundedness_of_near_flat_normals_matches_qhull():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_near_flat_fans_match_qhull():
+    # bounded near-flat fans at h = 1 (|z| 2e-9 to 2e-8, vertices about 1 / |z| away)
+    # on which the vertex hull in Quickhull order raised ConsistencyError
+    for seed in (299, 506, 1654, 1753, 2119):
+        normals = _near_flat_normals(seed)
+        h = np.ones(len(normals))
+        fan = polytope.build_fan(normals, h)
+        qhull = HalfspaceIntersection(np.column_stack([normals, -h]), np.zeros(3))
+        assert len(fan.vertex_cells) == len(qhull.intersections), seed
+        assert polytope.volume(fan, h) == pytest.approx(ConvexHull(qhull.intersections).volume,
+                                                        rel=1e-6), seed
+
+
+def test_nearly_coplanar_normals_build_or_raise_typed_errors():
+    # 4 to 11 normals about the equator with z = +-eps alternating, eps 1e-9 to 1e-6,
+    # every other set with one h entry near eps, each at h = 1 and at its own h: no
+    # numpy warning (a zero facet offset once divided by zero) and no Gauss tiling
+    # ConsistencyError (thin lune cells once lost digits)
+    rng = np.random.default_rng(13)
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(200):
+            m = int(rng.integers(4, 12))
+            eps = 10.0 ** rng.uniform(-9.0, -6.0)
+            angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+            normals = np.column_stack([np.cos(angles), np.sin(angles),
+                                       eps * (-1.0) ** np.arange(m)])
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
+            h = rng.uniform(0.5, 2.0, m)
+            if k % 2:
+                h[int(rng.integers(m))] = eps * rng.uniform(0.5, 2.0)
+            for support in (np.ones(m), h):
+                try:
+                    polytope.build_fan(normals, support)
+                    outcomes.append("fan")
+                except (errors.UnboundedRegionError, errors.RedundancyError) as err:
+                    outcomes.append(type(err).__name__)
+    assert set(outcomes) == {"fan", "UnboundedRegionError", "RedundancyError"}
+
+
 def _lift_cases():
     """(kind, unit normals, unit-scale h) for the interior point: random simple fans,
     h = 1 Fibonacci fans, random simple fans translated so that h has negative
@@ -487,6 +530,24 @@ def test_interior_point_at_h_one_inserts_at_most_one_point(monkeypatch):
         normals = geomfix.fibonacci_sphere(m, np.random.default_rng(m), jitter=0.05)
         assert polytope._interior_point(normals, np.ones(m), 1.0)[1] == pytest.approx(1.0)
         assert len(steps) <= 1
+
+
+def test_hull_inserts_far_points_first(monkeypatch):
+    # a cube with 994 redundant planes listed first: in input order the vertex hull
+    # inserted 337 of their dual points, farthest from the start simplex first only
+    # the two cube points that the simplex lacks
+    rng = np.random.default_rng(23)
+    extra = rng.normal(size=(994, 3))
+    normals = np.vstack([extra / np.linalg.norm(extra, axis=1)[:, None], CUBE])
+    h = np.append(np.full(994, 1.8), np.ones(6))
+    steps = []
+    step, hull = polytope._step, polytope._hull
+    monkeypatch.setattr(polytope, "_step", lambda *args: steps.append(args[3]) or step(*args))
+    monkeypatch.setattr(polytope, "_hull", lambda *args: steps.clear() or hull(*args))
+    message = f"redundant halfspaces: {list(range(994))}"
+    with pytest.raises(errors.RedundancyError, match=f"^{re.escape(message)}$"):
+        polytope.build_fan(normals, h)
+    assert len(steps) <= 2
 
 
 def _triple_vertices(normals, h, tol=1e-9):
@@ -635,6 +696,13 @@ def test_translation_invariance(cube_fan):
     assert abs(polytope.volume(cube_fan, h + shift) - 1.0) < 1e-12
     area = polytope.boundary_area_form(cube_fan)
     assert abs(area.q(h + shift) - area.q(h)) < 1e-12
+
+
+@pytest.mark.parametrize("x", [[0.2, -0.4], 0.2, [[0.2, -0.4, 0.1]]], ids=["2d", "scalar", "row"])
+def test_point_support_vector_rejects_non_space_point(cube_fan, x):
+    with pytest.raises(errors.InvalidInput,
+                       match=r"^point_support_vector: x must be a point in 3-space$"):
+        polytope.point_support_vector(cube_fan, x)
 
 
 def test_area_form_signature_cube(cube_fan):

@@ -250,6 +250,15 @@ def test_flip_rejects_nonconvex_quad():
         surface.flip(mesh, (0, 0))
 
 
+def test_flip_rejects_edge_inside_one_triangle():
+    # side (0, 0) is glued to side (0, 1): both sides of that edge lie in triangle 0
+    mesh = surface.TriangleMesh([[1, 1, 1], [1, 1, 1]], [(0, 0, 0, 1), (0, 2, 1, 0), (1, 1, 1, 2)])
+    with pytest.raises(errors.FlipNotAdmissible) as info:
+        surface.flip(mesh, (0, 0))
+    assert str(info.value) == ("flip: both sides of the edge lie in triangle 0; "
+                               "no quadrilateral to flip")
+
+
 def test_flip_doubled_equilateral_is_admissible():
     # two equilateral triangles glued along every side develop onto a
     # rhombus; the flip goes through and stays a valid mesh
