@@ -24,7 +24,9 @@ Generic machinery shared by the geometry modules:
   * ``support_vector``, the length and finiteness check of support vectors
     and of the forms' (real or complex) arguments, made once, by the public
     function the caller called: code holding checked arrays evaluates
-    ``SymmetricForm._b`` or ``FaceTrilinearForm._v`` under one guard a stage;
+    ``SymmetricForm._b`` or ``FaceTrilinearForm._v`` under one guard a stage,
+    and one product per pair: a pair's q(h), q(k) and b(h, k) come from one
+    product of its stacked rows with M (``SymmetricForm._pairs``);
   * ``wall_bound``, the one rule that puts an edge length below -tol |h|
     outside a cone and one within tol |h| on its wall, at any scale of h,
     with ``locate`` and ``sample_cone``, the cone classifier and the
@@ -101,7 +103,24 @@ def overflow_checked(what, compute, *args):
         with np.errstate(over="raise"):
             return compute(*args)
     except FloatingPointError:
-        raise DomainError(f"{what}: the value overflows the floating-point range") from None
+        raise overflow_error(what) from None
+
+
+def overflow_flagged(compute, *args):
+    """(compute(*args), whether a value overflowed), with no numpy warning: after an
+    overflow ``compute`` runs again with the flags ignored, so that the caller can
+    tell from its non-finite values which stage overflowed."""
+    try:
+        with np.errstate(over="raise"):
+            return compute(*args), False
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return compute(*args), True
+
+
+def overflow_error(what):
+    """The DomainError of an overflow in the stage named ``what``."""
+    return DomainError(f"{what}: the value overflows the floating-point range")
 
 
 def finite(x):
@@ -290,23 +309,31 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     DomainError.  With ``size``, a (size, n) stack: the vectors of ``size`` calls.
     """
     n = len(base)
-    delta = rng.standard_normal(n if size is None else (size, n))
-    pending = delta.reshape(-1, n)
-    rows = out = None       # the per-row bookkeeping, once a draw misses a pass
-    for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
-        s = spread * 0.5 ** start * _HALVINGS[:shrinks - start]
-        h = base * (1.0 + s[:, None, None] * pending)
-        clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
-        hit = clear.any(axis=0)
-        first = h[clear.argmax(axis=0), np.arange(len(pending))]
-        if out is None:
-            if hit.all():       # the common case
-                return first.reshape(delta.shape)
-            rows, out = np.arange(len(pending)), np.empty_like(pending)
-        out[rows[hit]] = first[hit]
-        if hit.all():
-            return out.reshape(delta.shape)
-        pending, rows = pending[~hit], rows[~hit]
+    passes = (spread * 0.5 ** start * _HALVINGS[:shrinks - start]
+              for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS))
+    if size is None:        # one draw: the first clearing size of a pass, no row bookkeeping
+        delta = rng.standard_normal(n)
+        for s in passes:
+            h = base * (1.0 + s[:, None] * delta)
+            clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
+            if clear.any():
+                return h[int(clear.argmax())]
+    else:
+        pending = rng.standard_normal((size, n))
+        rows = out = None       # the per-row bookkeeping, once a draw misses a pass
+        for s in passes:
+            h = base * (1.0 + s[:, None, None] * pending)
+            clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
+            hit = clear.any(axis=0)
+            first = h[clear.argmax(axis=0), np.arange(len(pending))]
+            if out is None:
+                if hit.all():       # the common case
+                    return first
+                rows, out = np.arange(len(pending)), np.empty_like(pending)
+            out[rows[hit]] = first[hit]
+            if hit.all():
+                return out
+            pending, rows = pending[~hit], rows[~hit]
     raise DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "
                       f"after {shrinks} shrinks")
 
@@ -389,6 +416,16 @@ class SymmetricForm:
     def _b(self, u, v):
         uM = (np.ascontiguousarray(u.conj())[..., None, :] @ self._M)[..., 0, :]
         return scalar_or_rows(row_dot(uM, v).real)
+
+    def _pairs(self, rows):
+        """q(u), q(v) and b(u, v) as the rows of a (3, S) array, for the halves u and v of
+        a checked (2S, n) stack, each value rounded as ``_b`` rounds it alone: one product
+        of the stacked rows with M and one ``row_dot``.  The rows are finite, so a value
+        is non-finite exactly when its own evaluation overflowed."""
+        S = len(rows) // 2
+        P = (np.ascontiguousarray(rows.conj())[:, None, :] @ self._M)[:, 0, :]
+        values = row_dot(np.concatenate([P, P[:S]]), np.concatenate([rows, rows[S:]]))
+        return values.real.reshape(3, S)
 
     def eigenvalues(self):
         """Eigenvalues (ascending), computed once and cached."""
@@ -560,7 +597,8 @@ def projective_distance(form, h, k, what):
     size (the same r, and no overflow).  A q <= 0 raises DomainError naming ``what``; r
     past 1 by more than ROUNDING_TOL falsifies Cauchy-Schwarz or Minkowski."""
     (u, _), (v, _) = unit_scaled(h), unit_scaled(k)
-    qh, qk, b = overflow_checked(what, lambda: (form._b(u, u), form._b(v, v), form._b(u, v)))
+    rows = np.concatenate([u, v]).reshape(2, -1)
+    qh, qk, b = overflow_checked(what, form._pairs, rows).ravel().tolist()
     if qh <= 0.0 or qk <= 0.0:
         raise DomainError(f"{what}: needs positive areas")
     r = b / math.sqrt(qh * qk)

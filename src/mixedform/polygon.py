@@ -45,6 +45,8 @@ from .forms import (
     json_numbers,
     locate,
     overflow_checked,
+    overflow_error,
+    overflow_flagged,
     projective_distance,
     reversed_cauchy_schwarz_check,
     sample_cone,
@@ -217,7 +219,12 @@ def minkowski_check(fan, h, k):
         raise InvalidInput(f"minkowski_check: h and k differ in shape, {u.shape} vs {v.shape}")
     rows = np.concatenate([u.reshape(-1, fan.n), v.reshape(-1, fan.n)])
     form = area_form(fan)
-    q = overflow_checked("q", form._b, rows, rows).reshape(2, -1)
+    # q(h), q(k) and b(h, k) from one product: an overflowing q is reported now, an
+    # overflowing b (with both q finite) after the membership and area checks
+    values, overflowed = overflow_flagged(form._pairs, rows)
+    q = values[:2]
+    if overflowed and not np.isfinite(q).all():
+        raise overflow_error("q")
     outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
     outside = outside.reshape(2, -1)
     bad = (outside | (q <= 0.0)).any(axis=0)
@@ -231,10 +238,10 @@ def minkowski_check(fan, h, k):
                    for side in (0, 1) if q[side, i] <= 0.0)
         why = "the pair's values leave the floating-point range" if lost else "needs positive areas"
         raise DomainError(f"minkowski_check: {why}, got {q[0, i]:.3e}, {q[1, i]:.3e}")
-    shape = u.shape[:-1]
-    return reversed_cauchy_schwarz_check("Minkowski", overflow_checked("b", form._b, u, v),
-                                         q[0].reshape(shape), q[1].reshape(shape), u, v,
-                                         fan.normals)
+    if overflowed:
+        raise overflow_error("b")
+    qh, qk, b = values.reshape(3, *u.shape[:-1])
+    return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
 
 
 def hyperbolic_distance(fan, h, k):

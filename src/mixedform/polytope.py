@@ -52,7 +52,7 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .faces import FaceAssembly
+from .faces import EdgeLengths, FaceAssembly
 from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, fan_triangles,
                     json_numbers, locate, overflow_checked, reversed_cauchy_schwarz_check,
                     row_dot, runs, sample_cone, segment_sums, support_vector, wall_bound)
@@ -104,10 +104,12 @@ class PolytopeFan:
         #: face-local assembly of volume, edge lengths and area form (edges face by
         #: face in cycle order, aligned with face_cycles)
         self.assembly = assembly
-        #: the directed edges with i < j: each polytope edge once, and its label (i, j)
-        self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
-        self._edge_labels = list(zip(self.assembly.src[self._edges].tolist(),
-                                     self.assembly.dst[self._edges].tolist()))
+        #: the directed edges with i < j, each polytope edge once: their labels (i, j)
+        #: and their lengths as a function of h
+        edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
+        self._edge_labels = list(zip(self.assembly.src[edges].tolist(),
+                                     self.assembly.dst[edges].tolist()))
+        self._edge_lengths = EdgeLengths(self.assembly, edges)
         # vertex_positions solves the 3-face cells as one stack
         degree = np.array([len(cell.faces) for cell in vertex_cells])
         self._solved = np.flatnonzero(degree == 3)
@@ -545,7 +547,7 @@ def point_support_vector(fan, x):
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
     """Classify h by the signs of all edge lengths l_ij(h), each edge once as i < j."""
     v = support_vector(h, fan.m, "cone_membership")
-    return locate(fan.assembly.lengths(v)[fan._edges], v, tol, fan._edge_labels)
+    return locate(fan._edge_lengths(v), v, tol, fan._edge_labels)
 
 
 def volume(fan, h):
@@ -601,8 +603,8 @@ def alexandrov_fenchel_check(fan, h, k, p):
     h2, k2 = hv.reshape(-1, fan.m), kv.reshape(-1, fan.m)
     # p, then h and k pair by pair: the first row outside names the first failure
     rows = np.concatenate([pv[None], np.stack([h2, k2], axis=1).reshape(-1, fan.m)])
-    lengths = overflow_checked("alexandrov_fenchel_check", fan.assembly.lengths, rows)
-    outside = (lengths[:, fan._edges] < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+    lengths = overflow_checked("alexandrov_fenchel_check", fan._edge_lengths, rows)
+    outside = (lengths < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
     if outside.any():
         o = int(np.argmax(outside))
         raise DomainError(f"alexandrov_fenchel_check: {'hk'[(o - 1) % 2] if o else 'p'} lies "
@@ -630,7 +632,7 @@ def first_area_measure(fan, h):
     weighted total sum l_ij * phi_ij (total mean curvature) is informational.
     """
     v = support_vector(h, fan.m, "first_area_measure")
-    lengths = overflow_checked("first_area_measure", fan.assembly.lengths, v)[fan._edges]
+    lengths = overflow_checked("first_area_measure", fan._edge_lengths, v)
     if locate(lengths, v, MEMBERSHIP_TOL, fan._edge_labels).status == "outside":
         raise DomainError("first_area_measure: h lies outside the closed cone")
     arcs = [Arc(ij, fan.phi[ij], w) for ij, w in zip(fan._edge_labels, lengths.tolist())]
@@ -722,7 +724,7 @@ def boundary_metric(fan, h):
     from .surface import mesh_from_indexed_triangles     # only this function needs surface
 
     v = support_vector(h, fan.m, "boundary_metric")
-    lengths = overflow_checked("boundary_metric", fan.assembly.lengths, v)[fan._edges]
+    lengths = overflow_checked("boundary_metric", fan._edge_lengths, v)
     if locate(lengths, v, MEMBERSHIP_TOL, fan._edge_labels).status != "interior":
         raise DomainError("boundary_metric: h is not interior")
     return mesh_from_indexed_triangles(fan._positions(v), fan_triangles(
@@ -741,8 +743,8 @@ def sample_interior(fan, reference, rng, size=None):
     base = support_vector(reference, fan.m, "sample_interior")
     if cone_membership(fan, base).status != "interior":
         raise DomainError("sample_interior: reference must be interior")
-    return sample_cone(lambda rows: fan.assembly.lengths(rows)[..., fan._edges], base, rng, size,
-                       SAMPLE_SPREAD, SAMPLE_MARGIN, SAMPLE_SHRINKS, "cone")
+    return sample_cone(fan._edge_lengths, base, rng, size, SAMPLE_SPREAD, SAMPLE_MARGIN,
+                       SAMPLE_SHRINKS, "cone")
 
 
 def fan_from_json_dict(data):

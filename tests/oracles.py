@@ -19,6 +19,11 @@ walk to one facet) must match.
 Gauss cell and each face in a Python loop, and ``loop_subdivided`` stacks
 the four children of a midpoint split one by one, as ``polytope`` did
 before ``forms.fan_triangles``; the quadrature and the mesh must be ``==``.
+``stacked_pass_draw`` draws one support vector through the row bookkeeping
+of a stacked pass, and ``three_product_minkowski_check`` evaluates q(h),
+q(k) and b(h, k) by three ``SymmetricForm._b`` calls, as ``forms`` and
+``polygon`` did before single draws and pair checks took one product each;
+draws, ``InequalityResult`` fields and error messages must be equal.
 """
 
 import math
@@ -26,10 +31,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mixedform import polytope
-from mixedform.errors import (ConsistencyError, InvalidInput, MixedFormError, RedundancyError,
-                              StructuralError)
-from mixedform.forms import TrilinearForm, support_vector
+from mixedform import polygon, polytope
+from mixedform.errors import (ConsistencyError, DomainError, InvalidInput, MixedFormError,
+                              RedundancyError, StructuralError)
+from mixedform.forms import (MEMBERSHIP_TOL, SAMPLE_LEVELS_PER_PASS, TrilinearForm,
+                             overflow_checked, reversed_cauchy_schwarz_check, support_vector,
+                             unit_scaled, wall_bound)
 from mixedform.polygon import NormalFan2D
 from mixedform.surface import mesh_from_indexed_triangles
 
@@ -332,3 +339,57 @@ def loop_boundary_metric(fan, h):
         for k in range(1, len(cyc) - 1):
             triangles.append((cyc[0], cyc[k], cyc[k + 1]))
     return mesh_from_indexed_triangles(fan.vertex_positions(h), triangles)
+
+
+def stacked_pass_draw(lengths, base, rng, spread, margin, shrinks, what):
+    """``forms.sample_cone`` for one draw (``size=None``), through the bookkeeping of a
+    one-row stack: fancy-indexed first rows, ``hit`` and the ``out`` buffer."""
+    n = len(base)
+    delta = rng.standard_normal(n)
+    pending = delta.reshape(-1, n)
+    rows = out = None
+    halvings = 0.5 ** np.arange(SAMPLE_LEVELS_PER_PASS)
+    for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
+        s = spread * 0.5 ** start * halvings[:shrinks - start]
+        h = base * (1.0 + s[:, None, None] * pending)
+        clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
+        hit = clear.any(axis=0)
+        first = h[clear.argmax(axis=0), np.arange(len(pending))]
+        if out is None:
+            if hit.all():
+                return first.reshape(delta.shape)
+            rows, out = np.arange(len(pending)), np.empty_like(pending)
+        out[rows[hit]] = first[hit]
+        if hit.all():
+            return out.reshape(delta.shape)
+        pending, rows = pending[~hit], rows[~hit]
+    raise DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "
+                      f"after {shrinks} shrinks")
+
+
+def three_product_minkowski_check(fan, h, k):
+    """``polygon.minkowski_check`` with q(h) and q(k) from one guarded ``_b`` call and
+    b(h, k) from another, after the membership and area checks."""
+    u = support_vector(h, fan.n, "minkowski_check", stack=True)
+    v = support_vector(k, fan.n, "minkowski_check", stack=True)
+    if u.shape != v.shape:
+        raise InvalidInput(f"minkowski_check: h and k differ in shape, {u.shape} vs {v.shape}")
+    rows = np.concatenate([u.reshape(-1, fan.n), v.reshape(-1, fan.n)])
+    form = polygon.area_form(fan)
+    q = overflow_checked("q", form._b, rows, rows).reshape(2, -1)
+    outside = (polygon._row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+    outside = outside.reshape(2, -1)
+    bad = (outside | (q <= 0.0)).any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        for name, side in (("h", 0), ("k", 1)):
+            if outside[side, i]:
+                raise DomainError(f"minkowski_check: {name} lies outside the closed cone")
+        lost = any(form.q(unit_scaled(rows[side * q.shape[1] + i])[0]) > 0.0
+                   for side in (0, 1) if q[side, i] <= 0.0)
+        why = "the pair's values leave the floating-point range" if lost else "needs positive areas"
+        raise DomainError(f"minkowski_check: {why}, got {q[0, i]:.3e}, {q[1, i]:.3e}")
+    shape = u.shape[:-1]
+    return reversed_cauchy_schwarz_check("Minkowski", overflow_checked("b", form._b, u, v),
+                                         q[0].reshape(shape), q[1].reshape(shape), u, v,
+                                         fan.normals)

@@ -2,10 +2,11 @@
 
 The golden reports in ``cli_golden.json`` hold the ``--json`` results,
 tolerances and seed echo and the human lines (without the wall-time line)
-of every command on the small fixtures below.  To rewrite them from the
-current code:
+of every command on the small fixtures below.  To write the cases that
+``cli_golden.json`` lacks, and rewrite the cases named by their ids, from
+the current code (every other entry keeps its bytes):
 
-    PYTHONPATH=src:tests python tests/test_cli.py
+    PYTHONPATH=src:tests python tests/test_cli.py ["polygon minkowski square --k 2,2,2,2" ...]
 """
 
 import contextlib
@@ -1066,10 +1067,42 @@ def test_surface_area_overflow_is_bad_input(capsys, tmp_path, op):
     assert err == "mixedform: triangle 0: the area overflows the floating-point range\n"
 
 
-if __name__ == "__main__":
+def update_golden(path, named):
+    """Write the reports of the cases missing from the golden file at ``path`` and of
+    the case ids in ``named``; drop entries of no case and keep every other one."""
+    cases = {_case_id(case): case for case in GOLDEN_CASES}
+    unknown = sorted(set(named) - set(cases))
+    if unknown:
+        raise SystemExit(f"unknown golden case ids: {unknown}")
+    with open(path) as fh:
+        old = json.load(fh)
+    reports = {name: old[name] for name in cases if name in old and name not in named}
     with tempfile.TemporaryDirectory() as directory:
         inputs = write_golden_inputs(directory)
-        reports = {_case_id(case): golden_report(inputs, case) for case in GOLDEN_CASES}
-    with open(GOLDEN_PATH, "w") as fh:
+        reports.update({name: golden_report(inputs, case) for name, case in cases.items()
+                        if name not in reports})
+    with open(path, "w") as fh:
         json.dump(reports, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def test_golden_update_writes_only_missing_and_named_cases(tmp_path):
+    # a stale entry that is not named keeps its bytes; one of no case is dropped
+    with open(GOLDEN_PATH) as fh:
+        committed = json.load(fh)
+    missing, named, kept = ("polygon area-form square", "polygon signature square",
+                            "polygon minkowski square --k 2,2,2,2")
+    golden = {**committed, named: {"lines": ["stale"]}, kept: {"lines": ["stale"]},
+              "no such case": {}}
+    del golden[missing]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    update_golden(str(path), [named])
+    expected = {**committed, kept: {"lines": ["stale"]}}
+    assert path.read_text() == json.dumps(expected, indent=1, sort_keys=True) + "\n"
+    with pytest.raises(SystemExit, match="unknown golden case ids"):
+        update_golden(str(path), ["polygon area-form cube"])
+
+
+if __name__ == "__main__":
+    update_golden(GOLDEN_PATH, sys.argv[1:])

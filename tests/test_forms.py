@@ -457,6 +457,14 @@ def test_projective_distance_lorentzian_branch():
         forms.projective_distance(form, np.array([1.0, 2.0]), np.array([1.0, 0.0]), "d")
 
 
+def test_projective_distance_overflow_names_the_caller():
+    # q(h), q(k) and b(h, k) come from one product under one guard
+    form = forms.SymmetricForm(np.full((2, 2), 1.5e308))
+    with pytest.raises(errors.DomainError) as info:
+        forms.projective_distance(form, np.array([1.5, 1.5]), np.array([1.5, 1.0]), "d")
+    assert str(info.value) == "d: the value overflows the floating-point range"
+
+
 def test_projective_distance_definite_branch():
     # the identity form measures the Euclidean angle between the rays
     rng = np.random.default_rng(23)

@@ -321,6 +321,15 @@ def test_hessian_rejects_a_point_on_the_wall_bound(base_fan, base_interior):
         fuchsian.covolume_hessian(base_fan, h)
 
 
+def test_spherical_distance_names_h_then_k(base_fan, base_interior):
+    outside = np.array([1.0, 0.5])
+    for h, k, name in ((outside, base_interior, "h"), (base_interior, outside, "k"),
+                       (outside, outside, "h")):
+        with pytest.raises(errors.DomainError) as info:
+            fuchsian.spherical_distance(base_fan, h, k)
+        assert str(info.value) == f"spherical_distance: {name} is not interior"
+
+
 def test_area_form_positive_definite(base_fan):
     form = fuchsian.fuchsian_area_form(base_fan)
     assert form.signature() == (base_fan.m, 0, 0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geomfix
+import oracles
 from mixedform import errors, forms, polygon
 
 
@@ -358,6 +359,117 @@ def test_minkowski_rejects_misaligned_stacks():
         polygon.minkowski_check(fan, np.ones((3, 4)), np.ones(4))
     with pytest.raises(errors.InvalidInput):
         polygon.minkowski_check(fan, np.ones((2, 3, 4)), np.ones((2, 3, 4)))
+
+
+# a side of about 2.3e-6 at h = 1, which clears the margin 1e-6 |h| = 2.24e-6 by 3 %:
+# most draws settle only after dozens of halvings, many passes
+BARELY_CLEAR_DEGREES = np.rad2deg([0.0, 2.3e-6, 4.6e-6, 2.1, 4.2])
+
+
+def _reference_fans():
+    return {"12-gon": geomfix.perturbed_polygon_fan(12, np.random.default_rng(12)),
+            "48-gon": geomfix.perturbed_polygon_fan(48, np.random.default_rng(48)),
+            "barely clear": polygon.NormalFan2D.from_degrees(BARELY_CLEAR_DEGREES)}
+
+
+def _stacked_pass_draw(fan, rng):
+    return oracles.stacked_pass_draw(lambda rows: polygon._row_lengths(fan, rows), np.ones(fan.n),
+                                     rng, polygon.SAMPLE_SPREAD, polygon.SAMPLE_MARGIN,
+                                     polygon.SAMPLE_SHRINKS, "side")
+
+
+def _assert_same_outcome(fan, h, k):
+    """minkowski_check and its three-product reference raise the same error, or give
+    InequalityResults whose fields are equal bit for bit."""
+    outcomes = []
+    for check in (polygon.minkowski_check, oracles.three_product_minkowski_check):
+        try:
+            outcomes.append(check(fan, h, k))
+        except errors.MixedFormError as exc:
+            outcomes.append((type(exc), str(exc)))
+    res, ref = outcomes
+    if not isinstance(ref, forms.InequalityResult):
+        assert res == ref
+        return None
+    for new, old in zip(res, ref):
+        assert type(new) is type(old)
+        assert (new is None and old is None) or np.array_equal(new, old, equal_nan=True)
+    return res
+
+
+def test_barely_clear_fan_clears_the_margin_by_three_percent():
+    fan = _reference_fans()["barely clear"]
+    ones = np.ones(fan.n)
+    ratio = polygon.edge_lengths(fan, ones).min() / (polygon.SAMPLE_MARGIN * np.linalg.norm(ones))
+    assert 1.0 < ratio < 1.05
+
+
+@pytest.mark.parametrize("name", ["12-gon", "48-gon", "barely clear"])
+def test_single_draws_and_checks_match_the_stacked_pass_references(name):
+    # the one-draw pass and the one-product check give the draws, the stream
+    # position and the InequalityResult of the pre-fusion code, bit for bit
+    fan = _reference_fans()[name]
+    results = 0
+    for seed in range(150):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        h, k = polygon.sample_interior(fan, rng), polygon.sample_interior(fan, rng)
+        assert np.array_equal(h, _stacked_pass_draw(fan, ref_rng)) and h.shape == (fan.n,)
+        assert np.array_equal(k, _stacked_pass_draw(fan, ref_rng))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        if seed % 5 == 0:       # an equality pair, whose witness is fitted
+            h = polygon.point_support_vector(fan, [0.1, -0.2]) + 1.5 * k
+        results += _assert_same_outcome(fan, h, k) is not None
+    # on the barely clear fan some pairs falsify the inequality by rounding, both ways
+    assert results >= 120
+    H, K = polygon.sample_interior(fan, rng, size=200).reshape(2, 100, fan.n)
+    H[7] = polygon.point_support_vector(fan, [0.3, 0.1]) + 0.5 * K[7]
+    stacked = _assert_same_outcome(fan, H, K)
+    if name != "barely clear":      # there a pair falsified by rounding raises, both ways
+        assert stacked.equality[7]
+
+
+def test_no_clearing_size_raises_as_the_stacked_pass_did():
+    fan = polygon.NormalFan2D([0.0, 1e-7, 2e-7, 2.1, 4.2])
+    messages = []
+    for draw in (polygon.sample_interior, _stacked_pass_draw):
+        with pytest.raises(errors.DomainError) as info:
+            draw(fan, np.random.default_rng(1))
+        messages.append(str(info.value))
+    assert messages == 2 * ["sample_interior: no draw clears the side margin 1e-06 "
+                            "after 80 shrinks"]
+
+
+_OUTSIDE = np.array([1.0, 1.0, 1.0, -4.0])
+# on the square, q(h) = q(k) = 4.8e294 but b(h, k) = 2.9e308 overflows
+_B_OVERFLOW_H = np.array([1.2e154, 1e140, 1.2e154, 1e140])
+_B_OVERFLOW_K = _B_OVERFLOW_H[[1, 0, 3, 2]]
+
+
+@pytest.mark.parametrize("h, k, message", [
+    (np.full(4, 2.0 ** 700), np.ones(4), "q: the value overflows the floating-point range"),
+    (np.full(4, 2.0 ** 700), _OUTSIDE, "q: the value overflows the floating-point range"),
+    (_OUTSIDE, _OUTSIDE, "minkowski_check: h lies outside the closed cone"),
+    (np.ones(4), _OUTSIDE, "minkowski_check: k lies outside the closed cone"),
+    (np.array([1.0, 0.0, 1.0, 0.0]), np.ones(4),
+     "minkowski_check: needs positive areas, got -1.225e-16, 4.000e+00"),
+    (np.full(4, 2.0 ** -700), 2.0 ** -700 * np.array([1.0, 2.0, 1.0, 2.0]),
+     "minkowski_check: the pair's values leave the floating-point range, got 0.000e+00, "
+     "0.000e+00"),
+    (_B_OVERFLOW_H, _B_OVERFLOW_K, "b: the value overflows the floating-point range"),
+    (np.array([1.2e154, 1e140, 1.2e154, -1e150]), _B_OVERFLOW_K,
+     "minkowski_check: h lies outside the closed cone"),
+], ids=["q overflow", "q overflow, k outside", "h and k outside", "k outside", "no area",
+        "area lost", "b overflow", "b overflow, h outside"])
+def test_minkowski_failure_stages_keep_their_messages_and_order(h, k, message):
+    # the fused product reports an overflowing q first, and an overflowing b only
+    # after membership and areas, alone and as pair 1 of a stack, as the three
+    # separate products did
+    fan = polygon.NormalFan2D.regular(4)
+    for pair in ((h, k), (np.stack([np.ones(4), h]), np.stack([np.ones(4), k]))):
+        for check in (polygon.minkowski_check, oracles.three_product_minkowski_check):
+            with pytest.raises(errors.DomainError) as info:
+                check(fan, *pair)
+            assert str(info.value) == message
 
 
 # =============================================================================

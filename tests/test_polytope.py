@@ -1000,6 +1000,31 @@ def test_first_area_measure_rejects_h_outside(cube_fan):
     assert str(info.value) == "first_area_measure: h lies outside the closed cone"
 
 
+def test_fib48_single_draws_match_the_stacked_pass_reference():
+    # one draw a pass, with lengths taken on the i < j edges only, gives the draws
+    # of a one-row stacked pass over every directed edge, bit for bit
+    normals = geomfix.fibonacci_sphere(48, np.random.default_rng(48), jitter=0.05)
+    fan = polytope.build_fan(normals, np.ones(48))
+    F = fan.assembly
+    edges = np.flatnonzero(F.src < F.dst)
+
+    def every_edge_then_kept(rows):
+        return F.lengths(rows)[..., edges]
+
+    for seed in range(100):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        h = polytope.sample_interior(fan, fan.reference_h, rng)
+        assert np.array_equal(h, oracles.stacked_pass_draw(
+            every_edge_then_kept, fan.reference_h, ref_rng, polytope.SAMPLE_SPREAD,
+            polytope.SAMPLE_MARGIN, polytope.SAMPLE_SHRINKS, "cone"))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+    rows = polytope.sample_interior(fan, fan.reference_h, rng, size=6)
+    for x in (rows, rows[0], rows.reshape(2, 3, 48)):
+        assert np.array_equal(fan._edge_lengths(x), every_edge_then_kept(x))
+    # the stencil of the 138 kept edges reads 229 of the 276 in-face support numbers
+    assert (len(edges), len(fan._edge_lengths._src), len(F.src)) == (138, 229, 276)
+
+
 def _spy_measurements(monkeypatch, fan):
     """Lists that record every support_vector call (by the name it reports) and
     every edge-length evaluation of ``fan`` made while the spies are in place."""
@@ -1009,13 +1034,17 @@ def _spy_measurements(monkeypatch, fan):
         validated.append(args[2])
         return support_vector(*args, **kwargs)
 
-    def lengths(h, lengths=fan.assembly.lengths):
-        measured.append(h.shape)
-        return lengths(h)
+    def spy(lengths):
+        def measure(h):
+            measured.append(h.shape)
+            return lengths(h)
+        return measure
 
     for module in (forms, polytope):
         monkeypatch.setattr(module, "support_vector", support_vector)
-    monkeypatch.setattr(fan.assembly, "lengths", lengths)
+    # all directed edges, and the i < j edges alone
+    monkeypatch.setattr(fan.assembly, "lengths", spy(fan.assembly.lengths))
+    monkeypatch.setattr(fan, "_edge_lengths", spy(fan._edge_lengths))
     return validated, measured
 
 
