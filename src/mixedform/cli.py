@@ -144,7 +144,8 @@ def _inequality_report(check, sample, residual_label, pairs_label):
         for start in range(0, args.samples, chunk):
             rows = sample(lib, fan, h, rng, 2 * min(chunk, args.samples - start))
             res = check(lib, fan, rows[0::2], rows[1::2], h)
-            low = float(np.min(res.residual / res.scale))
+            with np.errstate(invalid="ignore"):     # 0 / 0: a NaN that the report refuses
+                low = float(np.min(res.residual / res.scale))
             worst = low if worst is None else min(worst, low)
             n_equal += int(np.count_nonzero(res.equality))
         results = {"samples": args.samples, "min_relative_residual": worst,

@@ -43,8 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError
-from .forms import (SymmetricForm, cyclic_runs, fan_arrays, finite, overflow_checked,
-                    row_dot, scalar_or_rows, support_vector)
+from .forms import (SymmetricForm, cyclic_runs, fan_arrays, overflow_checked, row_dot,
+                    scalar_or_rows, support_vector)
 
 #: entrywise tolerance of the total-symmetry check, relative to max(max |T|, 1)
 SYMMETRY_TOL = 1e-10
@@ -240,9 +240,8 @@ class FaceTrilinearForm:
         an overflow raises DomainError."""
         F = self._faces
         c = support_vector(p, F.m, "contract")
-        # J and the grams are bincount sums: a finite J keeps the sum free of inf - inf
-        return SymmetricForm(overflow_checked("contract", lambda: finite(
-            self.contraction(c, finite(F.jacobian(F.lengths(c)))))), symmetry_tol=1e-10)
+        M = overflow_checked("contract", lambda: self.contraction(c, F.jacobian(F.lengths(c))))
+        return SymmetricForm(M, symmetry_tol=1e-10)
 
     def contraction(self, c, jacobian):
         """(R + R' + P) / 3 unsymmetrized, for a checked vector c and its J(l(c)), R = J / 6."""

@@ -15,7 +15,9 @@ Generic machinery shared by the geometry modules:
     WITNESS_TOL and ROUNDING_TOL), and ``projective_distance``, the distance
     of two rays in a spherical (definite) or hyperbolic (Lorentzian) cell;
   * ``overflow_checked``, the one overflow rule (DomainError, no numpy warning),
-    and ``finite``, which hands it the overflows that set no flag;
+    which judges a stage by its values: a stage sums and multiplies finite,
+    checked arguments, so a value is non-finite only where something
+    overflowed, a bincount sum too, which sets no floating-point flag;
   * ``fan_arrays``, the one rule of a polygon's normal fan (angles in
     [0, TWO_PI), cyclic gaps in (0, pi) summing to TWO_PI, and the length
     coefficients), checked and derived for any number of polygons in one
@@ -97,38 +99,26 @@ def unit_scaled(v):
     return np.ldexp(v, -e), e
 
 
+def unit_rows(rows):
+    """(rows 2^-e, e): each row of an (..., n) stack scaled as ``unit_scaled`` scales a
+    vector, by the power of two of its own (...,) exponent e."""
+    e = np.frexp(abs(rows).max(axis=-1, initial=0.0))[1]
+    return np.ldexp(rows, -e[..., None]), e
+
+
 def overflow_checked(what, compute, *args):
-    """compute(*args), raising DomainError naming ``what`` (and no numpy warning) on overflow."""
-    try:
-        with np.errstate(over="raise"):
-            return compute(*args)
-    except FloatingPointError:
-        raise overflow_error(what) from None
-
-
-def overflow_flagged(compute, *args):
-    """(compute(*args), whether a value overflowed), with no numpy warning: after an
-    overflow ``compute`` runs again with the flags ignored, so that the caller can
-    tell from its non-finite values which stage overflowed."""
-    try:
-        with np.errstate(over="raise"):
-            return compute(*args), False
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return compute(*args), True
+    """compute(*args), raising DomainError naming ``what`` (and no numpy warning) when a
+    value of the result (an array, a number or a tuple of same-shape arrays) is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute(*args)
+    if not np.isfinite(value).all():
+        raise overflow_error(what)
+    return value
 
 
 def overflow_error(what):
     """The DomainError of an overflow in the stage named ``what``."""
     return DomainError(f"{what}: the value overflows the floating-point range")
-
-
-def finite(x):
-    """x, once every entry is finite; else FloatingPointError, an overflow to
-    ``overflow_checked``: a bincount sum overflows to inf without a floating-point flag."""
-    if not np.isfinite(x).all():
-        raise FloatingPointError
-    return x
 
 
 def runs(flat, sizes):
@@ -271,16 +261,15 @@ def wall_bound(h, tol):
     The one rule of every cone: an edge length below -bound puts h outside,
     one within bound puts it on a wall.  |h| is sqrt(h . h) rounded as
     ``row_dot``; when a square overflows or underflows, |h| is taken from
-    each row scaled to unit size by a power of two (as ``unit_scaled``
-    scales a vector), which gives the same bits wherever the plain square
-    is exact, so the bound (finite also where |h| is not) scales with h at any scale.
+    each row scaled to unit size by a power of two (``unit_rows``), which
+    gives the same bits wherever the plain square is exact, so the bound
+    (finite also where |h| is not) scales with h at any scale.
     """
     try:
         with np.errstate(over="raise", under="raise"):
             return tol * np.sqrt(row_dot(h, h))[..., None]
     except FloatingPointError:
-        e = np.frexp(abs(h).max(axis=-1))[1]
-        unit = np.ldexp(h, -e[..., None])
+        unit, e = unit_rows(h)
         return np.ldexp(tol * np.sqrt(row_dot(unit, unit)), e)[..., None]
 
 
@@ -591,13 +580,18 @@ def _falsified(name, scale, message):
                        f"range (scale {scale:.3e})")
 
 
-def projective_distance(form, h, k, what):
+def projective_distance(form, h, k, what, lengths=None):
     """arccos r if ``form`` is definite (least eigenvalue > 0: a spherical cell), else
     arccosh r (a hyperbolic cell); r = b(h,k) / sqrt(q(h)q(k)) on h and k scaled to unit
-    size (the same r, and no overflow).  A q <= 0 raises DomainError naming ``what``; r
-    past 1 by more than ROUNDING_TOL falsifies Cauchy-Schwarz or Minkowski."""
-    (u, _), (v, _) = unit_scaled(h), unit_scaled(k)
-    rows = np.concatenate([u, v]).reshape(2, -1)
+    size (the same r, and no overflow).  Given the edge-length map ``lengths`` of the
+    cell, an h or k that is not interior at MEMBERSHIP_TOL (judged on the same unit rows,
+    so at any scale) raises DomainError naming ``what``, as a q <= 0 does; r past 1 by
+    more than ROUNDING_TOL falsifies Cauchy-Schwarz or Minkowski."""
+    rows = unit_rows(np.stack([h, k]))[0]
+    if lengths is not None:
+        off = (lengths(rows) <= wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+        if off.any():
+            raise DomainError(f"{what}: {'hk'[int(np.argmax(off))]} is not interior")
     qh, qk, b = overflow_checked(what, form._pairs, rows).ravel().tolist()
     if qh <= 0.0 or qk <= 0.0:
         raise DomainError(f"{what}: needs positive areas")

@@ -46,9 +46,9 @@ from .errors import (
     InvariantFalsified,
 )
 from .faces import FaceAssembly, agreeing_form
-from .forms import (MEMBERSHIP_TOL, TWO_PI, as_index, finite, json_numbers, locate,
-                    overflow_checked, projective_distance, support_vector, unit_scaled,
-                    wall_bound)
+from .forms import (MEMBERSHIP_TOL, TWO_PI, as_index, json_numbers, locate, overflow_checked,
+                    overflow_error, projective_distance, support_vector, unit_rows,
+                    unit_scaled, wall_bound)
 
 PAIRING_TOL = 1e-9
 ANGLE_SUM_TOL = 1e-9
@@ -200,8 +200,9 @@ def regular_genus2_fan():
 # =============================================================================
 
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
-    """Classify h by the signs of all in-face edge lengths (edges labelled (i, k))."""
-    v = fan._vector(h, "cone_membership")
+    """Classify h by the signs of all in-face edge lengths (edges labelled (i, k)), on h
+    scaled to unit size by a power of two: exact, so the verdict holds at any scale."""
+    v = unit_scaled(fan._vector(h, "cone_membership"))[0]
     return locate(fan.assembly.lengths(v), v, tol, fan._edge_labels)
 
 
@@ -235,18 +236,18 @@ def covolume_hessian(fan, h):
 
     def assemble():
         lengths = F.lengths(v)
+        if not np.isfinite(lengths).all():      # the wall test would read -inf as past a wall
+            raise overflow_error("covolume_hessian")
         bad = np.flatnonzero(lengths <= wall_bound(v, MEMBERSHIP_TOL))
         if len(bad):
             raise DomainError(
                 f"covolume_hessian: h is not in the open cone (face {F.src[bad[0]]} has an "
                 f"edge on a wall or past it)")
-        # J and the grams are bincount sums, whose overflow sets no floating-point flag:
-        # a finite J keeps X free of inf - inf, and a finite reference does the rest
-        J = finite(F.jacobian(lengths))
+        J = F.jacobian(lengths)
         X = covolume_form(fan).contraction(v, J)
         # 6 covol(., ., h) is 6 times the symmetric part of X, rounded as SymmetricForm(X)
         # rounds it
-        return J, finite(6.0 * (0.5 * X + 0.5 * X.T))
+        return J, 6.0 * (0.5 * X + 0.5 * X.T)
 
     return agreeing_form(*overflow_checked("covolume_hessian", assemble),
                          "covolume Hessian and 6 covol(.,.,h)")
@@ -275,18 +276,14 @@ def spherical_distance(fan, h, k):
     """arccos( b(h,k) / sqrt(q(h)q(k)) ) between interior rays (``forms.projective_distance``)."""
     u = fan._vector(h, "spherical_distance")
     v = fan._vector(k, "spherical_distance")
-    rows = np.stack([u, v])
-    off = (fan.assembly.lengths(rows) <= wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
-    if off.any():
-        raise DomainError(f"spherical_distance: {'hk'[int(np.argmax(off))]} is not interior")
-    return projective_distance(fuchsian_area_form(fan), u, v, "spherical_distance")
+    return projective_distance(fuchsian_area_form(fan), u, v, "spherical_distance",
+                               fan.assembly.lengths)
 
 
 def is_homothety_pair(fan, h, k):
     """Whether k = lambda h within HOMOTHETY_TOL * ||k|| (lambda = b(h,k)/q(h)),
     tested on h and k scaled to unit size (which does not change the answer)."""
-    u = unit_scaled(fan._vector(h, "is_homothety_pair"))[0]
-    v = unit_scaled(fan._vector(k, "is_homothety_pair"))[0]
+    u, v = unit_rows(np.stack([fan._vector(x, "is_homothety_pair") for x in (h, k)]))[0]
     form = fuchsian_area_form(fan)
     lam = form.b(u, v) / form.q(u)
     return float(np.linalg.norm(v - lam * u)) <= HOMOTHETY_TOL * float(np.linalg.norm(v))

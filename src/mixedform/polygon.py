@@ -46,7 +46,6 @@ from .forms import (
     locate,
     overflow_checked,
     overflow_error,
-    overflow_flagged,
     projective_distance,
     reversed_cauchy_schwarz_check,
     sample_cone,
@@ -137,9 +136,10 @@ def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
 
     Returns ``forms.locate``'s ConeLocation(status, edges), status one of
     "interior", "boundary", "outside"; edges lists the degenerate
-    (boundary) or violated (outside) side indices.
+    (boundary) or violated (outside) side indices.  h is scaled to unit size
+    by a power of two first: exact, so the verdict holds at any scale.
     """
-    v = support_vector(h, fan.n, "cone_membership")
+    v = unit_scaled(support_vector(h, fan.n, "cone_membership"))[0]
     return locate(fan.length_matrix @ v, v, tol, range(fan.n))
 
 
@@ -219,11 +219,13 @@ def minkowski_check(fan, h, k):
         raise InvalidInput(f"minkowski_check: h and k differ in shape, {u.shape} vs {v.shape}")
     rows = np.concatenate([u.reshape(-1, fan.n), v.reshape(-1, fan.n)])
     form = area_form(fan)
-    # q(h), q(k) and b(h, k) from one product: an overflowing q is reported now, an
-    # overflowing b (with both q finite) after the membership and area checks
-    values, overflowed = overflow_flagged(form._pairs, rows)
+    # q(h), q(k) and b(h, k) from one product (see ``forms.overflow_checked``): an
+    # overflowing q is reported now, an overflowing b after the membership and area checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = form._pairs(rows)
+    in_range = np.isfinite(values).all(axis=1).tolist()
     q = values[:2]
-    if overflowed and not np.isfinite(q).all():
+    if not (in_range[0] and in_range[1]):
         raise overflow_error("q")
     outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
     outside = outside.reshape(2, -1)
@@ -238,7 +240,7 @@ def minkowski_check(fan, h, k):
                    for side in (0, 1) if q[side, i] <= 0.0)
         why = "the pair's values leave the floating-point range" if lost else "needs positive areas"
         raise DomainError(f"minkowski_check: {why}, got {q[0, i]:.3e}, {q[1, i]:.3e}")
-    if overflowed:
+    if not in_range[2]:
         raise overflow_error("b")
     qh, qk, b = values.reshape(3, *u.shape[:-1])
     return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
@@ -248,11 +250,8 @@ def hyperbolic_distance(fan, h, k):
     """arccosh( a(h,k) / sqrt(a(h)a(k)) ) between interior rays (``forms.projective_distance``)."""
     u = support_vector(h, fan.n, "hyperbolic_distance")
     v = support_vector(k, fan.n, "hyperbolic_distance")
-    rows = np.stack([u, v])
-    off = (_row_lengths(fan, rows) <= wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
-    if off.any():
-        raise DomainError(f"hyperbolic_distance: {'hk'[int(np.argmax(off))]} is not interior")
-    return projective_distance(area_form(fan), u, v, "hyperbolic_distance")
+    return projective_distance(area_form(fan), u, v, "hyperbolic_distance",
+                               lambda rows: _row_lengths(fan, rows))
 
 
 # =============================================================================
@@ -275,7 +274,7 @@ def double_chart_embedding(fan, h):
     polygon (two copies glued along the boundary) has total area 2 a(h).
     """
     u = support_vector(h, fan.n, "double_chart_embedding")
-    lengths = fan.length_matrix @ u
+    lengths = overflow_checked("double_chart_embedding", np.matmul, fan.length_matrix, u)
     if locate(lengths, u, MEMBERSHIP_TOL, range(fan.n)).status != "interior":
         raise DomainError("double_chart_embedding: h is not interior")
     turn = np.exp(1j * fan.edge_angles)

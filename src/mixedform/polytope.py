@@ -55,7 +55,8 @@ from .errors import (
 from .faces import EdgeLengths, FaceAssembly
 from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, fan_triangles,
                     json_numbers, locate, overflow_checked, reversed_cauchy_schwarz_check,
-                    row_dot, runs, sample_cone, segment_sums, support_vector, wall_bound)
+                    row_dot, runs, sample_cone, segment_sums, support_vector, unit_scaled,
+                    wall_bound)
 
 FEASIBILITY_TOL = 1e-9
 ACTIVE_TOL = 1e-8
@@ -160,7 +161,8 @@ def _planes(P, facets, inside, others):
     """
     V = P[facets]
     E = V[:, 1:] - V[:, :1]
-    n = np.linalg.det(E[:, :, others].transpose(0, 2, 1, 3))
+    with np.errstate(divide="ignore"):      # set by a singular minor whose pivots underflow
+        n = np.linalg.det(E[:, :, others].transpose(0, 2, 1, 3))
     n[:, 1::2] *= -1.0
     n /= np.sqrt(np.einsum("fj,fj->f", n, n))[:, None]
     H = np.column_stack([n, np.einsum("fkj,fj->f", V, n) / -len(others)])
@@ -407,7 +409,8 @@ def build_fan(normals, h):
         raise InvalidInput(f"build_fan: need at least 4 normals of shape (m, 3), got {U.shape}")
     if not np.all(np.isfinite(U)):
         raise InvalidInput("build_fan: normals must be finite")
-    norms = np.linalg.norm(U, axis=1)
+    with np.errstate(over="ignore"):        # a norm that overflows is not 1 either
+        norms = np.linalg.norm(U, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise InvalidInput("build_fan: normals must be unit vectors (within 1e-9)")
     U = U / norms[:, None]
@@ -545,8 +548,9 @@ def point_support_vector(fan, x):
 
 
 def cone_membership(fan, h, tol=MEMBERSHIP_TOL):
-    """Classify h by the signs of all edge lengths l_ij(h), each edge once as i < j."""
-    v = support_vector(h, fan.m, "cone_membership")
+    """Classify h by the signs of all edge lengths l_ij(h), each edge once as i < j, on h
+    scaled to unit size by a power of two: exact, so the verdict holds at any scale."""
+    v = unit_scaled(support_vector(h, fan.m, "cone_membership"))[0]
     return locate(fan._edge_lengths(v), v, tol, fan._edge_labels)
 
 
@@ -702,7 +706,7 @@ def _sphere_integral(fan, positions, depth):
         areas = _spherical_triangle_areas(leaves)
         dots = _midpoints(leaves) @ p
         fvals = 1.5 * dots * dots - 0.5 * float(np.dot(p, p))
-        total += np.sum(areas * np.mean(fvals, axis=1))     # a numpy sum: overflow raises
+        total += np.sum(areas * np.mean(fvals, axis=1))
         covered += float(np.sum(areas))
     if abs(covered - 4.0 * math.pi) > 1e-8:
         raise StructuralError(

@@ -32,7 +32,7 @@ from .errors import (
     InvalidInput,
     StructuralError,
 )
-from .forms import as_index, json_numbers, unit_scaled
+from .forms import as_index, json_numbers, overflow_checked, unit_scaled
 
 GLUED_LENGTH_TOL = 1e-12
 SINGULAR_TOL = 1e-8
@@ -62,11 +62,10 @@ class TriangleMesh:
         if not np.all(np.isfinite(L)) or np.any(L <= 0.0):
             raise InvalidInput("TriangleMesh: side lengths must be finite and positive")
         T = L.shape[0]
-        for t in range(T):
-            a, b, c = L[t]
+        for t, (a, b, c) in enumerate(L.tolist()):      # Python floats: no numpy warning
             if a + b <= c or b + c <= a or c + a <= b:
                 raise InvalidInput(f"TriangleMesh: triangle {t} violates the strict "
-                                   f"triangle inequality: {L[t].tolist()}")
+                                   f"triangle inequality: {[a, b, c]}")
 
         sigma = {}
         for row in gluing:
@@ -198,8 +197,9 @@ def mesh_from_indexed_triangles(points, triangles):
             gluing.append((t, e, t2, e2))
     # measured on the points scaled by a power of two into [-1, 1] (exact), then scaled back
     P, exp2 = unit_scaled(P)
-    lengths = [[math.ldexp(float(np.linalg.norm(P[b] - P[a])), exp2)
-                for a, b in ((i, j), (j, k), (k, i))] for (i, j, k) in tris]
+    norms = [[float(np.linalg.norm(P[b] - P[a])) for a, b in ((i, j), (j, k), (k, i))]
+             for (i, j, k) in tris]
+    lengths = overflow_checked("mesh_from_indexed_triangles", np.ldexp, norms, exp2)
     labels = {(t, c): tris[t][c] for t in range(len(tris)) for c in range(3)}
     return TriangleMesh(lengths, gluing, corner_labels=labels)
 
@@ -301,7 +301,7 @@ def flip(mesh, interior_edge):
             raise FlipNotAdmissible(
                 f"flip: developed quadrilateral is not strictly convex at corner {i}")
 
-    d_new = math.ldexp(float(np.linalg.norm(C - C2)), k)
+    d_new = overflow_checked("flip", np.ldexp, float(np.linalg.norm(C - C2)), k)
     new_lengths = mesh.lengths.copy()
     # triangle (a, C2, C) replaces t; triangle (C2, b, C) replaces t2
     new_lengths[t] = [mesh.lengths[t2, (e2 + 1) % 3], d_new, mesh.lengths[t, (e + 2) % 3]]

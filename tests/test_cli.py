@@ -489,6 +489,74 @@ def test_edge_lengths_beyond_the_float_range_are_bad_input(tmp_path, op, what):
         assert proc.stderr == f"mixedform: {what}: the value overflows the floating-point range\n"
 
 
+_OVERFLOW = "the value overflows the floating-point range"
+_HUGE_MESH = dict(MESH, triangles=[{"lengths": [1.5e308] * 3}] * 2)
+
+
+def _cube_with(h=(1.0,) * 6, normal=None):
+    normals = geomfix.CUBE_NORMALS.tolist()
+    if normal is not None:
+        normals[normal[0]] = normal[1]
+    return {"normals": normals, "h": list(h)}
+
+
+def _subdivided_genus2(top):
+    """The subdivided genus-2 fan at h scaled to max |h| = top, and --k = h / 2."""
+    fan, h = geomfix.random_fuchsian_fan(np.random.default_rng(3), subdivide=True)
+    h = h * (top / h.max())
+    return fan.to_json_dict(h), ["--k", ",".join(repr(x) for x in (0.5 * h).tolist())]
+
+
+# (family, op, () -> (document, options), the one stderr line or, for exit 0, the results)
+_MIXED_SCALE_CASES = {
+    # every edge is finite, but the fan-triangulation diagonals (about 2.3e308) are not
+    "boundary-metric diagonals": ("polytope", "boundary-metric", lambda: (_cube_with(
+        (8.297317164990922e307, 1.2884287034284045e-300, 8.03194829291645e307,
+         9.534978894806515e307, 6.340416972471647e307, 9.031129864471293e307)), []),
+        f"mesh_from_indexed_triangles: {_OVERFLOW}"),
+    # membership on h scaled to unit size: at 5e307 the lengths of h itself overflow
+    "fuchsian distance 5e307": ("fuchsian", "distance", lambda: _subdivided_genus2(5e307),
+                                {"distance": 0.0, "homothety": True}),
+    "fuchsian distance 1e308": ("fuchsian", "distance", lambda: _subdivided_genus2(1e308),
+                                {"distance": 0.0, "homothety": True}),
+    "build normal 1e308": (
+        "polytope", "build", lambda: (_cube_with(normal=(0, [1e308, 0, 0])), []),
+        "build_fan: normals must be unit vectors (within 1e-9)"),
+    # a singular minor whose LU pivots underflow
+    "build normal 5e-324": (
+        "polytope", "build", lambda: (_cube_with(normal=(2, [0, 1, 5e-324])), []),
+        {"edges": 12, "faces": 6, "simple": True, "vertices": 8}),
+    "surface check 1.5e308": ("surface", "check", lambda: (_HUGE_MESH, []),
+                              "triangle 0: the area overflows the floating-point range"),
+    # the sides are finite, the flipped diagonal (about 2.6e308) is not
+    "surface flip 1.5e308": (
+        "surface", "flip", lambda: (_HUGE_MESH, ["--triangle", "0", "--edge", "0"]),
+        f"flip: {_OVERFLOW}"),
+    "polygon embed 1e308": ("polygon", "embed", lambda: ({**SQUARE, "h": [1e308] * 4}, []),
+                            f"double_chart_embedding: {_OVERFLOW}"),
+    # a relative residual 0 / 0
+    "af-check samples 5e-324": ("polytope", "af-check", lambda: (
+        _cube_with((0.0,) + (5e-324,) * 5), ["--samples", "3"]),
+        "the report holds a non-finite number: a result overflows the floating-point range"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MIXED_SCALE_CASES))
+def test_mixed_scale_input_exits_0_or_with_one_line(tmp_path, name):
+    # a child interpreter shows the CLI as run, where numpy's warnings go to stderr
+    family, op, make, want = _MIXED_SCALE_CASES[name]
+    doc, options = make()
+    proc = subprocess.run([sys.executable, "-m", "mixedform", family, op,
+                           write_json(tmp_path, "input.json", doc), *options, "--json"],
+                          capture_output=True, text=True, env=geomfix.child_env(), timeout=60)
+    if isinstance(want, dict):
+        assert (proc.returncode, proc.stderr) == (0, "")
+        results = json.loads(proc.stdout)["results"]
+        assert {key: results[key] for key in want} == want
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"mixedform: {want}\n")
+
+
 @pytest.mark.parametrize("side", [1e100, 1e-100, 1e-170])
 def test_surface_check_at_extreme_scales(capsys, tmp_path, side):
     mesh = dict(MESH, triangles=[{"lengths": [side] * 3}] * 2)

@@ -497,6 +497,19 @@ def test_overflow_checked_raises_domain_error():
         forms.SymmetricForm(np.eye(3)).q(np.full((2, 3), 1e200))
 
 
+def test_overflow_checked_judges_values():
+    # a bincount sum overflows to inf without a floating-point flag
+    with pytest.raises(errors.DomainError,
+                       match="^x: the value overflows the floating-point range$"):
+        forms.overflow_checked("x", np.bincount, [0, 0], [1e308, 1e308])
+    # a tuple of same-shape arrays is judged as a whole, and inf - inf is NaN
+    with pytest.raises(errors.DomainError, match="^x: the value overflows"):
+        forms.overflow_checked("x", lambda: (np.ones(2), np.full(2, 1e308) * [10.0, 1.0]))
+    with pytest.raises(errors.DomainError, match="^x: the value overflows"):
+        forms.overflow_checked("x", lambda x: x * 10.0 - x * 10.0, np.full(2, 1e308))
+    assert forms.overflow_checked("x", np.bincount, [0, 0], [1e307, 1e307]).tolist() == [2e307]
+
+
 def test_symmetrizing_near_the_float_maximum():
     # halved before the sum: entries above 2^1023 symmetrize without leaving the float range
     big = np.array([[1.5e308, -1e308], [-1e308, 1.7e308]])

@@ -390,6 +390,37 @@ def test_distance_at_any_scale(base_fan, base_interior):
         fuchsian.covolume(base_fan, 1e120 * h)
 
 
+def test_membership_and_distance_on_a_subdivided_fan_at_any_scale():
+    # h and k scaled to max |h| = 1e-300 ... 1e308: membership and the distance are
+    # judged on unit-size vectors, so the lengths of h itself may overflow (judged on
+    # them, 5e307 read "outside" from inf lengths and 1e308 "interior" from NaN ones)
+    rng = np.random.default_rng(3)
+    fan, h = geomfix.random_fuchsian_fan(rng, subdivide=True)
+    k = geomfix.sample_fuchsian_interior(fan, h, rng)
+    d = fuchsian.spherical_distance(fan, h, k)
+    assert d > 1e-7
+    for top in (1.0, 1e-300, 5e307, 1e308):
+        s = top / max(h.max(), k.max())
+        assert fuchsian.cone_membership(fan, s * h).status == "interior"
+        assert fuchsian.cone_membership(fan, s * k).status == "interior"
+        assert fuchsian.spherical_distance(fan, s * h, s * k) == pytest.approx(d, rel=1e-12)
+        assert fuchsian.spherical_distance(fan, s * h, 0.5 * s * h) == 0.0
+
+
+def test_hessian_reports_an_edge_length_that_overflows():
+    # at h = (1e308, 1e-300, ...) an edge length of face 1 overflows to -inf: an overflow,
+    # not an edge past a wall (which h = (1e307, 1e-300, ...) has)
+    fan, _ = geomfix.random_fuchsian_fan(np.random.default_rng(3), subdivide=True)
+    for top, message in ((1e307, "h is not in the open cone (face 1 has an edge on a wall or "
+                                 "past it)"),
+                         (1e308, "the value overflows the floating-point range")):
+        h = np.full(fan.m, 1e-300)
+        h[0] = top
+        with pytest.raises(errors.DomainError) as info:
+            fuchsian.covolume_hessian(fan, h)
+        assert str(info.value) == f"covolume_hessian: {message}"
+
+
 def test_hessian_near_the_float_maximum(one_class):
     # the 1 x 1 Hessian is about 5.49 h: at h = 2.247e307 its symmetric part no longer
     # overflows, and at 4.49e307 the Jacobian's sum does, reported by name
