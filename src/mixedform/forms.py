@@ -33,7 +33,9 @@ Generic machinery shared by the geometry modules:
     outside a cone and one within tol |h| on its wall, at any scale of h,
     with ``locate`` and ``sample_cone``, the cone classifier and the
     interior sampler that the polygon, polytope and Fuchsian fans share
-    (membership at MEMBERSHIP_TOL);
+    (membership at MEMBERSHIP_TOL); the sampler places a stack of draws by
+    the linearity of the edge lengths, from two length evaluations at unit
+    scale, and tests each row at the size that linearity predicts;
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
     also take (S, n) stacks, and each row rounds exactly as it would alone;
     ``segment_sums`` sums consecutive runs of rows, each as np.sum sums it
@@ -63,8 +65,8 @@ WITNESS_TOL = 1e-7
 ROUNDING_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
-#: perturbation sizes one pass of ``sample_cone`` tries at once: a pass costs
-#: a single draw about as much as one size, and a draw on a perturbed 12-gon
+#: perturbation sizes one pass of a single ``sample_cone`` draw tries at once: a
+#: pass costs a draw about as much as one size, and a draw on a perturbed 12-gon
 #: (48-gon) settles after 3 to 5 (8 to 10) sizes
 SAMPLE_LEVELS_PER_PASS = 6
 _HALVINGS = 0.5 ** np.arange(SAMPLE_LEVELS_PER_PASS)
@@ -291,38 +293,65 @@ def locate(lengths, h, tol, labels):
 def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     """Random support vectors h = base (1 + s delta) inside a cone, near an interior ``base``.
 
-    ``lengths`` maps an (..., n) stack to its (..., E) edge lengths.  A draw
-    takes one standard-normal delta and keeps the first s = spread / 2^j,
-    j < shrinks, at which no edge length is within ``wall_bound`` at tolerance
-    ``margin``, trying SAMPLE_LEVELS_PER_PASS sizes a pass, else raises
-    DomainError.  With ``size``, a (size, n) stack: the vectors of ``size`` calls.
+    ``lengths`` maps an (..., n) stack to its (..., E) edge lengths and must be
+    linear.  A draw takes one standard-normal delta and keeps the first
+    s = spread / 2^j, j < shrinks, at which no edge length is within
+    ``wall_bound`` at tolerance ``margin``, else raises DomainError.  One draw
+    tries SAMPLE_LEVELS_PER_PASS sizes a pass.
+
+    With ``size``, a (size, n) stack: the vectors of ``size`` calls (a length
+    within rounding of the margin can move a row by one size), placed by
+    linearity on b, ``base`` scaled to unit size by a power of two (exact, so
+    every verdict is the same at any scale and nothing overflows).  The
+    lengths of b (1 + s delta) are l(b) + s l(b delta) and |b (1 + s delta)|^2
+    is A + s (2B + sC) from three row dots, so two length evaluations serve
+    every size.  Each length minus its bound is concave in s, so a row's
+    clearing sizes form an interval, and a clearing level right after a
+    failing one (or at j = 0) is its first.  Each row is tested at the level
+    below its largest all-positive size, min l_e(b) / -l_e(b delta) over the
+    edges whose length falls, and the level before it; a row that fails that
+    test scans its levels in order.  A draw that leaves the floating-point
+    range raises ``overflow_error("sample_interior")``.
     """
     n = len(base)
-    passes = (spread * 0.5 ** start * _HALVINGS[:shrinks - start]
-              for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS))
     if size is None:        # one draw: the first clearing size of a pass, no row bookkeeping
         delta = rng.standard_normal(n)
-        for s in passes:
+        for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
+            s = spread * 0.5 ** start * _HALVINGS[:shrinks - start]
             h = base * (1.0 + s[:, None] * delta)
             clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
             if clear.any():
                 return h[int(clear.argmax())]
     else:
-        pending = rng.standard_normal((size, n))
-        rows = out = None       # the per-row bookkeeping, once a draw misses a pass
-        for s in passes:
-            h = base * (1.0 + s[:, None, None] * pending)
-            clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
-            hit = clear.any(axis=0)
-            first = h[clear.argmax(axis=0), np.arange(len(pending))]
-            if out is None:
-                if hit.all():       # the common case
-                    return first
-                rows, out = np.arange(len(pending)), np.empty_like(pending)
-            out[rows[hit]] = first[hit]
-            if hit.all():
-                return out
-            pending, rows = pending[~hit], rows[~hit]
+        delta = rng.standard_normal((size, n))
+        levels = spread * 0.5 ** np.arange(shrinks)
+        b = unit_scaled(base)[0]
+        bd = b * delta
+        l0, D = lengths(b), lengths(bd)
+        A, B, C = row_dot(b, b), row_dot(b, bd), row_dot(bd, bd)
+
+        def clears(s, rows):
+            """Whether b (1 + s delta) clears the margin, for ``rows`` at sizes ``s`` (a size
+            each, or one size for all as a 1-element array)."""
+            bound = margin * np.sqrt(A + s * (2.0 * B[rows] + s * C[rows]))
+            return ~(l0 + s[:, None] * D[rows] <= bound[:, None]).any(axis=1)
+
+        with np.errstate(over="ignore"):
+            reach = np.divide(l0, -D, out=np.full(D.shape, np.inf), where=D < 0.0)
+        first = shrinks - np.searchsorted(levels[::-1], reach.min(axis=1, initial=np.inf))
+        placed = (first < shrinks) & clears(levels[np.minimum(first, shrinks - 1)], slice(None))
+        later = np.flatnonzero(placed & (first > 0))
+        placed[later] = ~clears(levels[first[later] - 1], later)
+        scan = np.flatnonzero(~placed)      # rows the prediction missed, in level order
+        for level in range(shrinks):
+            if not len(scan):
+                break
+            hit = clears(levels[level:level + 1], scan)
+            first[scan[hit]] = level
+            scan = scan[~hit]
+        if not len(scan):
+            return overflow_checked("sample_interior",
+                                    lambda: base * (1.0 + levels[first, None] * delta))
     raise DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "
                       f"after {shrinks} shrinks")
 

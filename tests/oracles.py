@@ -19,11 +19,13 @@ walk to one facet) must match.
 Gauss cell and each face in a Python loop, and ``loop_subdivided`` stacks
 the four children of a midpoint split one by one, as ``polytope`` did
 before ``forms.fan_triangles``; the quadrature and the mesh must be ``==``.
-``stacked_pass_draw`` draws one support vector through the row bookkeeping
-of a stacked pass, and ``three_product_minkowski_check`` evaluates q(h),
-q(k) and b(h, k) by three ``SymmetricForm._b`` calls, as ``forms`` and
-``polygon`` did before single draws and pair checks took one product each;
-draws, ``InequalityResult`` fields and error messages must be equal.
+``stacked_pass_sample`` draws support vectors a pass of six sizes at a time,
+evaluating each size's lengths from scratch and keeping per-row bookkeeping,
+as ``forms.sample_cone`` did before single draws skipped the bookkeeping and
+stacks were placed by linearity; ``three_product_minkowski_check``
+evaluates q(h), q(k) and b(h, k) by three ``SymmetricForm._b`` calls, as
+``polygon`` did before pair checks took one product each; draws, stream
+positions, ``InequalityResult`` fields and error messages must be equal.
 """
 
 import math
@@ -341,27 +343,24 @@ def loop_boundary_metric(fan, h):
     return mesh_from_indexed_triangles(fan.vertex_positions(h), triangles)
 
 
-def stacked_pass_draw(lengths, base, rng, spread, margin, shrinks, what):
-    """``forms.sample_cone`` for one draw (``size=None``), through the bookkeeping of a
-    one-row stack: fancy-indexed first rows, ``hit`` and the ``out`` buffer."""
+def stacked_pass_sample(lengths, base, rng, size, spread, margin, shrinks, what):
+    """``forms.sample_cone`` as its stacked branch was before it placed draws by linearity:
+    every pending row tried at SAMPLE_LEVELS_PER_PASS sizes a pass, each h = base (1 + s delta)
+    and its lengths evaluated from scratch, with the per-row bookkeeping (fancy-indexed first
+    rows, ``hit`` and the ``out`` buffer).  ``size=None`` draws one vector as a one-row stack."""
     n = len(base)
-    delta = rng.standard_normal(n)
-    pending = delta.reshape(-1, n)
-    rows = out = None
+    pending = rng.standard_normal((1 if size is None else size, n))
+    rows = np.arange(len(pending))
+    out = np.empty_like(pending)
     halvings = 0.5 ** np.arange(SAMPLE_LEVELS_PER_PASS)
     for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
         s = spread * 0.5 ** start * halvings[:shrinks - start]
         h = base * (1.0 + s[:, None, None] * pending)
         clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
         hit = clear.any(axis=0)
-        first = h[clear.argmax(axis=0), np.arange(len(pending))]
-        if out is None:
-            if hit.all():
-                return first.reshape(delta.shape)
-            rows, out = np.arange(len(pending)), np.empty_like(pending)
-        out[rows[hit]] = first[hit]
+        out[rows[hit]] = h[clear.argmax(axis=0), np.arange(len(pending))][hit]
         if hit.all():
-            return out.reshape(delta.shape)
+            return out[0] if size is None else out
         pending, rows = pending[~hit], rows[~hit]
     raise DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "
                       f"after {shrinks} shrinks")

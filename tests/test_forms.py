@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomfix
 import oracles
-from mixedform import errors, forms, polygon
+from mixedform import errors, forms, polygon, polytope
 
 
 # =============================================================================
@@ -326,6 +327,156 @@ def test_segment_sums_keep_the_bits_of_np_sum():
             -5, 5, (sizes.sum(),) + shape)
         expected = [np.sum(values[a:a + k], axis=0) for a, k in zip(starts, sizes)]
         assert np.array_equal(forms.segment_sums(values, sizes), expected)
+
+
+# =============================================================================
+# STACKED DRAWS
+# =============================================================================
+
+def _polygon_sampler(fan, base=None):
+    """(lengths, base, spread, margin, shrinks, what) of ``polygon.sample_interior``,
+    optionally about another base."""
+    return (lambda rows: polygon._row_lengths(fan, rows),
+            np.ones(fan.n) if base is None else np.asarray(base, dtype=float),
+            polygon.SAMPLE_SPREAD, polygon.SAMPLE_MARGIN, polygon.SAMPLE_SHRINKS, "side")
+
+
+def _polytope_sampler(fan, reference):
+    """(lengths, base, spread, margin, shrinks, what) of ``polytope.sample_interior``."""
+    return (fan._edge_lengths, np.asarray(reference, dtype=float), polytope.SAMPLE_SPREAD,
+            polytope.SAMPLE_MARGIN, polytope.SAMPLE_SHRINKS, "cone")
+
+
+@pytest.fixture(scope="module")
+def samplers():
+    cube = polytope.build_fan(geomfix.CUBE_NORMALS, np.ones(6))
+    fib = polytope.build_fan(geomfix.fibonacci_sphere(48), np.ones(48))
+    fib_refs = [polytope.sample_interior(fib, fib.reference_h, np.random.default_rng(seed))
+                for seed in (1, 2)]
+    cases = {f"{n}-gon": _polygon_sampler(geomfix.perturbed_polygon_fan(
+        n, np.random.default_rng(n))) for n in (4, 12, 48, 100)}
+    cases.update({
+        "cube": _polytope_sampler(cube, cube.reference_h),
+        "box": _polytope_sampler(cube, [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
+        "cube near a wall": _polytope_sampler(cube, [1.0, 1.0, 1.0, 1.0, 1.0, -0.999]),
+        "fib48": _polytope_sampler(fib, fib.reference_h),
+        "fib48 drawn 1": _polytope_sampler(fib, fib_refs[0]),
+        "fib48 drawn 2": _polytope_sampler(fib, fib_refs[1]),
+        # a slab 6e-9 high: its vertical edges clear the margin 1e-9 |h| = 2.4e-9 at
+        # s = 0, but at a size well below their zero, so a row whose vertical
+        # edges fall misses its predicted level
+        "slab": _polytope_sampler(cube, [1.0, 1.0, 1.0, 1.0, 1.0, -1.0 + 6e-9]),
+        # a 1e-6 wide rectangle, under the margin 1e-6 |h| = 2e-6 at s = 0: a row
+        # clears only at sizes away from 0, where its short sides grow
+        "thin rectangle": _polygon_sampler(polygon.NormalFan2D.from_degrees([0, 90, 180, 270]),
+                                           [1.0, 1.0, -1.0 + 1e-6, 1.0]),
+    })
+    return cases
+
+
+def _assert_same_draws(sampler, seed, size):
+    """sample_cone and its pass-loop reference on the same seed give the same draws (or
+    DomainError text, which is returned) and leave the stream at the same place."""
+    lengths, base, spread, margin, shrinks, what = sampler
+    outcomes = []
+    for draw in (forms.sample_cone, oracles.stacked_pass_sample):
+        rng = np.random.default_rng(seed)
+        try:
+            drawn = draw(lengths, base, rng, size, spread, margin, shrinks, what)
+        except errors.DomainError as exc:
+            drawn = str(exc)
+        outcomes.append((drawn, rng.standard_normal()))
+    (new, new_next), (old, old_next) = outcomes
+    assert type(new) is type(old) and new_next == old_next
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert new.shape == old.shape == (size, len(base))
+        assert np.array_equal(new, old)
+    return old
+
+
+def _levels_of(sampler, seed, draws):
+    """The level j (size spread / 2^j) of each row of ``draws`` drawn at ``seed``, and the
+    level that the row's largest all-positive size predicts (shrinks where none)."""
+    lengths, base, spread, _, shrinks, _ = sampler
+    delta = np.random.default_rng(seed).standard_normal(draws.shape)
+    levels = spread * 0.5 ** np.arange(shrinks)
+    at = [base * (1.0 + s * delta) for s in levels]
+    drawn = np.array([np.flatnonzero([np.array_equal(row, h[i]) for h in at])[0]
+                      for i, row in enumerate(draws)])
+    b = forms.unit_scaled(base)[0]
+    l0, D = lengths(b), lengths(b * delta)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reach = np.where(D < 0.0, l0 / -D, np.inf).min(axis=1)
+    return drawn, (levels[None, :] >= reach[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("name", ["4-gon", "12-gon", "48-gon", "100-gon", "cube", "box",
+                                  "cube near a wall", "fib48", "fib48 drawn 1", "fib48 drawn 2"])
+def test_stacked_draws_match_the_pass_loop(samplers, name):
+    # placed by linearity, every row keeps the level, bits and stream position that
+    # the pass loop gives it (the draws of as many single calls)
+    for seed in range(8):
+        for size in (0, 1, 7, 300):
+            _assert_same_draws(samplers[name], seed, size)
+
+
+def test_a_missed_prediction_reaches_the_scan(samplers):
+    sampler = samplers["slab"]
+    missed = placed = 0
+    for seed in range(4):
+        draws = _assert_same_draws(sampler, seed, 200)
+        drawn, predicted = _levels_of(sampler, seed, draws)
+        missed += int((drawn != predicted).sum())
+        placed += int((drawn == predicted).sum())
+    # a row drawn off its predicted level can only have come from the scan
+    assert missed > 100 and placed > 100
+
+
+def test_clearing_sizes_away_from_zero(samplers):
+    sampler = samplers["thin rectangle"]
+    lengths, base, spread, margin, shrinks, _ = sampler
+
+    def clear(h):
+        return ~(lengths(h) <= forms.wall_bound(h, margin)).any(axis=-1)
+
+    assert not clear(base)      # the base fails the margin at s = 0
+    cleared = 0
+    for seed in range(40):
+        draws = _assert_same_draws(sampler, seed, 1 + seed % 2)
+        if isinstance(draws, str):      # a row whose short sides fall clears at no size
+            assert draws == ("sample_interior: no draw clears the side margin 1e-06 "
+                             "after 80 shrinks")
+            continue
+        cleared += 1
+        drawn, _ = _levels_of(sampler, seed, draws)
+        delta = np.random.default_rng(seed).standard_normal(draws.shape)
+        # each row clears at its drawn level, and fails at the last one, nearest 0
+        assert clear(base * (1.0 + (spread * 0.5 ** drawn)[:, None] * delta)).all()
+        assert not clear(base * (1.0 + spread * 0.5 ** (shrinks - 1) * delta)).any()
+    assert 5 <= cleared <= 35
+
+
+def test_no_clearing_level_raises_the_pass_loop_error():
+    sampler = _polygon_sampler(polygon.NormalFan2D([0.0, 1e-7, 2e-7, 2.1, 4.2]))
+    message = _assert_same_draws(sampler, 1, 3)
+    assert message == "sample_interior: no draw clears the side margin 1e-06 after 80 shrinks"
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+@pytest.mark.parametrize("name", ["48-gon", "box", "fib48"])
+def test_stacked_draws_at_extreme_scales(samplers, name, exponent):
+    # 2^600 |h| squares past the float range and 2^-600 |h| below it; both
+    # implementations give the unscaled draws times 2^exponent, bit for bit
+    lengths, base, *rest = samplers[name]
+    scaled = (lengths, np.ldexp(base, exponent), *rest)
+    for seed in range(3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = _assert_same_draws(scaled, seed, 50)
+        assert np.array_equal(draws, np.ldexp(_assert_same_draws(samplers[name], seed, 50),
+                                              exponent))
 
 
 # =============================================================================

@@ -373,9 +373,9 @@ def _reference_fans():
 
 
 def _stacked_pass_draw(fan, rng):
-    return oracles.stacked_pass_draw(lambda rows: polygon._row_lengths(fan, rows), np.ones(fan.n),
-                                     rng, polygon.SAMPLE_SPREAD, polygon.SAMPLE_MARGIN,
-                                     polygon.SAMPLE_SHRINKS, "side")
+    return oracles.stacked_pass_sample(lambda rows: polygon._row_lengths(fan, rows),
+                                       np.ones(fan.n), rng, None, polygon.SAMPLE_SPREAD,
+                                       polygon.SAMPLE_MARGIN, polygon.SAMPLE_SHRINKS, "side")
 
 
 def _assert_same_outcome(fan, h, k):

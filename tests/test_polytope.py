@@ -1014,8 +1014,8 @@ def test_fib48_single_draws_match_the_stacked_pass_reference():
     for seed in range(100):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         h = polytope.sample_interior(fan, fan.reference_h, rng)
-        assert np.array_equal(h, oracles.stacked_pass_draw(
-            every_edge_then_kept, fan.reference_h, ref_rng, polytope.SAMPLE_SPREAD,
+        assert np.array_equal(h, oracles.stacked_pass_sample(
+            every_edge_then_kept, fan.reference_h, ref_rng, None, polytope.SAMPLE_SPREAD,
             polytope.SAMPLE_MARGIN, polytope.SAMPLE_SHRINKS, "cone"))
         assert rng.standard_normal() == ref_rng.standard_normal()
     rows = polytope.sample_interior(fan, fan.reference_h, rng, size=6)
