@@ -35,7 +35,9 @@ Generic machinery shared by the geometry modules:
     interior sampler that the polygon, polytope and Fuchsian fans share
     (membership at MEMBERSHIP_TOL); the sampler places a stack of draws by
     the linearity of the edge lengths, from two length evaluations at unit
-    scale, and tests each row at the size that linearity predicts;
+    scale: each row scans its sizes from the first one below its reach, the
+    largest size at which all its lengths are positive; a pass loop serves
+    the polygons' single draws, about base 1;
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
     also take (S, n) stacks, and each row rounds exactly as it would alone;
     ``segment_sums`` sums consecutive runs of rows, each as np.sum sums it
@@ -297,7 +299,8 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     linear.  A draw takes one standard-normal delta and keeps the first
     s = spread / 2^j, j < shrinks, at which no edge length is within
     ``wall_bound`` at tolerance ``margin``, else raises DomainError.  One draw
-    tries SAMPLE_LEVELS_PER_PASS sizes a pass.
+    (no ``size``) tries SAMPLE_LEVELS_PER_PASS sizes a pass, unguarded: it
+    serves base 1 (``polygon.sample_interior``), where nothing can overflow.
 
     With ``size``, a (size, n) stack: the vectors of ``size`` calls (a length
     within rounding of the margin can move a row by one size), placed by
@@ -305,16 +308,15 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     every verdict is the same at any scale and nothing overflows).  The
     lengths of b (1 + s delta) are l(b) + s l(b delta) and |b (1 + s delta)|^2
     is A + s (2B + sC) from three row dots, so two length evaluations serve
-    every size.  Each length minus its bound is concave in s, so a row's
-    clearing sizes form an interval, and a clearing level right after a
-    failing one (or at j = 0) is its first.  Each row is tested at the level
-    below its largest all-positive size, min l_e(b) / -l_e(b delta) over the
-    edges whose length falls, and the level before it; a row that fails that
-    test scans its levels in order.  A draw that leaves the floating-point
-    range raises ``overflow_error("sample_interior")``.
+    every size.  A row's reach is its largest all-positive size,
+    min l_e(b) / -l_e(b delta) over the edges whose length falls; at or past
+    it some length is <= 0, so no size there clears.  Each row starts at the
+    first level below its reach and tests its next level until one clears.
+    A draw that leaves the floating-point range raises
+    ``overflow_error("sample_interior")``.
     """
     n = len(base)
-    if size is None:        # one draw: the first clearing size of a pass, no row bookkeeping
+    if size is None:        # one draw about base 1: the first clearing size of a pass
         delta = rng.standard_normal(n)
         for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
             s = spread * 0.5 ** start * _HALVINGS[:shrinks - start]
@@ -329,27 +331,16 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
         bd = b * delta
         l0, D = lengths(b), lengths(bd)
         A, B, C = row_dot(b, b), row_dot(b, bd), row_dot(bd, bd)
-
-        def clears(s, rows):
-            """Whether b (1 + s delta) clears the margin, for ``rows`` at sizes ``s`` (a size
-            each, or one size for all as a 1-element array)."""
-            bound = margin * np.sqrt(A + s * (2.0 * B[rows] + s * C[rows]))
-            return ~(l0 + s[:, None] * D[rows] <= bound[:, None]).any(axis=1)
-
         with np.errstate(over="ignore"):
             reach = np.divide(l0, -D, out=np.full(D.shape, np.inf), where=D < 0.0)
         first = shrinks - np.searchsorted(levels[::-1], reach.min(axis=1, initial=np.inf))
-        placed = (first < shrinks) & clears(levels[np.minimum(first, shrinks - 1)], slice(None))
-        later = np.flatnonzero(placed & (first > 0))
-        placed[later] = ~clears(levels[first[later] - 1], later)
-        scan = np.flatnonzero(~placed)      # rows the prediction missed, in level order
-        for level in range(shrinks):
-            if not len(scan):
-                break
-            hit = clears(levels[level:level + 1], scan)
-            first[scan[hit]] = level
-            scan = scan[~hit]
-        if not len(scan):
+        pending = np.arange(size)
+        while len(pending) and first[pending].max() < shrinks:
+            s = levels[first[pending]]
+            bound = margin * np.sqrt(A + s * (2.0 * B[pending] + s * C[pending]))
+            pending = pending[(l0 + s[:, None] * D[pending] <= bound[:, None]).any(axis=1)]
+            first[pending] += 1
+        if not len(pending):
             return overflow_checked("sample_interior",
                                     lambda: base * (1.0 + levels[first, None] * delta))
     raise DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "

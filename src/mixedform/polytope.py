@@ -743,12 +743,14 @@ def sample_interior(fan, reference, rng, size=None):
     """Random support vector near an interior ``reference``, or a (size, m) stack:
     ``forms.sample_cone`` with base ``reference`` (checked once), raising DomainError
     when no size is interior at SAMPLE_MARGIN (the reference is too close to the
-    cone's boundary for the margin)."""
+    cone's boundary for the margin).  One vector is row 0 of a one-row stack, placed
+    at unit scale, so a draw past the float range raises DomainError at any scale."""
     base = support_vector(reference, fan.m, "sample_interior")
     if cone_membership(fan, base).status != "interior":
         raise DomainError("sample_interior: reference must be interior")
-    return sample_cone(fan._edge_lengths, base, rng, size, SAMPLE_SPREAD, SAMPLE_MARGIN,
-                       SAMPLE_SHRINKS, "cone")
+    draws = sample_cone(fan._edge_lengths, base, rng, 1 if size is None else size,
+                        SAMPLE_SPREAD, SAMPLE_MARGIN, SAMPLE_SHRINKS, "cone")
+    return draws[0] if size is None else draws
 
 
 def fan_from_json_dict(data):

@@ -10,7 +10,8 @@ The temporary input directory reads as ``$INPUTS``, and a numpy warning as
 edit.  ``--fixtures WORKLOAD:SEED`` (repeatable) adds the calls of that
 benchmark manifest (``perfbench/fixtures.write_fixtures``) and the sha256 of
 every fixture it writes, so a manifest without calls (``sampling:SEED``)
-still pins its inputs.  Pytest does not collect this file.  To compare a
+still pins its inputs.  The sha256 of the dump goes to stderr, so one hash
+quotes a byte-identical run.  Pytest does not collect this file.  To compare a
 change against its parent checkout (the copy makes the parent's own
 ``tests`` and ``perfbench`` write the parent's fixtures):
 
@@ -22,6 +23,7 @@ change against its parent checkout (the copy makes the parent's own
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -103,7 +105,9 @@ def main(argv=None):
         dump = {key.replace(directory, "$INPUTS"): _call(argv, directory)
                 for key, argv in calls.items()}
         dump.update(hashes)
-    print(json.dumps(dump, indent=1, sort_keys=True))
+    text = json.dumps(dump, indent=1, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    print("sha256", hashlib.sha256(text.encode()).hexdigest(), file=sys.stderr)
 
 
 if __name__ == "__main__":

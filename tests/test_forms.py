@@ -430,7 +430,7 @@ def test_a_missed_prediction_reaches_the_scan(samplers):
         drawn, predicted = _levels_of(sampler, seed, draws)
         missed += int((drawn != predicted).sum())
         placed += int((drawn == predicted).sum())
-    # a row drawn off its predicted level can only have come from the scan
+    # a row drawn off its predicted level failed there and went on to a later level
     assert missed > 100 and placed > 100
 
 

@@ -543,6 +543,24 @@ def test_distance_requires_interior():
         assert str(info.value) == f"hyperbolic_distance: {name} is not interior"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="defect E: q, b and the pairing lose more than ROUNDING_TOL x scale "
+                          "to cancellation among the area form's entries of about 4e5")
+@pytest.mark.parametrize("check", [polygon.minkowski_check, polygon.hyperbolic_distance])
+def test_exact_pairs_on_an_ill_conditioned_fan_are_not_falsified(check):
+    # h = h^x + 1.5 k is an equality pair of the Minkowski inequality, at distance 0
+    fan = polygon.NormalFan2D([0.0, 2.3e-6, 4.6e-6, 2.1, 4.2])
+    rng = np.random.default_rng(0)
+    K = polygon.sample_interior(fan, rng, size=200)
+    falsified = 0
+    for x, k in zip(rng.standard_normal((200, 2)), K):
+        try:
+            check(fan, polygon.point_support_vector(fan, x) + 1.5 * k, k)
+        except errors.InvariantFalsified:
+            falsified += 1
+    assert falsified == 0
+
+
 # =============================================================================
 # CHART EMBEDDING
 # =============================================================================

@@ -880,7 +880,7 @@ class _PushCutOutward:
     """An rng whose perturbation raises only the support number of face 6."""
 
     def standard_normal(self, size):
-        return np.eye(size)[6]
+        return np.broadcast_to(np.eye(7)[6], size).copy()
 
 
 def test_sampler_raises_when_no_draw_clears_the_margin():
@@ -941,6 +941,39 @@ def test_sampled_draws_scale_with_the_reference(request, name):
         scaled = polytope.sample_interior(fan, c * fan.reference_h, np.random.default_rng(11),
                                           size=50)
         assert np.allclose(scaled / c, draws, rtol=1e-13, atol=0.0)
+
+
+def test_single_draws_near_the_float_maximum(cube_fan):
+    # one draw is a one-row stack placed at unit scale: about 1e308 x 6 it keeps the
+    # pass loop's bits without the pass loop's overflow warnings, and about
+    # 1.3e308 x 6 a draw that leaves the float range raises one DomainError
+    def pass_loop(top, seed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return oracles.stacked_pass_sample(
+                cube_fan._edge_lengths, np.full(6, top), np.random.default_rng(seed), None,
+                polytope.SAMPLE_SPREAD, polytope.SAMPLE_MARGIN, polytope.SAMPLE_SHRINKS, "cone")
+
+    def draw(top, seed, size=None):
+        try:
+            return polytope.sample_interior(cube_fan, np.full(6, top),
+                                            np.random.default_rng(seed), size)
+        except errors.DomainError as exc:
+            return str(exc)
+
+    raised = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(200):
+            assert np.array_equal(draw(1e308, seed), pass_loop(1e308, seed))
+            single, stack = draw(1.3e308, seed), draw(1.3e308, seed, size=1)
+            if isinstance(single, str):
+                assert single == stack == ("sample_interior: the value overflows the "
+                                           "floating-point range")
+                raised += 1
+            else:
+                assert np.array_equal(single, stack[0])
+                assert np.array_equal(single, pass_loop(1.3e308, seed))
+    assert 0 < raised < 200
 
 
 def test_af_rejects_outside_reference(cube_fan):
