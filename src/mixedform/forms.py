@@ -37,7 +37,8 @@ Generic machinery shared by the geometry modules:
     the linearity of the edge lengths, from two length evaluations at unit
     scale: each row scans its sizes from the first one below its reach, the
     largest size at which all its lengths are positive; a pass loop serves
-    the polygons' single draws, about base 1;
+    the polygons' single draws about base 1, where |h|^2 stays in range, so
+    it tests the plain bound without ``wall_bound``'s guard;
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
     also take (S, n) stacks, and each row rounds exactly as it would alone;
     ``segment_sums`` sums consecutive runs of rows, each as np.sum sums it
@@ -299,8 +300,11 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     linear.  A draw takes one standard-normal delta and keeps the first
     s = spread / 2^j, j < shrinks, at which no edge length is within
     ``wall_bound`` at tolerance ``margin``, else raises DomainError.  One draw
-    (no ``size``) tries SAMPLE_LEVELS_PER_PASS sizes a pass, unguarded: it
-    serves base 1 (``polygon.sample_interior``), where nothing can overflow.
+    (no ``size``) tries SAMPLE_LEVELS_PER_PASS sizes a pass about base 1
+    (``polygon.sample_interior``), against margin |h| with no guard: an entry
+    of 1 + s delta is 0 or at least 2^-53 in magnitude (exact, by Sterbenz,
+    where s delta is near -1) and, s <= 1/2, at most about 5, so |h|^2 can
+    neither overflow nor underflow: the bound has ``wall_bound``'s bits.
 
     With ``size``, a (size, n) stack: the vectors of ``size`` calls (a length
     within rounding of the margin can move a row by one size), placed by
@@ -321,9 +325,10 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
         for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
             s = spread * 0.5 ** start * _HALVINGS[:shrinks - start]
             h = base * (1.0 + s[:, None] * delta)
-            clear = ~(lengths(h) <= wall_bound(h, margin)).any(axis=-1)
-            if clear.any():
-                return h[int(clear.argmax())]
+            hit = (lengths(h) <= margin * np.sqrt(row_dot(h, h))[:, None]).any(axis=1)
+            first = int(hit.argmin())
+            if not hit[first]:
+                return h[first]
     else:
         delta = rng.standard_normal((size, n))
         levels = spread * 0.5 ** np.arange(shrinks)

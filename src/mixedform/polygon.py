@@ -36,23 +36,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, InvalidInput
-from .forms import (
-    MEMBERSHIP_TOL,
-    TWO_PI,
-    HermitianForm,
-    SymmetricForm,
-    fan_arrays,
-    json_numbers,
-    locate,
-    overflow_checked,
-    overflow_error,
-    projective_distance,
-    reversed_cauchy_schwarz_check,
-    sample_cone,
-    support_vector,
-    unit_scaled,
-    wall_bound,
-)
+from .forms import (MEMBERSHIP_TOL, TWO_PI, HermitianForm, SymmetricForm, fan_arrays, json_numbers,
+                    locate, overflow_checked, overflow_error, projective_distance,
+                    reversed_cauchy_schwarz_check, sample_cone, support_vector, unit_scaled,
+                    wall_bound)
 
 CLOSURE_TOL = 1e-10
 EMBED_AREA_TOL = 1e-12
@@ -211,23 +198,30 @@ def minkowski_check(fan, h, k):
     ``h`` and ``k`` may be row-aligned (S, n) stacks: the result then holds
     arrays (see ``forms.reversed_cauchy_schwarz_check``).  The whole stack
     is checked for membership and positive areas before the inequality, and
-    the first failing pair raises the error it would raise alone.
+    the first failing pair raises the error it would raise alone.  One pair
+    reads its q(h), q(k) and b(h, k) as Python floats; a pair that fails a
+    check raises as a one-row stack: q overflow, h then k outside, a
+    non-positive area, b overflow.
     """
     u = support_vector(h, fan.n, "minkowski_check", stack=True)
     v = support_vector(k, fan.n, "minkowski_check", stack=True)
     if u.shape != v.shape:
         raise InvalidInput(f"minkowski_check: h and k differ in shape, {u.shape} vs {v.shape}")
-    rows = np.concatenate([u.reshape(-1, fan.n), v.reshape(-1, fan.n)])
     form = area_form(fan)
-    # q(h), q(k) and b(h, k) from one product (see ``forms.overflow_checked``): an
-    # overflowing q is reported now, an overflowing b after the membership and area checks
+    rows = np.array([u, v]) if u.ndim == 1 else np.concatenate([u, v])
+    # q(h), q(k), b(h, k) from one product (see ``forms.overflow_checked``) and membership:
+    # an overflowing q is reported first, an overflowing b after membership and areas
     with np.errstate(over="ignore", invalid="ignore"):
         values = form._pairs(rows)
+        outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+    if u.ndim == 1:     # one pair, as Python floats; a failing pair raises as a one-row stack
+        qh, qk, b = values.ravel().tolist()
+        if 0.0 < qh < math.inf and 0.0 < qk < math.inf and math.isfinite(b) and not outside.any():
+            return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
     in_range = np.isfinite(values).all(axis=1).tolist()
     q = values[:2]
     if not (in_range[0] and in_range[1]):
         raise overflow_error("q")
-    outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
     outside = outside.reshape(2, -1)
     bad = (outside | (q <= 0.0)).any(axis=0)
     if bad.any():
@@ -242,7 +236,7 @@ def minkowski_check(fan, h, k):
         raise DomainError(f"minkowski_check: {why}, got {q[0, i]:.3e}, {q[1, i]:.3e}")
     if not in_range[2]:
         raise overflow_error("b")
-    qh, qk, b = values.reshape(3, *u.shape[:-1])
+    qh, qk, b = values
     return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
 
 

@@ -316,6 +316,21 @@ def test_wall_bound_scales_exactly(exponent):
     assert forms.wall_bound(np.zeros(4), 1e-9).tolist() == [0.0]
 
 
+def test_base_one_draws_keep_wall_bound_on_its_plain_branch():
+    # an entry of h = 1 + s delta is 0, at least 2^-53 in magnitude (Sterbenz: exact for
+    # s delta in [-2, -1/2]) or at least 1/2, and a few units at most: no square
+    # underflows or overflows, so the single draw's unguarded margin |h| has the bits of
+    # wall_bound, which would take its plain branch
+    extremes = 1.0 + np.array([-1.0, -(1.0 - 2.0 ** -53), -(1.0 + 2.0 ** -52), -0.5, 4.5, -5.5])
+    assert extremes.tolist() == [0.0, 2.0 ** -53, -2.0 ** -52, 0.5, 5.5, -4.5]
+    delta = np.random.default_rng(5).standard_normal((200, 6))
+    draws = 1.0 + 0.5 ** np.arange(1, 81)[:, None, None] * delta
+    h = np.vstack([extremes, draws.reshape(-1, 6)])
+    with np.errstate(all="raise"):
+        plain = 1e-6 * np.sqrt(forms.row_dot(h, h))[:, None]
+    assert np.array_equal(plain, forms.wall_bound(h, 1e-6))
+
+
 def test_segment_sums_keep_the_bits_of_np_sum():
     # one reduction per run length, each run summed as np.sum sums it alone
     # (pairwise from 8 entries on, so the run lengths straddle that)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -366,10 +367,18 @@ def test_minkowski_rejects_misaligned_stacks():
 BARELY_CLEAR_DEGREES = np.rad2deg([0.0, 2.3e-6, 4.6e-6, 2.1, 4.2])
 
 
+# the ill-conditioned fan of defect E (length-map entries about 4e5), and a fan with a
+# side of 1e-7 at h = 1, where for about half the deltas no size clears the margin
+DEFECT_E_ANGLES = [0.0, 2.3e-6, 4.6e-6, 2.1, 4.2]
+SHORT_SIDE_ANGLES = [0.0, 1e-7, 2e-7, 2.1, 4.2]
+
+
 def _reference_fans():
     return {"12-gon": geomfix.perturbed_polygon_fan(12, np.random.default_rng(12)),
             "48-gon": geomfix.perturbed_polygon_fan(48, np.random.default_rng(48)),
-            "barely clear": polygon.NormalFan2D.from_degrees(BARELY_CLEAR_DEGREES)}
+            "barely clear": polygon.NormalFan2D.from_degrees(BARELY_CLEAR_DEGREES),
+            "defect E": polygon.NormalFan2D(DEFECT_E_ANGLES),
+            "short side": polygon.NormalFan2D(SHORT_SIDE_ANGLES)}
 
 
 def _stacked_pass_draw(fan, rng):
@@ -428,8 +437,44 @@ def test_single_draws_and_checks_match_the_stacked_pass_references(name):
         assert stacked.equality[7]
 
 
+@pytest.mark.parametrize("name", ["12-gon", "48-gon", "barely clear", "defect E",
+                                  "short side"])
+def test_single_draws_keep_the_guarded_pass_bits_and_stream(name):
+    # the single draw tests margin |h| with no overflow guard: about base 1 it keeps the
+    # draws, the pass and size each clears at, the stream position and the DomainError
+    # of the guarded one-row pass
+    fan = _reference_fans()[name]
+    levels = polygon.SAMPLE_SPREAD * 0.5 ** np.arange(polygon.SAMPLE_SHRINKS)
+    passes, failed = set(), 0
+    for seed in range(60):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        delta = np.random.default_rng(seed).standard_normal(fan.n)
+        for draw in range(4):
+            outcomes = []
+            for sample, stream in ((polygon.sample_interior, rng), (_stacked_pass_draw, ref_rng)):
+                try:
+                    outcomes.append(sample(fan, stream))
+                except errors.DomainError as exc:
+                    outcomes.append(str(exc))
+            new, old = outcomes
+            if isinstance(old, str):
+                assert new == old == ("sample_interior: no draw clears the side margin 1e-06 "
+                                      "after 80 shrinks")
+                failed += 1
+                continue
+            assert new.shape == (fan.n,) and np.array_equal(new, old)
+            if draw == 0:       # its level j, size spread / 2^j, from the seed's first delta
+                j = next(j for j, s in enumerate(levels) if np.array_equal(new, 1.0 + s * delta))
+                passes.add(j // forms.SAMPLE_LEVELS_PER_PASS)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+    # the passes that first draws clear in: on the thin fans most need several
+    assert passes == {"12-gon": {0}, "48-gon": {1}, "barely clear": {2, 3, 6, 7},
+                      "defect E": {2, 3, 6, 7}, "short side": {3, 4}}[name]
+    assert failed > 50 if name == "short side" else failed == 0
+
+
 def test_no_clearing_size_raises_as_the_stacked_pass_did():
-    fan = polygon.NormalFan2D([0.0, 1e-7, 2e-7, 2.1, 4.2])
+    fan = _reference_fans()["short side"]
     messages = []
     for draw in (polygon.sample_interior, _stacked_pass_draw):
         with pytest.raises(errors.DomainError) as info:
@@ -445,21 +490,28 @@ _B_OVERFLOW_H = np.array([1.2e154, 1e140, 1.2e154, 1e140])
 _B_OVERFLOW_K = _B_OVERFLOW_H[[1, 0, 3, 2]]
 
 
-@pytest.mark.parametrize("h, k, message", [
+_FAILURE_STAGES = pytest.mark.parametrize("h, k, message", [
     (np.full(4, 2.0 ** 700), np.ones(4), "q: the value overflows the floating-point range"),
     (np.full(4, 2.0 ** 700), _OUTSIDE, "q: the value overflows the floating-point range"),
     (_OUTSIDE, _OUTSIDE, "minkowski_check: h lies outside the closed cone"),
+    (_OUTSIDE, np.ones(4), "minkowski_check: h lies outside the closed cone"),
     (np.ones(4), _OUTSIDE, "minkowski_check: k lies outside the closed cone"),
+    (np.ones(4), -np.ones(4), "minkowski_check: k lies outside the closed cone"),
     (np.array([1.0, 0.0, 1.0, 0.0]), np.ones(4),
      "minkowski_check: needs positive areas, got -1.225e-16, 4.000e+00"),
+    (np.ones(4), np.zeros(4), "minkowski_check: needs positive areas, got 4.000e+00, 0.000e+00"),
     (np.full(4, 2.0 ** -700), 2.0 ** -700 * np.array([1.0, 2.0, 1.0, 2.0]),
      "minkowski_check: the pair's values leave the floating-point range, got 0.000e+00, "
      "0.000e+00"),
     (_B_OVERFLOW_H, _B_OVERFLOW_K, "b: the value overflows the floating-point range"),
     (np.array([1.2e154, 1e140, 1.2e154, -1e150]), _B_OVERFLOW_K,
      "minkowski_check: h lies outside the closed cone"),
-], ids=["q overflow", "q overflow, k outside", "h and k outside", "k outside", "no area",
-        "area lost", "b overflow", "b overflow, h outside"])
+], ids=["q overflow", "q overflow, k outside", "h and k outside", "h outside", "k outside",
+        "k outside, positive area", "no area", "zero area", "area lost", "b overflow",
+        "b overflow, h outside"])
+
+
+@_FAILURE_STAGES
 def test_minkowski_failure_stages_keep_their_messages_and_order(h, k, message):
     # the fused product reports an overflowing q first, and an overflowing b only
     # after membership and areas, alone and as pair 1 of a stack, as the three
@@ -470,6 +522,22 @@ def test_minkowski_failure_stages_keep_their_messages_and_order(h, k, message):
             with pytest.raises(errors.DomainError) as info:
                 check(fan, *pair)
             assert str(info.value) == message
+
+
+@_FAILURE_STAGES
+def test_one_pair_raises_as_its_one_row_stack_without_warnings(h, k, message):
+    # one pair reads its values as Python floats and, failing a check, raises the class
+    # and message of the same pair as a one-row stack, and prints no numpy warning
+    fan = polygon.NormalFan2D.regular(4)
+    raised = []
+    for pair in ((h, k), (h[None], k[None])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.MixedFormError) as info:
+                polygon.minkowski_check(fan, *pair)
+        assert caught == []
+        raised.append((type(info.value), str(info.value)))
+    assert raised == 2 * [(errors.DomainError, message)]
 
 
 # =============================================================================
