@@ -36,9 +36,9 @@ Generic machinery shared by the geometry modules:
     (membership at MEMBERSHIP_TOL); the sampler places a stack of draws by
     the linearity of the edge lengths, from two length evaluations at unit
     scale: each row scans its sizes from the first one below its reach, the
-    largest size at which all its lengths are positive; a pass loop serves
-    the polygons' single draws about base 1, where |h|^2 stays in range, so
-    it tests the plain bound without ``wall_bound``'s guard;
+    largest size at which all its lengths are positive (``polygon``'s single
+    draws about base 1 run their own pass loop); ``no_clear_error`` is the
+    one DomainError of a draw that no size clears;
   * row-wise evaluation: ``q``, ``b``, ``row_dot`` and the inequality check
     also take (S, n) stacks, and each row rounds exactly as it would alone;
     ``segment_sums`` sums consecutive runs of rows, each as np.sum sums it
@@ -68,11 +68,6 @@ WITNESS_TOL = 1e-7
 ROUNDING_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-12
 TWO_PI = 2.0 * np.pi
-#: perturbation sizes one pass of a single ``sample_cone`` draw tries at once: a
-#: pass costs a draw about as much as one size, and a draw on a perturbed 12-gon
-#: (48-gon) settles after 3 to 5 (8 to 10) sizes
-SAMPLE_LEVELS_PER_PASS = 6
-_HALVINGS = 0.5 ** np.arange(SAMPLE_LEVELS_PER_PASS)
 
 
 def _as_square_matrix(entries, what, dtype=float):
@@ -124,6 +119,12 @@ def overflow_checked(what, compute, *args):
 def overflow_error(what):
     """The DomainError of an overflow in the stage named ``what``."""
     return DomainError(f"{what}: the value overflows the floating-point range")
+
+
+def no_clear_error(what, margin, shrinks):
+    """The DomainError of a sampler draw that no size clears at the ``what`` margin."""
+    return DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "
+                       f"after {shrinks} shrinks")
 
 
 def runs(flat, sizes):
@@ -294,24 +295,19 @@ def locate(lengths, h, tol, labels):
 
 
 def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
-    """Random support vectors h = base (1 + s delta) inside a cone, near an interior ``base``.
+    """A (size, n) stack of random support vectors h = base (1 + s delta) inside a cone,
+    near an interior ``base``.
 
     ``lengths`` maps an (..., n) stack to its (..., E) edge lengths and must be
-    linear.  A draw takes one standard-normal delta and keeps the first
+    linear.  Each row takes one standard-normal delta and keeps the first
     s = spread / 2^j, j < shrinks, at which no edge length is within
-    ``wall_bound`` at tolerance ``margin``, else raises DomainError.  One draw
-    (no ``size``) tries SAMPLE_LEVELS_PER_PASS sizes a pass about base 1
-    (``polygon.sample_interior``), against margin |h| with no guard: an entry
-    of 1 + s delta is 0 or at least 2^-53 in magnitude (exact, by Sterbenz,
-    where s delta is near -1) and, s <= 1/2, at most about 5, so |h|^2 can
-    neither overflow nor underflow: the bound has ``wall_bound``'s bits.
-
-    With ``size``, a (size, n) stack: the vectors of ``size`` calls (a length
-    within rounding of the margin can move a row by one size), placed by
-    linearity on b, ``base`` scaled to unit size by a power of two (exact, so
-    every verdict is the same at any scale and nothing overflows).  The
-    lengths of b (1 + s delta) are l(b) + s l(b delta) and |b (1 + s delta)|^2
-    is A + s (2B + sC) from three row dots, so two length evaluations serve
+    ``wall_bound`` at tolerance ``margin``, else raises ``no_clear_error``.
+    The rows are placed by linearity on b, ``base`` scaled to unit size by a
+    power of two (exact, so every verdict is the same at any scale and nothing
+    overflows), as evaluating each size would place them (a length within
+    rounding of the margin can move a row by one size).  The lengths of
+    b (1 + s delta) are l(b) + s l(b delta) and |b (1 + s delta)|^2 is
+    A + s (2B + sC) from three row dots, so two length evaluations serve
     every size.  A row's reach is its largest all-positive size,
     min l_e(b) / -l_e(b delta) over the edges whose length falls; at or past
     it some length is <= 0, so no size there clears.  Each row starts at the
@@ -319,37 +315,24 @@ def sample_cone(lengths, base, rng, size, spread, margin, shrinks, what):
     A draw that leaves the floating-point range raises
     ``overflow_error("sample_interior")``.
     """
-    n = len(base)
-    if size is None:        # one draw about base 1: the first clearing size of a pass
-        delta = rng.standard_normal(n)
-        for start in range(0, shrinks, SAMPLE_LEVELS_PER_PASS):
-            s = spread * 0.5 ** start * _HALVINGS[:shrinks - start]
-            h = base * (1.0 + s[:, None] * delta)
-            hit = (lengths(h) <= margin * np.sqrt(row_dot(h, h))[:, None]).any(axis=1)
-            first = int(hit.argmin())
-            if not hit[first]:
-                return h[first]
-    else:
-        delta = rng.standard_normal((size, n))
-        levels = spread * 0.5 ** np.arange(shrinks)
-        b = unit_scaled(base)[0]
-        bd = b * delta
-        l0, D = lengths(b), lengths(bd)
-        A, B, C = row_dot(b, b), row_dot(b, bd), row_dot(bd, bd)
-        with np.errstate(over="ignore"):
-            reach = np.divide(l0, -D, out=np.full(D.shape, np.inf), where=D < 0.0)
-        first = shrinks - np.searchsorted(levels[::-1], reach.min(axis=1, initial=np.inf))
-        pending = np.arange(size)
-        while len(pending) and first[pending].max() < shrinks:
-            s = levels[first[pending]]
-            bound = margin * np.sqrt(A + s * (2.0 * B[pending] + s * C[pending]))
-            pending = pending[(l0 + s[:, None] * D[pending] <= bound[:, None]).any(axis=1)]
-            first[pending] += 1
-        if not len(pending):
-            return overflow_checked("sample_interior",
-                                    lambda: base * (1.0 + levels[first, None] * delta))
-    raise DomainError(f"sample_interior: no draw clears the {what} margin {margin:g} "
-                      f"after {shrinks} shrinks")
+    delta = rng.standard_normal((size, len(base)))
+    levels = spread * 0.5 ** np.arange(shrinks)
+    b = unit_scaled(base)[0]
+    bd = b * delta
+    l0, D = lengths(b), lengths(bd)
+    A, B, C = row_dot(b, b), row_dot(b, bd), row_dot(bd, bd)
+    with np.errstate(over="ignore"):
+        reach = np.divide(l0, -D, out=np.full(D.shape, np.inf), where=D < 0.0)
+    first = shrinks - np.searchsorted(levels[::-1], reach.min(axis=1, initial=np.inf))
+    pending = np.arange(size)
+    while len(pending) and first[pending].max() < shrinks:
+        s = levels[first[pending]]
+        bound = margin * np.sqrt(A + s * (2.0 * B[pending] + s * C[pending]))
+        pending = pending[(l0 + s[:, None] * D[pending] <= bound[:, None]).any(axis=1)]
+        first[pending] += 1
+    if len(pending):
+        raise no_clear_error(what, margin, shrinks)
+    return overflow_checked("sample_interior", lambda: base * (1.0 + levels[first, None] * delta))
 
 
 # =============================================================================

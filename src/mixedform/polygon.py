@@ -37,15 +37,19 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, InvalidInput
 from .forms import (MEMBERSHIP_TOL, TWO_PI, HermitianForm, SymmetricForm, fan_arrays, json_numbers,
-                    locate, overflow_checked, overflow_error, projective_distance,
-                    reversed_cauchy_schwarz_check, sample_cone, support_vector, unit_scaled,
-                    wall_bound)
+                    locate, no_clear_error, overflow_checked, overflow_error, projective_distance,
+                    reversed_cauchy_schwarz_check, row_dot, sample_cone, support_vector,
+                    unit_scaled, wall_bound)
 
 CLOSURE_TOL = 1e-10
 EMBED_AREA_TOL = 1e-12
 SAMPLE_SPREAD = 0.5
 SAMPLE_MARGIN = 1e-6
 SAMPLE_SHRINKS = 80
+#: sizes one pass of a single draw tries at once: a pass costs about as much as one
+#: size, and a draw on a perturbed 12-gon (48-gon) settles after 3-5 (8-10) sizes
+SAMPLE_LEVELS_PER_PASS = 6
+_SAMPLE_SIZES = SAMPLE_SPREAD * 0.5 ** np.arange(SAMPLE_SHRINKS)
 
 
 # =============================================================================
@@ -98,10 +102,6 @@ class NormalFan2D:
     @cached_property
     def area_form(self):
         return SymmetricForm(0.5 * self.length_matrix, symmetry_tol=1e-12)
-
-    @cached_property
-    def _ones(self):        # h = 1, always interior: the sampler's base
-        return np.ones(self.n)
 
 
 # =============================================================================
@@ -195,13 +195,12 @@ def minkowski_check(fan, h, k):
     h = h^x + lambda k is recovered by least squares; an equality without a
     witness would falsify the equality-case theorem and raises.
 
-    ``h`` and ``k`` may be row-aligned (S, n) stacks: the result then holds
-    arrays (see ``forms.reversed_cauchy_schwarz_check``).  The whole stack
-    is checked for membership and positive areas before the inequality, and
-    the first failing pair raises the error it would raise alone.  One pair
-    reads its q(h), q(k) and b(h, k) as Python floats; a pair that fails a
-    check raises as a one-row stack: q overflow, h then k outside, a
-    non-positive area, b overflow.
+    One pair reads its q(h), q(k) and b(h, k) as Python floats, and a pair that
+    fails a check raises, in this order: q overflow, h then k outside, a
+    non-positive area, b overflow.  ``h`` and ``k`` may be row-aligned (S, n)
+    stacks: the result then holds arrays (see
+    ``forms.reversed_cauchy_schwarz_check``), and the first failing pair raises the
+    error it would raise alone.
     """
     u = support_vector(h, fan.n, "minkowski_check", stack=True)
     v = support_vector(k, fan.n, "minkowski_check", stack=True)
@@ -209,35 +208,33 @@ def minkowski_check(fan, h, k):
         raise InvalidInput(f"minkowski_check: h and k differ in shape, {u.shape} vs {v.shape}")
     form = area_form(fan)
     rows = np.array([u, v]) if u.ndim == 1 else np.concatenate([u, v])
-    # q(h), q(k), b(h, k) from one product (see ``forms.overflow_checked``) and membership:
-    # an overflowing q is reported first, an overflowing b after membership and areas
+    # q(h), q(k), b(h, k) from one product (see ``forms.overflow_checked``) and membership
     with np.errstate(over="ignore", invalid="ignore"):
         values = form._pairs(rows)
         outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
-    if u.ndim == 1:     # one pair, as Python floats; a failing pair raises as a one-row stack
-        qh, qk, b = values.ravel().tolist()
-        if 0.0 < qh < math.inf and 0.0 < qk < math.inf and math.isfinite(b) and not outside.any():
-            return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
-    in_range = np.isfinite(values).all(axis=1).tolist()
-    q = values[:2]
-    if not (in_range[0] and in_range[1]):
+    if u.ndim > 1:
+        good = (np.isfinite(values).all(axis=0) & (values[:2] > 0.0).all(axis=0)
+                & ~outside.reshape(2, -1).any(axis=0))
+        if not good.all():
+            i = int(good.argmin())
+            minkowski_check(fan, u[i], v[i])        # raises: pair i fails the same checks
+            raise ConsistencyError(f"minkowski_check: pair {i} fails in its stack, not alone")
+        qh, qk, b = values
+        return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
+    qh, qk, b = values.ravel().tolist()
+    if 0.0 < qh < math.inf and 0.0 < qk < math.inf and math.isfinite(b) and not outside.any():
+        return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
+    if not (math.isfinite(qh) and math.isfinite(qk)):
         raise overflow_error("q")
-    outside = outside.reshape(2, -1)
-    bad = (outside | (q <= 0.0)).any(axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        for name, side in (("h", 0), ("k", 1)):
-            if outside[side, i]:
-                raise DomainError(f"minkowski_check: {name} lies outside the closed cone")
+    for name, out in zip("hk", outside.tolist()):
+        if out:
+            raise DomainError(f"minkowski_check: {name} lies outside the closed cone")
+    if not (qh > 0.0 and qk > 0.0):
         # an area that is positive at unit size has only left the float range
-        lost = any(form.q(unit_scaled(rows[side * q.shape[1] + i])[0]) > 0.0
-                   for side in (0, 1) if q[side, i] <= 0.0)
+        lost = any(form.q(unit_scaled(w)[0]) > 0.0 for w, q in ((u, qh), (v, qk)) if q <= 0.0)
         why = "the pair's values leave the floating-point range" if lost else "needs positive areas"
-        raise DomainError(f"minkowski_check: {why}, got {q[0, i]:.3e}, {q[1, i]:.3e}")
-    if not in_range[2]:
-        raise overflow_error("b")
-    qh, qk, b = values
-    return reversed_cauchy_schwarz_check("Minkowski", b, qh, qk, u, v, fan.normals)
+        raise DomainError(f"minkowski_check: {why}, got {qh:.3e}, {qk:.3e}")
+    raise overflow_error("b")
 
 
 def hyperbolic_distance(fan, h, k):
@@ -296,8 +293,24 @@ def double_chart_embedding(fan, h):
 # =============================================================================
 
 def sample_interior(fan, rng, size=None):
-    """Random interior support vector near h = 1 (always interior), or a (size, n) stack:
-    ``forms.sample_cone`` with base 1, raising DomainError when no size clears
-    SAMPLE_MARGIN x |h| (the fan has a side too short for the margin)."""
-    return sample_cone(lambda rows: _row_lengths(fan, rows), fan._ones, rng, size,
-                       SAMPLE_SPREAD, SAMPLE_MARGIN, SAMPLE_SHRINKS, "side")
+    """Random interior support vector near h = 1 (always interior), or a (size, n) stack
+    (``forms.sample_cone`` with base 1); DomainError when no size clears
+    SAMPLE_MARGIN x |h| (the fan has a side too short for the margin).
+
+    One draw h = 1 + s delta tries SAMPLE_LEVELS_PER_PASS sizes s a pass and keeps the
+    first that clears, testing margin |h| with no guard: an entry of 1 + s delta is 0
+    or at least 2^-53 in magnitude (exact, by Sterbenz, where s delta is near -1) and,
+    s <= 1/2, at most about 5, so |h|^2 stays in range and the bound has
+    ``wall_bound``'s bits.
+    """
+    if size is not None:
+        return sample_cone(lambda rows: _row_lengths(fan, rows), np.ones(fan.n), rng, size,
+                           SAMPLE_SPREAD, SAMPLE_MARGIN, SAMPLE_SHRINKS, "side")
+    delta = rng.standard_normal(fan.n)
+    for start in range(0, SAMPLE_SHRINKS, SAMPLE_LEVELS_PER_PASS):
+        h = 1.0 + _SAMPLE_SIZES[start:start + SAMPLE_LEVELS_PER_PASS, None] * delta
+        hit = (_row_lengths(fan, h) <= SAMPLE_MARGIN * np.sqrt(row_dot(h, h))[:, None]).any(axis=1)
+        first = int(hit.argmin())
+        if not hit[first]:
+            return h[first]
+    raise no_clear_error("side", SAMPLE_MARGIN, SAMPLE_SHRINKS)

@@ -597,6 +597,8 @@ def alexandrov_fenchel_check(fan, h, k, p):
     h = h^x + lambda k is recovered over (x, lambda) by least squares.
     ``h`` and ``k`` may be row-aligned (S, m) stacks against the one p: the
     result then holds arrays (see ``forms.reversed_cauchy_schwarz_check``).
+    A stack raises by stage, not by pair: overflowing lengths in any row (p, h or k),
+    p outside, the first pair with h or k outside (h first), an overflowing v.
     """
     hv = support_vector(h, fan.m, "alexandrov_fenchel_check", stack=True)
     kv = support_vector(k, fan.m, "alexandrov_fenchel_check", stack=True)

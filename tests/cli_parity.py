@@ -10,8 +10,10 @@ The temporary input directory reads as ``$INPUTS``, and a numpy warning as
 edit.  ``--fixtures WORKLOAD:SEED`` (repeatable) adds the calls of that
 benchmark manifest (``perfbench/fixtures.write_fixtures``) and the sha256 of
 every fixture it writes, so a manifest without calls (``sampling:SEED``)
-still pins its inputs.  The sha256 of the dump goes to stderr, so one hash
-quotes a byte-identical run.  Pytest does not collect this file.  To compare a
+still pins its inputs.  ``--draws`` adds the sha256 of seeded in-process
+draws (``draw_hashes``), so a sampler change shows its parity as a CLI
+change does.  The sha256 of the dump goes to stderr, so one hash quotes a
+byte-identical run.  Pytest does not collect this file.  To compare a
 change against its parent checkout (the copy makes the parent's own
 ``tests`` and ``perfbench`` write the parent's fixtures):
 
@@ -19,6 +21,8 @@ change against its parent checkout (the copy makes the parent's own
     cp tests/cli_parity.py PARENT/tests/
     (cd PARENT && PYTHONPATH=src python tests/cli_parity.py --fixtures cli-small:1) > old.json
     diff old.json new.json
+
+Give both runs the same options (``--draws`` too, for a sampler change).
 """
 
 import argparse
@@ -30,12 +34,21 @@ import os
 import sys
 import tempfile
 import warnings
+from functools import partial
 
-from mixedform import cli
+import numpy as np
+
+import geomfix
+from mixedform import cli, polygon, polytope
+from mixedform.errors import DomainError
 from test_cli import (GOLDEN_CASES, USAGE_ARGV, _case_id, golden_argv, usage_argv,
                       write_golden_inputs)
+from test_polygon import DEFECT_E_ANGLES
 
 EXPONENTS = (0, 40, -40, 150, -150, 700, -700)
+#: each sampler's draws: at seeds 0..DRAW_SEEDS-1, DRAW_SIZES in turn (None: one draw)
+DRAW_SEEDS = 100
+DRAW_SIZES = 10 * [None] + [5]
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -75,24 +88,66 @@ def golden_calls(directory):
     return calls
 
 
-def fixture_manifest(directory, workload, seed):
-    """({key: argv} for the calls of one benchmark manifest, {key: sha256} for its
-    fixtures), inputs under ``directory``."""
+def write_manifest(directory, workload, seed):
+    """The manifest of one benchmark workload at ``seed``, its inputs written under
+    ``directory``."""
     sys.path.insert(0, PERFBENCH)
     import fixtures     # perfbench's own module; it needs scipy and tests/geomfix.py
 
-    manifest = fixtures.write_fixtures(workload, seed,
-                                       os.path.join(directory, f"{workload}-{seed}"))
+    return fixtures.write_fixtures(workload, seed, os.path.join(directory, f"{workload}-{seed}"))
+
+
+def fixture_manifest(directory, workload, seed):
+    """({key: argv} for the calls of one benchmark manifest, {key: sha256} for its
+    fixtures), inputs under ``directory``."""
+    manifest = write_manifest(directory, workload, seed)
     return ({f"{workload}:{seed} {' '.join(call['argv'])}": call["argv"]
              for call in manifest["calls"]},
             {f"{workload}:{seed} fixture {name}": fixture["sha256"]
              for name, fixture in manifest["fixtures"].items()})
 
 
+def _draws_digest(sample):
+    """sha256 over the draws of ``sample(rng, size)`` for every seed and size (a
+    DomainError as its message) and each seed's next standard normal, the stream
+    position."""
+    digest = hashlib.sha256()
+    for seed in range(DRAW_SEEDS):
+        rng = np.random.default_rng(seed)
+        for size in DRAW_SIZES:
+            try:
+                digest.update(sample(rng, size).tobytes())
+            except DomainError as exc:
+                digest.update(str(exc).encode())
+        digest.update(rng.standard_normal(1).tobytes())
+    return digest.hexdigest()
+
+
+def draw_hashes(directory):
+    """{key: sha256} of the seeded draws of ``polygon.sample_interior`` about base 1 on
+    regular, perturbed and defect E's fans, and of ``polytope.sample_interior`` about
+    the cube and the fib48 fixture of the sampling:1 manifest (written under
+    ``directory``)."""
+    fans = {f"regular {n}": polygon.NormalFan2D.regular(n) for n in (3, 4, 5, 12, 48, 100)}
+    fans.update({f"perturbed {n}": geomfix.perturbed_polygon_fan(n, np.random.default_rng(n))
+                 for n in (4, 6, 12, 24, 48, 96)})
+    fans["defect E"] = polygon.NormalFan2D(DEFECT_E_ANGLES)
+    samplers = {f"draws polygon {name}": partial(polygon.sample_interior, fan)
+                for name, fan in fans.items()}
+    with open(write_manifest(directory, "sampling", 1)["fixtures"]["fib48"]["path"]) as fh:
+        fib48, fib48_h = polytope.fan_from_json_dict(json.load(fh))
+    cube = polytope.build_fan(geomfix.CUBE_NORMALS, np.ones(6))
+    for name, fan, h in (("fib48", fib48, fib48_h), ("cube", cube, np.ones(6))):
+        samplers[f"draws polytope {name}"] = partial(polytope.sample_interior, fan, h)
+    return {key: _draws_digest(sample) for key, sample in samplers.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fixtures", action="append", default=[], metavar="WORKLOAD:SEED",
                         help="also run the calls of this benchmark manifest")
+    parser.add_argument("--draws", action="store_true",
+                        help="also hash seeded polygon and polytope sampler draws")
     args = parser.parse_args(argv)
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     with tempfile.TemporaryDirectory() as directory:
@@ -102,6 +157,8 @@ def main(argv=None):
             more_calls, more_hashes = fixture_manifest(directory, workload, int(seed))
             calls.update(more_calls)
             hashes.update(more_hashes)
+        if args.draws:
+            hashes.update(draw_hashes(directory))
         dump = {key.replace(directory, "$INPUTS"): _call(argv, directory)
                 for key, argv in calls.items()}
         dump.update(hashes)

@@ -36,10 +36,10 @@ import numpy as np
 from mixedform import polygon, polytope
 from mixedform.errors import (ConsistencyError, DomainError, InvalidInput, MixedFormError,
                               RedundancyError, StructuralError)
-from mixedform.forms import (MEMBERSHIP_TOL, SAMPLE_LEVELS_PER_PASS, TrilinearForm,
-                             overflow_checked, reversed_cauchy_schwarz_check, support_vector,
-                             unit_scaled, wall_bound)
-from mixedform.polygon import NormalFan2D
+from mixedform.forms import (MEMBERSHIP_TOL, TrilinearForm, overflow_checked,
+                             reversed_cauchy_schwarz_check, support_vector, unit_scaled,
+                             wall_bound)
+from mixedform.polygon import SAMPLE_LEVELS_PER_PASS, NormalFan2D
 from mixedform.surface import mesh_from_indexed_triangles
 
 HOMOGENEITY_SAMPLES = 16
@@ -368,7 +368,10 @@ def stacked_pass_sample(lengths, base, rng, size, spread, margin, shrinks, what)
 
 def three_product_minkowski_check(fan, h, k):
     """``polygon.minkowski_check`` with q(h) and q(k) from one guarded ``_b`` call and
-    b(h, k) from another, after the membership and area checks."""
+    b(h, k) from another, after the membership and area checks.  A stack keeps the
+    by-kind order (an overflowing q of any pair first, a b overflow last), so stacks
+    whose pairs fail at different stages are compared with their single pairs,
+    never with this reference."""
     u = support_vector(h, fan.n, "minkowski_check", stack=True)
     v = support_vector(k, fan.n, "minkowski_check", stack=True)
     if u.shape != v.shape:

@@ -465,7 +465,7 @@ def test_single_draws_keep_the_guarded_pass_bits_and_stream(name):
             assert new.shape == (fan.n,) and np.array_equal(new, old)
             if draw == 0:       # its level j, size spread / 2^j, from the seed's first delta
                 j = next(j for j, s in enumerate(levels) if np.array_equal(new, 1.0 + s * delta))
-                passes.add(j // forms.SAMPLE_LEVELS_PER_PASS)
+                passes.add(j // polygon.SAMPLE_LEVELS_PER_PASS)
         assert rng.standard_normal() == ref_rng.standard_normal()
     # the passes that first draws clear in: on the thin fans most need several
     assert passes == {"12-gon": {0}, "48-gon": {1}, "barely clear": {2, 3, 6, 7},
@@ -490,7 +490,7 @@ _B_OVERFLOW_H = np.array([1.2e154, 1e140, 1.2e154, 1e140])
 _B_OVERFLOW_K = _B_OVERFLOW_H[[1, 0, 3, 2]]
 
 
-_FAILURE_STAGES = pytest.mark.parametrize("h, k, message", [
+_FAILING_PAIRS = [
     (np.full(4, 2.0 ** 700), np.ones(4), "q: the value overflows the floating-point range"),
     (np.full(4, 2.0 ** 700), _OUTSIDE, "q: the value overflows the floating-point range"),
     (_OUTSIDE, _OUTSIDE, "minkowski_check: h lies outside the closed cone"),
@@ -506,9 +506,11 @@ _FAILURE_STAGES = pytest.mark.parametrize("h, k, message", [
     (_B_OVERFLOW_H, _B_OVERFLOW_K, "b: the value overflows the floating-point range"),
     (np.array([1.2e154, 1e140, 1.2e154, -1e150]), _B_OVERFLOW_K,
      "minkowski_check: h lies outside the closed cone"),
-], ids=["q overflow", "q overflow, k outside", "h and k outside", "h outside", "k outside",
-        "k outside, positive area", "no area", "zero area", "area lost", "b overflow",
-        "b overflow, h outside"])
+]
+_FAILING_IDS = ["q overflow", "q overflow, k outside", "h and k outside", "h outside",
+                "k outside", "k outside, positive area", "no area", "zero area", "area lost",
+                "b overflow", "b overflow, h outside"]
+_FAILURE_STAGES = pytest.mark.parametrize("h, k, message", _FAILING_PAIRS, ids=_FAILING_IDS)
 
 
 @_FAILURE_STAGES
@@ -538,6 +540,28 @@ def test_one_pair_raises_as_its_one_row_stack_without_warnings(h, k, message):
         assert caught == []
         raised.append((type(info.value), str(info.value)))
     assert raised == 2 * [(errors.DomainError, message)]
+
+
+@pytest.mark.parametrize("first", range(len(_FAILING_PAIRS) + 1),
+                         ids=_FAILING_IDS + ["valid"])
+def test_mixed_stacks_raise_as_their_first_failing_pair(first):
+    # a stack whose pairs fail at different stages raises the class and message of
+    # its first failing pair alone, not the earliest stage of any pair; the by-kind
+    # order of the stacked reference does not hold for mixed stacks
+    fan = polygon.NormalFan2D.regular(4)
+    pairs = [(h, k) for h, k, _ in _FAILING_PAIRS] + [(np.ones(4), 2.0 * np.ones(4))]
+    alone = [message for _, _, message in _FAILING_PAIRS] + [None]
+    for second in range(len(pairs)):
+        expected = alone[first] or alone[second]
+        if expected is None:
+            continue
+        (h0, k0), (h1, k1) = pairs[first], pairs[second]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.MixedFormError) as info:
+                polygon.minkowski_check(fan, np.stack([h0, h1]), np.stack([k0, k1]))
+        assert caught == []
+        assert (type(info.value), str(info.value)) == (errors.DomainError, expected)
 
 
 # =============================================================================

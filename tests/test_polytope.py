@@ -1001,6 +1001,32 @@ def test_af_rejects_h_or_k_outside_the_closed_cone(cube_fan):
         polytope.alexandrov_fenchel_check(cube_fan, H, K, np.ones(6))
 
 
+def test_af_stack_raises_by_stage_not_by_pair(cube_fan):
+    # the documented order: overflowing lengths in any row, p outside, the first
+    # pair with a row outside (h before k), an overflowing v; so a stack can raise
+    # what its first failing pair alone would not
+    one, out = np.ones(6), np.array([1.0, 1.0, 1.0, 1.0, 1.0, -3.0])
+    huge, v_huge = np.full(6, 1.5e308), np.full(6, 1e155)
+    af, over = "alexandrov_fenchel_check: ", "the value overflows the floating-point range"
+    cases = [
+        ((out, one, one), af + "h lies outside the closed cone"),
+        ((huge, one, one), af + over),
+        ((v_huge, v_huge, one), "v: " + over),
+        # in a stack, overflowing lengths of any row come first, then p outside
+        (([out, huge], [one, one], one), af + over),
+        (([one, one], [out, one], huge), af + over),
+        (([out, one], [one, one], out), af + "p lies outside the closed cone"),
+        # then the first pair with a row outside, h before k, and an overflowing v last
+        (([one, out], [out, one], one), af + "k lies outside the closed cone"),
+        (([out, one], [out, one], one), af + "h lies outside the closed cone"),
+        (([v_huge, one], [v_huge, out], one), af + "k lies outside the closed cone"),
+    ]
+    for (h, k, p), message in cases:
+        with pytest.raises(errors.DomainError) as info:
+            polytope.alexandrov_fenchel_check(cube_fan, np.array(h), np.array(k), p)
+        assert str(info.value) == message
+
+
 def test_minkowski_sum_volume_polynomial(cube_fan):
     # V(h + t k) is cubic in t with coefficients given by mixed volumes
     rng = np.random.default_rng(47)
