@@ -31,8 +31,6 @@ and v(., ., p) is the matrix (R + R' + P) / 3 with R[i,j] = r(e_i, e_j, p)
 J(l)[i,j] = sum_{e in i} l_e d hs_e / d h_j (the Jacobian of the face
 areas when l = l(h)).  Every quantity is a gather or a scatter over the E
 directed edges plus at most an m x m output: no m x m x m tensor.
-``EdgeLengths`` gives l_e(h) on a fixed subset of the edges (a polytope's
-edges i -> j with i < j, each edge once) from the hs it reads alone.
 
 The cone classifier that polygon, polytope and Fuchsian fans run on their
 edge lengths, ``locate``, lives in ``mixedform.forms``.
@@ -175,29 +173,6 @@ class FaceAssembly:
         ones = np.ones(self.m)
         return agreeing_form(self.gram_sum(ones), 3.0 * self.trilinear_form.contract(ones).entries,
                              "area form and 3 v(1,.,.)")
-
-
-class EdgeLengths:
-    """h -> ``assembly.lengths(h)[..., edges]``, with the same bits, for a fixed list of
-    ``edges``: the in-face support numbers are taken only on the edges that their
-    stencil reads (each listed edge, its next and its previous one)."""
-
-    def __init__(self, assembly, edges):
-        F = assembly
-        read = np.zeros(len(F.src), dtype=bool)
-        for stencil in (edges, F.nxt[edges], F.prv[edges]):
-            read[stencil] = True
-        at = np.cumsum(read) - 1
-        rows = np.flatnonzero(read)
-        self._src, self._dst, self._a, self._b = F.src[rows], F.dst[rows], F.a[rows], F.b[rows]
-        self._self, self._next, self._prev = at[edges], at[F.nxt[edges]], at[F.prv[edges]]
-        self._c_self, self._c_next, self._c_prev = (F.c_self[edges], F.c_next[edges],
-                                                    F.c_prev[edges])
-
-    def __call__(self, h):
-        hs = self._a * h[..., self._src] + self._b * h[..., self._dst]
-        return (self._c_self * hs[..., self._self] + self._c_next * hs[..., self._next]
-                + self._c_prev * hs[..., self._prev])
 
 
 class FaceTrilinearForm:

@@ -26,9 +26,7 @@ Generic machinery shared by the geometry modules:
   * ``support_vector``, the length and finiteness check of support vectors
     and of the forms' (real or complex) arguments, made once, by the public
     function the caller called: code holding checked arrays evaluates
-    ``SymmetricForm._b`` or ``FaceTrilinearForm._v`` under one guard a stage,
-    and one product per pair: a pair's q(h), q(k) and b(h, k) come from one
-    product of its stacked rows with M (``SymmetricForm._pairs``);
+    ``SymmetricForm._b`` or ``FaceTrilinearForm._v`` under one guard a stage;
   * ``wall_bound``, the one rule that puts an edge length below -tol |h|
     outside a cone and one within tol |h| on its wall, at any scale of h,
     with ``locate`` and ``sample_cone``, the cone classifier and the
@@ -414,16 +412,6 @@ class SymmetricForm:
         uM = (np.ascontiguousarray(u.conj())[..., None, :] @ self._M)[..., 0, :]
         return scalar_or_rows(row_dot(uM, v).real)
 
-    def _pairs(self, rows):
-        """q(u), q(v) and b(u, v) as the rows of a (3, S) array, for the halves u and v of
-        a checked (2S, n) stack, each value rounded as ``_b`` rounds it alone: one product
-        of the stacked rows with M and one ``row_dot``.  The rows are finite, so a value
-        is non-finite exactly when its own evaluation overflowed."""
-        S = len(rows) // 2
-        P = (np.ascontiguousarray(rows.conj())[:, None, :] @ self._M)[:, 0, :]
-        values = row_dot(np.concatenate([P, P[:S]]), np.concatenate([rows, rows[S:]]))
-        return values.real.reshape(3, S)
-
     def eigenvalues(self):
         """Eigenvalues (ascending), computed once and cached."""
         if self._eigen is None:
@@ -600,7 +588,7 @@ def projective_distance(form, h, k, what, lengths=None):
         off = (lengths(rows) <= wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
         if off.any():
             raise DomainError(f"{what}: {'hk'[int(np.argmax(off))]} is not interior")
-    qh, qk, b = overflow_checked(what, form._pairs, rows).ravel().tolist()
+    qh, qk, b = overflow_checked(what, form._b, rows[[0, 1, 0]], rows[[0, 1, 1]]).tolist()
     if qh <= 0.0 or qk <= 0.0:
         raise DomainError(f"{what}: needs positive areas")
     r = b / math.sqrt(qh * qk)

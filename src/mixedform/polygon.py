@@ -207,10 +207,12 @@ def minkowski_check(fan, h, k):
     if u.shape != v.shape:
         raise InvalidInput(f"minkowski_check: h and k differ in shape, {u.shape} vs {v.shape}")
     form = area_form(fan)
-    rows = np.array([u, v]) if u.ndim == 1 else np.concatenate([u, v])
-    # q(h), q(k), b(h, k) from one product (see ``forms.overflow_checked``) and membership
+    join = np.array if u.ndim == 1 else np.concatenate
+    left, right = join([u, v, u]), join([u, v, v])
+    rows = left[:len(left) * 2 // 3]        # h and k
+    # b on (h, k, h) and (h, k, k) is q(h), q(k), b(h, k); see ``forms.overflow_checked``
     with np.errstate(over="ignore", invalid="ignore"):
-        values = form._pairs(rows)
+        values = form._b(left, right).reshape(3, -1)
         outside = (_row_lengths(fan, rows) < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
     if u.ndim > 1:
         good = (np.isfinite(values).all(axis=0) & (values[:2] > 0.0).all(axis=0)

@@ -52,7 +52,7 @@ from .errors import (
     StructuralError,
     UnboundedRegionError,
 )
-from .faces import EdgeLengths, FaceAssembly
+from .faces import FaceAssembly
 from .forms import (MEMBERSHIP_TOL, SymmetricForm, as_index, cyclic_runs, fan_triangles,
                     json_numbers, locate, overflow_checked, reversed_cauchy_schwarz_check,
                     row_dot, runs, sample_cone, segment_sums, support_vector, unit_scaled,
@@ -105,18 +105,20 @@ class PolytopeFan:
         #: face-local assembly of volume, edge lengths and area form (edges face by
         #: face in cycle order, aligned with face_cycles)
         self.assembly = assembly
-        #: the directed edges with i < j, each polytope edge once: their labels (i, j)
-        #: and their lengths as a function of h
-        edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
-        self._edge_labels = list(zip(self.assembly.src[edges].tolist(),
-                                     self.assembly.dst[edges].tolist()))
-        self._edge_lengths = EdgeLengths(self.assembly, edges)
+        #: the directed edges with i < j, each polytope edge once, and their labels (i, j)
+        self._edges = np.flatnonzero(self.assembly.src < self.assembly.dst)
+        self._edge_labels = list(zip(self.assembly.src[self._edges].tolist(),
+                                     self.assembly.dst[self._edges].tolist()))
         # vertex_positions solves the 3-face cells as one stack
         degree = np.array([len(cell.faces) for cell in vertex_cells])
         self._solved = np.flatnonzero(degree == 3)
         self._solved_faces = np.array([vertex_cells[v].faces for v in self._solved.tolist()],
                                       dtype=np.intp).reshape(-1, 3)
         self._fitted = np.flatnonzero(degree != 3).tolist()
+
+    def _edge_lengths(self, h):
+        """The lengths l_ij(h) of the edges i < j; h is (..., m)."""
+        return self.assembly.lengths(h)[..., self._edges]
 
     def vertex_positions(self, h):
         """Vertex coordinates for support vector h (least squares at a non-simple vertex)."""
@@ -597,8 +599,9 @@ def alexandrov_fenchel_check(fan, h, k, p):
     h = h^x + lambda k is recovered over (x, lambda) by least squares.
     ``h`` and ``k`` may be row-aligned (S, m) stacks against the one p: the
     result then holds arrays (see ``forms.reversed_cauchy_schwarz_check``).
-    A stack raises by stage, not by pair: overflowing lengths in any row (p, h or k),
-    p outside, the first pair with h or k outside (h first), an overflowing v.
+    A pair raises in this order: overflowing lengths (p, h or k), p outside, h
+    outside, k outside, an overflowing v.  When a stage of a stack raises, its pairs
+    are checked alone in order, and the first one that raises propagates.
     """
     hv = support_vector(h, fan.m, "alexandrov_fenchel_check", stack=True)
     kv = support_vector(k, fan.m, "alexandrov_fenchel_check", stack=True)
@@ -609,15 +612,21 @@ def alexandrov_fenchel_check(fan, h, k, p):
     h2, k2 = hv.reshape(-1, fan.m), kv.reshape(-1, fan.m)
     # p, then h and k pair by pair: the first row outside names the first failure
     rows = np.concatenate([pv[None], np.stack([h2, k2], axis=1).reshape(-1, fan.m)])
-    lengths = overflow_checked("alexandrov_fenchel_check", fan._edge_lengths, rows)
-    outside = (lengths < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
-    if outside.any():
-        o = int(np.argmax(outside))
-        raise DomainError(f"alexandrov_fenchel_check: {'hk'[(o - 1) % 2] if o else 'p'} lies "
-                          "outside the closed cone")
-    # v(h,k,p), v(h,h,p) and v(k,k,p) as one stack
-    v = overflow_checked("v", volume_form(fan)._v, np.concatenate([h2, h2, k2]),
-                         np.concatenate([k2, h2, k2]), pv).reshape(3, *hv.shape[:-1])
+    try:
+        lengths = overflow_checked("alexandrov_fenchel_check", fan._edge_lengths, rows)
+        outside = (lengths < -wall_bound(rows, MEMBERSHIP_TOL)).any(axis=1)
+        if outside.any():
+            o = int(np.argmax(outside))
+            raise DomainError(f"alexandrov_fenchel_check: {'hk'[(o - 1) % 2] if o else 'p'} "
+                              "lies outside the closed cone")
+        # v(h,k,p), v(h,h,p) and v(k,k,p) as one stack
+        v = overflow_checked("v", volume_form(fan)._v, np.concatenate([h2, h2, k2]),
+                             np.concatenate([k2, h2, k2]), pv).reshape(3, *hv.shape[:-1])
+    except DomainError:
+        if hv.ndim > 1:
+            for pair in zip(hv, kv):        # the first pair that fails alone raises
+                alexandrov_fenchel_check(fan, *pair, pv)
+        raise
     return reversed_cauchy_schwarz_check("Alexandrov-Fenchel", v[0], v[1], v[2], hv, kv,
                                          fan.normals)
 

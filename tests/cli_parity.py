@@ -12,17 +12,20 @@ benchmark manifest (``perfbench/fixtures.write_fixtures``) and the sha256 of
 every fixture it writes, so a manifest without calls (``sampling:SEED``)
 still pins its inputs.  ``--draws`` adds the sha256 of seeded in-process
 draws (``draw_hashes``), so a sampler change shows its parity as a CLI
-change does.  The sha256 of the dump goes to stderr, so one hash quotes a
-byte-identical run.  Pytest does not collect this file.  To compare a
-change against its parent checkout (the copy makes the parent's own
-``tests`` and ``perfbench`` write the parent's fixtures):
+change does, and ``--checks`` the sha256 of seeded in-process pair results
+that the CLI never prints (``check_hashes``).  The sha256 of the dump goes
+to stderr, so one hash quotes a byte-identical run.  Pytest does not
+collect this file.  To compare a change against its parent checkout (the
+copy makes the parent's own ``tests`` and ``perfbench`` write the parent's
+fixtures):
 
     PYTHONPATH=src python tests/cli_parity.py --fixtures cli-small:1 > new.json
     cp tests/cli_parity.py PARENT/tests/
     (cd PARENT && PYTHONPATH=src python tests/cli_parity.py --fixtures cli-small:1) > old.json
     diff old.json new.json
 
-Give both runs the same options (``--draws`` too, for a sampler change).
+Give both runs the same options (``--draws`` or ``--checks`` too, for a sampler
+or a pair-check change).
 """
 
 import argparse
@@ -39,8 +42,8 @@ from functools import partial
 import numpy as np
 
 import geomfix
-from mixedform import cli, polygon, polytope
-from mixedform.errors import DomainError
+from mixedform import cli, fuchsian, polygon, polytope
+from mixedform.errors import DomainError, MixedFormError
 from test_cli import (GOLDEN_CASES, USAGE_ARGV, _case_id, golden_argv, usage_argv,
                       write_golden_inputs)
 from test_polygon import DEFECT_E_ANGLES
@@ -49,6 +52,10 @@ EXPONENTS = (0, 40, -40, 150, -150, 700, -700)
 #: each sampler's draws: at seeds 0..DRAW_SEEDS-1, DRAW_SIZES in turn (None: one draw)
 DRAW_SEEDS = 100
 DRAW_SIZES = 10 * [None] + [5]
+#: each pair check's pairs: at seeds 0..CHECK_SEEDS-1, CHECK_PAIRS pairs scaled by 2^e for
+#: each e of EXPONENTS, checked one by one (and the inequality checks as one stack)
+CHECK_SEEDS = 10
+CHECK_PAIRS = 6
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -142,12 +149,89 @@ def draw_hashes(directory):
     return {key: _draws_digest(sample) for key, sample in samplers.items()}
 
 
+def _result_bytes(result):
+    """The bytes of a check's result: each field of a tuple (None as such) or the array."""
+    fields = result if isinstance(result, tuple) else (result,)
+    return b"".join(b"None" if x is None else np.asarray(x).tobytes() for x in fields)
+
+
+def _checks_digest(check, pairs, stacks):
+    """sha256 over ``check(h, k)`` for each seed's rows (H, K) of ``pairs(rng)`` at every
+    scale 2^e, pair by pair and (with ``stacks``) then as one stack: each result's
+    bytes, or the class and message of what it raises."""
+    digest = hashlib.sha256()
+    for seed in range(CHECK_SEEDS):
+        H, K = pairs(np.random.default_rng(seed))
+        for exponent in EXPONENTS:
+            scaled = np.ldexp(H, exponent), np.ldexp(K, exponent)
+            for h, k in [*zip(*scaled)] + [scaled] * stacks:
+                try:
+                    digest.update(_result_bytes(check(h, k)))
+                except MixedFormError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}".encode())
+    return digest.hexdigest()
+
+
+def _drawn_pairs(sample):
+    """(H, K) of CHECK_PAIRS pairs from the stack ``sample(rng, size)``: pair 1 a homothety
+    pair k = 2 h, and at about every other seed pair 2's k negated (outside the cone)."""
+    def pairs(rng):
+        rows = sample(rng, 2 * CHECK_PAIRS)
+        H, K = rows[0::2], rows[1::2].copy()
+        K[1] = 2.0 * H[1]
+        if rng.random() < 0.5:
+            K[2] = -K[2]
+        return H, K
+    return pairs
+
+
+def check_hashes(directory):
+    """{key: sha256} of seeded ``polygon.minkowski_check`` results on the sampling:1
+    12-gon, a perturbed 48-gon and defect E's fan, of ``polytope.alexandrov_fenchel_check``
+    (p the reference) on the cube and the sampling:1 fib48, and of
+    ``fuchsian.spherical_distance`` and the ``covolume_hessian`` entries on the
+    sampling:1 genus-2 m = 14 fan and its pool (manifest written under ``directory``)."""
+    manifest = write_manifest(directory, "sampling", 1)
+
+    def load(name):
+        with open(manifest["fixtures"][name]["path"]) as fh:
+            return json.load(fh)
+
+    fans = {"sampling:1 polygon12": polygon.PolygonSupport.from_json_dict(load("polygon12")).fan,
+            "perturbed 48": geomfix.perturbed_polygon_fan(48, np.random.default_rng(48)),
+            "defect E": polygon.NormalFan2D(DEFECT_E_ANGLES)}
+    checks = {f"checks minkowski {name}": (partial(polygon.minkowski_check, fan), _drawn_pairs(
+        partial(polygon.sample_interior, fan)), True) for name, fan in fans.items()}
+    fib48, fib48_h = polytope.fan_from_json_dict(load("fib48"))
+    cube = polytope.build_fan(geomfix.CUBE_NORMALS, np.ones(6))
+    for name, fan, h in (("sampling:1 fib48", fib48, fib48_h), ("cube", cube, np.ones(6))):
+        checks[f"checks alexandrov-fenchel {name}"] = (
+            partial(polytope.alexandrov_fenchel_check, fan, p=h),
+            _drawn_pairs(partial(polytope.sample_interior, fan, h)), True)
+    qfan, _ = fuchsian.fan_from_json_dict(load("genus2_m14"))
+    pool = np.array(load("genus2_m14_pool")["vectors"])
+
+    def pool_pairs(rng):
+        return pool[rng.integers(len(pool), size=(2, CHECK_PAIRS))]
+
+    def hessian(h, k):
+        return fuchsian.covolume_hessian(qfan, h).entries
+
+    checks["checks spherical-distance sampling:1 genus2_m14"] = (
+        partial(fuchsian.spherical_distance, qfan), pool_pairs, False)
+    checks["checks covolume-hessian sampling:1 genus2_m14"] = (hessian, pool_pairs, False)
+    return {key: _checks_digest(*check) for key, check in checks.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fixtures", action="append", default=[], metavar="WORKLOAD:SEED",
                         help="also run the calls of this benchmark manifest")
     parser.add_argument("--draws", action="store_true",
                         help="also hash seeded polygon and polytope sampler draws")
+    parser.add_argument("--checks", action="store_true",
+                        help="also hash seeded Minkowski, Alexandrov-Fenchel and Fuchsian "
+                             "pair results")
     args = parser.parse_args(argv)
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     with tempfile.TemporaryDirectory() as directory:
@@ -159,6 +243,8 @@ def main(argv=None):
             hashes.update(more_hashes)
         if args.draws:
             hashes.update(draw_hashes(directory))
+        if args.checks:
+            hashes.update(check_hashes(directory))
         dump = {key.replace(directory, "$INPUTS"): _call(argv, directory)
                 for key, argv in calls.items()}
         dump.update(hashes)

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import warnings
 
 import mpmath
@@ -8,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import geomfix
 import oracles
-from mixedform import errors, forms, polygon, polytope
+from mixedform import errors, forms, fuchsian, polygon, polytope
+from test_polygon import DEFECT_E_ANGLES
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 # =============================================================================
@@ -652,6 +658,56 @@ def test_projective_distance_falsified_pairing_is_a_plain_float():
     with pytest.raises(errors.InvariantFalsified) as info:
         forms.projective_distance(form, h, -h, "d")
     assert str(info.value) == "normalized pairing -1.0 < 1: Minkowski inequality violated"
+
+
+def _unit_row_distance(form, h, k, arc):
+    """arc(b / sqrt(q q)) from the form's public q and b on h and k scaled to unit size."""
+    u, v = forms.unit_rows(np.stack([h, k]))[0]
+    return arc(form.b(u, v) / math.sqrt(form.q(u) * form.q(v)))
+
+
+def test_cell_distances_are_the_public_form_values_on_the_unit_rows(monkeypatch, tmp_path):
+    # the distances read q(h), q(k) and b(h, k) from one three-row b: the bits of
+    # three separate calls, on the sampling benchmark's fixtures and on defect E's fan
+    # (where the call returns)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import fixtures     # perfbench's fixture writer
+
+    def arccosh(r):
+        return float(np.arccosh(max(r, 1.0)))
+
+    def arccos(r):
+        return math.acos(min(1.0, max(-1.0, r)))
+
+    def load(manifest, name):
+        with open(manifest["fixtures"][name]["path"]) as fh:
+            return json.load(fh)
+
+    rng = np.random.default_rng(0)
+    defect_e = polygon.NormalFan2D(DEFECT_E_ANGLES)
+    cases = [(defect_e, None)]
+    for seed in (1, 2):
+        manifest = fixtures.write_fixtures("sampling", seed, str(tmp_path / str(seed)))
+        cases.append((polygon.PolygonSupport.from_json_dict(load(manifest, "polygon12")).fan,
+                      None))
+        qfan, h = fuchsian.fan_from_json_dict(load(manifest, "genus2_m14"))
+        pool = np.array(load(manifest, "genus2_m14_pool")["vectors"])
+        cases.append((qfan, [h, *pool]))
+    for fan, vectors in cases:
+        if vectors is None:
+            form, arc, distance = polygon.area_form(fan), arccosh, polygon.hyperbolic_distance
+            pairs = polygon.sample_interior(fan, rng, size=200).reshape(100, 2, fan.n)
+        else:
+            form, arc = fuchsian.fuchsian_area_form(fan), arccos
+            distance = fuchsian.spherical_distance
+            pairs = [(a, b) for a in vectors[:8] for b in vectors]
+        for h, k in pairs:
+            try:
+                d = distance(fan, h, k)
+            except errors.InvariantFalsified:
+                assert fan is defect_e
+                continue
+            assert d == _unit_row_distance(form, h, k, arc)
 
 
 def test_overflow_checked_raises_domain_error():

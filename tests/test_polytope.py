@@ -1001,30 +1001,54 @@ def test_af_rejects_h_or_k_outside_the_closed_cone(cube_fan):
         polytope.alexandrov_fenchel_check(cube_fan, H, K, np.ones(6))
 
 
-def test_af_stack_raises_by_stage_not_by_pair(cube_fan):
-    # the documented order: overflowing lengths in any row, p outside, the first
-    # pair with a row outside (h before k), an overflowing v; so a stack can raise
-    # what its first failing pair alone would not
-    one, out = np.ones(6), np.array([1.0, 1.0, 1.0, 1.0, 1.0, -3.0])
-    huge, v_huge = np.full(6, 1.5e308), np.full(6, 1e155)
-    af, over = "alexandrov_fenchel_check: ", "the value overflows the floating-point range"
-    cases = [
-        ((out, one, one), af + "h lies outside the closed cone"),
-        ((huge, one, one), af + over),
-        ((v_huge, v_huge, one), "v: " + over),
-        # in a stack, overflowing lengths of any row come first, then p outside
-        (([out, huge], [one, one], one), af + over),
-        (([one, one], [out, one], huge), af + over),
-        (([out, one], [one, one], out), af + "p lies outside the closed cone"),
-        # then the first pair with a row outside, h before k, and an overflowing v last
-        (([one, out], [out, one], one), af + "k lies outside the closed cone"),
-        (([out, one], [out, one], one), af + "h lies outside the closed cone"),
-        (([v_huge, one], [v_huge, out], one), af + "k lies outside the closed cone"),
-    ]
-    for (h, k, p), message in cases:
+_AF_ONE, _AF_OUT = np.ones(6), np.array([1.0, 1.0, 1.0, 1.0, 1.0, -3.0])
+_AF_HUGE, _AF_V_HUGE = np.full(6, 1.5e308), np.full(6, 1e155)
+_AF_OVER = "the value overflows the floating-point range"
+#: (h, k, p) of one pair on the cube and what it raises alone, in the order of the stages:
+#: overflowing lengths (p, h or k), p outside, h outside, k outside, an overflowing v
+_AF_FAILING_PAIRS = [
+    ((_AF_ONE, _AF_ONE, _AF_HUGE), "alexandrov_fenchel_check: " + _AF_OVER),
+    ((_AF_HUGE, _AF_ONE, _AF_ONE), "alexandrov_fenchel_check: " + _AF_OVER),
+    ((_AF_OUT, _AF_HUGE, _AF_ONE), "alexandrov_fenchel_check: " + _AF_OVER),
+    ((_AF_ONE, _AF_ONE, _AF_OUT), "alexandrov_fenchel_check: p lies outside the closed cone"),
+    ((_AF_OUT, _AF_ONE, _AF_OUT), "alexandrov_fenchel_check: p lies outside the closed cone"),
+    ((_AF_OUT, _AF_ONE, _AF_ONE), "alexandrov_fenchel_check: h lies outside the closed cone"),
+    ((_AF_OUT, _AF_OUT, _AF_ONE), "alexandrov_fenchel_check: h lies outside the closed cone"),
+    ((_AF_ONE, _AF_OUT, _AF_ONE), "alexandrov_fenchel_check: k lies outside the closed cone"),
+    ((_AF_V_HUGE, _AF_OUT, _AF_ONE), "alexandrov_fenchel_check: k lies outside the closed cone"),
+    ((_AF_V_HUGE, _AF_V_HUGE, _AF_ONE), "v: " + _AF_OVER),
+]
+_AF_FAILING_IDS = ["p lengths overflow", "h lengths overflow", "h outside, k lengths overflow",
+                   "p outside", "h and p outside", "h outside", "h and k outside",
+                   "k outside", "k outside, v overflow", "v overflow"]
+
+
+@pytest.mark.parametrize("first", range(len(_AF_FAILING_PAIRS) + 1),
+                         ids=_AF_FAILING_IDS + ["valid"])
+def test_af_mixed_stacks_raise_as_their_first_failing_pair(cube_fan, first):
+    # a stack whose pairs fail at different stages raises the class and message of
+    # its first failing pair alone, not the earliest stage of any pair, as
+    # minkowski_check does; a stack's one p is the p of its pairs
+    pairs = [case for case, _ in _AF_FAILING_PAIRS] + [(_AF_ONE, 2.0 * _AF_ONE, _AF_ONE)]
+    alone = [message for _, message in _AF_FAILING_PAIRS] + [None]
+    if alone[first] is not None:
         with pytest.raises(errors.DomainError) as info:
-            polytope.alexandrov_fenchel_check(cube_fan, np.array(h), np.array(k), p)
-        assert str(info.value) == message
+            polytope.alexandrov_fenchel_check(cube_fan, *pairs[first])
+        assert str(info.value) == alone[first]
+    for second in range(len(pairs)):
+        (h0, k0, p0), (h1, k1, p1) = pairs[first], pairs[second]
+        if p0 is not p1:
+            continue
+        expected = alone[first] or alone[second]
+        if expected is None:
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.MixedFormError) as info:
+                polytope.alexandrov_fenchel_check(cube_fan, np.stack([h0, h1]),
+                                                  np.stack([k0, k1]), p0)
+        assert caught == []
+        assert (type(info.value), str(info.value)) == (errors.DomainError, expected)
 
 
 def test_minkowski_sum_volume_polynomial(cube_fan):
@@ -1080,8 +1104,6 @@ def test_fib48_single_draws_match_the_stacked_pass_reference():
     rows = polytope.sample_interior(fan, fan.reference_h, rng, size=6)
     for x in (rows, rows[0], rows.reshape(2, 3, 48)):
         assert np.array_equal(fan._edge_lengths(x), every_edge_then_kept(x))
-    # the stencil of the 138 kept edges reads 229 of the 276 in-face support numbers
-    assert (len(edges), len(fan._edge_lengths._src), len(F.src)) == (138, 229, 276)
 
 
 def _spy_measurements(monkeypatch, fan):
@@ -1101,9 +1123,8 @@ def _spy_measurements(monkeypatch, fan):
 
     for module in (forms, polytope):
         monkeypatch.setattr(module, "support_vector", support_vector)
-    # all directed edges, and the i < j edges alone
+    # all directed edges; ``fan._edge_lengths`` keeps the i < j edges of these
     monkeypatch.setattr(fan.assembly, "lengths", spy(fan.assembly.lengths))
-    monkeypatch.setattr(fan, "_edge_lengths", spy(fan._edge_lengths))
     return validated, measured
 
 
