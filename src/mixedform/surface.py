@@ -15,13 +15,17 @@ the sum of its corner angles and the curvature is k = 2 pi - angle.  The
 discrete Gauss-Bonnet formula sum k_i = 2 pi (2 - 2g) ties the curvatures
 to the genus from V - E + F.
 
-A flip develops the two triangles at an interior edge into the plane and,
-when they form a strictly convex quadrilateral, exchanges the diagonal.
-This changes the triangulation but not the metric.
+One rule, Kahan's Heron formula (``_four_areas``), tells whether three lengths
+form a triangle and gives the areas.  A flip develops the two triangles at an
+interior edge into the plane, their apexes at heights 2 area / L off the edge,
+and exchanges the diagonal when the other diagonal crosses the edge strictly
+inside it (a strictly convex quadrilateral): the triangulation changes, the
+metric does not.
 """
 
 import math
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +36,21 @@ from .errors import (
     InvalidInput,
     StructuralError,
 )
-from .forms import as_index, json_numbers, overflow_checked, unit_scaled
+from .forms import as_index, json_numbers, overflow_checked, row_dot, unit_rows, unit_scaled
 
 GLUED_LENGTH_TOL = 1e-12
 SINGULAR_TOL = 1e-8
 GAUSS_BONNET_TOL = 1e-6
-CONVEXITY_TOL = 1e-12
+CONVEXITY_TOL = 1e-12      # a flip's crossing keeps this times L off both ends of the edge
+
+
+def _four_areas(rows):
+    """4 x the area of each row of side lengths: Kahan's needle-safe Heron formula on the
+    sorted sides a >= b >= c.  On rows scaled to unit size it is positive exactly where
+    a row meets the strict triangle inequality (c - (a-b) has the exact sign), else 0 or NaN."""
+    c, b, a = np.sort(rows, axis=1).T
+    with np.errstate(invalid="ignore"):
+        return np.sqrt((a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c)))
 
 
 # =============================================================================
@@ -62,10 +75,10 @@ class TriangleMesh:
         if not np.all(np.isfinite(L)) or np.any(L <= 0.0):
             raise InvalidInput("TriangleMesh: side lengths must be finite and positive")
         T = L.shape[0]
-        for t, (a, b, c) in enumerate(L.tolist()):      # Python floats: no numpy warning
-            if a + b <= c or b + c <= a or c + a <= b:
-                raise InvalidInput(f"TriangleMesh: triangle {t} violates the strict "
-                                   f"triangle inequality: {[a, b, c]}")
+        bad = np.flatnonzero(~(_four_areas(unit_rows(L)[0]) > 0.0))
+        if bad.size:
+            raise InvalidInput(f"TriangleMesh: triangle {bad[0]} violates the strict "
+                               f"triangle inequality: {L[bad[0]].tolist()}")
 
         sigma = {}
         for row in gluing:
@@ -132,22 +145,18 @@ class TriangleMesh:
                 orbits.append(orbit)
         return orbits
 
-    def corner_angle(self, t, c):
-        """Interior angle at corner c of triangle t (law of cosines, clamped)."""
-        row = unit_scaled(self.lengths[t])[0].tolist()
-        A, B, C = row[c], row[(c + 2) % 3], row[(c + 1) % 3]
-        cos = (A * A + B * B - C * C) / (2.0 * A * B)
-        return math.acos(min(1.0, max(-1.0, cos)))
-
-    def triangle_area(self, t):
-        unit, k = unit_scaled(self.lengths[t])
-        a, b, c = unit.tolist()
-        s = 0.5 * (a + b + c)
-        try:
-            return math.ldexp(math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0)), 2 * k)
-        except OverflowError:
-            raise DomainError(f"triangle {t}: the area overflows the floating-point "
-                              "range") from None
+    @cached_property
+    def corner_angles(self):
+        """(T, 3) interior angles, [t, c] at corner c of triangle t: the law of
+        cosines on each row scaled to unit size, then ``math.acos`` of the
+        cosine clamped to [-1, 1]."""
+        U = unit_rows(self.lengths)[0]
+        # at corner c: sides c and c + 2 meet, side c + 1 is opposite
+        A, B, C = U, np.roll(U, 1, axis=1), np.roll(U, -1, axis=1)
+        cos = np.clip((A * A + B * B - C * C) / (2.0 * A * B), -1.0, 1.0)
+        angles = np.array([math.acos(x) for x in cos.ravel().tolist()]).reshape(-1, 3)
+        angles.setflags(write=False)
+        return angles
 
     def orbit_labels(self):
         """Per-vertex set of corner labels (empty set when unlabeled)."""
@@ -197,9 +206,10 @@ def mesh_from_indexed_triangles(points, triangles):
             gluing.append((t, e, t2, e2))
     # measured on the points scaled by a power of two into [-1, 1] (exact), then scaled back
     P, exp2 = unit_scaled(P)
-    norms = [[float(np.linalg.norm(P[b] - P[a])) for a, b in ((i, j), (j, k), (k, i))]
-             for (i, j, k) in tris]
-    lengths = overflow_checked("mesh_from_indexed_triangles", np.ldexp, norms, exp2)
+    corners = np.array(tris, dtype=int).reshape(-1, 3)
+    sides = P[np.roll(corners, -1, axis=1)] - P[corners]      # side e: corner e to e + 1
+    lengths = overflow_checked("mesh_from_indexed_triangles", np.ldexp,
+                               np.sqrt(row_dot(sides, sides)), exp2)
     labels = {(t, c): tris[t][c] for t in range(len(tris)) for c in range(3)}
     return TriangleMesh(lengths, gluing, corner_labels=labels)
 
@@ -220,10 +230,8 @@ def cone_data(mesh):
     Raises a consistency error when |sum k_i - 2 pi (2 - 2g)| > 1e-6,
     which signals corrupted input data.
     """
-    angles = []
-    for orbit in mesh.vertex_orbits:
-        angles.append(sum(mesh.corner_angle(t, c) for t, c in orbit))
-    angles = np.array(angles)
+    corners = mesh.corner_angles.tolist()
+    angles = np.array([sum(corners[t][c] for t, c in orbit) for orbit in mesh.vertex_orbits])
     curvatures = 2.0 * np.pi - angles
 
     V = len(mesh.vertex_orbits)
@@ -247,41 +255,27 @@ def cone_data(mesh):
 
 
 def total_area(mesh):
-    """Sum of the triangle areas (Heron)."""
-    return sum(mesh.triangle_area(t) for t in range(mesh.num_triangles))
+    """Sum of the triangle areas, each from ``_four_areas`` on its row scaled to unit size."""
+    unit, k = unit_rows(mesh.lengths)
+    with np.errstate(over="ignore"):
+        areas = np.ldexp(0.25 * _four_areas(unit), 2 * k)
+    big = np.flatnonzero(np.isinf(areas))
+    if big.size:
+        raise DomainError(f"triangle {big[0]}: the area overflows the floating-point range")
+    return sum(areas.tolist())
 
 
 # =============================================================================
 # FLIP
 # =============================================================================
 
-def _develop_quad(mesh, t, e):
-    """Develop the two triangles at slot (t, e) into the plane, scaled by 2**-k.
-
-    Returns (a, b, C, C2, k): the common edge from a=(0,0) to b=(L,0), the
-    apex C of triangle t above the axis and the apex C2 of its partner
-    below, all in units of 2**k, which brings the longest side into [0.5, 1).
-    """
-    t2, e2 = mesh.sigma[(t, e)]
-    # L, |C - a|, |C - b|, |C2 - a|, |C2 - b|
-    unit, k = unit_scaled(mesh.lengths[[t, t, t, t2, t2], [
-        e, (e + 2) % 3, (e + 1) % 3, (e2 + 1) % 3, (e2 + 2) % 3]])
-    L, dA, dB, dA2, dB2 = unit.tolist()
-    x = (L * L + dA * dA - dB * dB) / (2.0 * L)
-    y2 = dA * dA - x * x
-    C = np.array([x, math.sqrt(max(y2, 0.0))])
-    x2 = (L * L + dA2 * dA2 - dB2 * dB2) / (2.0 * L)
-    y22 = dA2 * dA2 - x2 * x2
-    C2 = np.array([x2, -math.sqrt(max(y22, 0.0))])
-    return np.array([0.0, 0.0]), np.array([L, 0.0]), C, C2, k
-
-
 def flip(mesh, interior_edge):
     """Exchange the diagonal of the developed quadrilateral at an edge.
 
     ``interior_edge`` is a slot (t, e); the edge's two triangles must be
-    distinct and develop onto a strictly convex quadrilateral.  Returns a
-    new mesh with the same metric.
+    distinct, and the diagonal from triangle t's apex C = (x, y) to its
+    partner's C2 = (x2, -y2) must cross the edge from a = (0, 0) to b = (L, 0)
+    strictly inside it.  Returns a new mesh with the same metric.
     """
     t, e = (as_index(x, "flip: slot") for x in interior_edge)
     if (t, e) not in mesh.sigma:
@@ -291,17 +285,18 @@ def flip(mesh, interior_edge):
         raise FlipNotAdmissible(
             f"flip: both sides of the edge lie in triangle {t}; no quadrilateral to flip")
 
-    a, b, C, C2, k = _develop_quad(mesh, t, e)
-    quad = [a, C2, b, C]
-    scale = math.ldexp(max(float(np.max(mesh.lengths[t])), float(np.max(mesh.lengths[t2]))), -k)
-    for i in range(4):
-        p, q, r = quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4]
-        cross = (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
-        if cross <= CONVEXITY_TOL * scale * scale:
-            raise FlipNotAdmissible(
-                f"flip: developed quadrilateral is not strictly convex at corner {i}")
+    # L, |C - a|, |C - b|, |C2 - a|, |C2 - b|, scaled by 2**-k to unit size; y = 2 area / L
+    unit, k = unit_scaled(mesh.lengths[[t, t, t, t2, t2], [
+        e, (e + 2) % 3, (e + 1) % 3, (e2 + 1) % 3, (e2 + 2) % 3]])
+    L, dA, dB, dA2, dB2 = unit.tolist()
+    y, y2 = (_four_areas(unit[[[0, 1, 2], [0, 3, 4]]]) / (2.0 * L)).tolist()
+    x = (L * L + dA * dA - dB * dB) / (2.0 * L)
+    x2 = (L * L + dA2 * dA2 - dB2 * dB2) / (2.0 * L)
+    if not CONVEXITY_TOL * L < (x * y2 + x2 * y) / (y + y2) < (1.0 - CONVEXITY_TOL) * L:
+        raise FlipNotAdmissible(
+            "flip: the other diagonal does not cross the edge strictly inside it")
 
-    d_new = overflow_checked("flip", np.ldexp, float(np.linalg.norm(C - C2)), k)
+    d_new = overflow_checked("flip", np.ldexp, math.hypot(x - x2, y + y2), k)
     new_lengths = mesh.lengths.copy()
     # triangle (a, C2, C) replaces t; triangle (C2, b, C) replaces t2
     new_lengths[t] = [mesh.lengths[t2, (e2 + 1) % 3], d_new, mesh.lengths[t, (e + 2) % 3]]

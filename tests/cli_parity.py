@@ -13,7 +13,9 @@ every fixture it writes, so a manifest without calls (``sampling:SEED``)
 still pins its inputs.  ``--draws`` adds the sha256 of seeded in-process
 draws (``draw_hashes``), so a sampler change shows its parity as a CLI
 change does, and ``--checks`` the sha256 of seeded in-process pair results
-that the CLI never prints (``check_hashes``).  The sha256 of the dump goes
+that the CLI never prints (``check_hashes``), and ``--meshes`` one sha256 each
+of the cone angles, the total areas and the outcome of every flip of seeded
+meshes at several scales (``mesh_hashes``).  The sha256 of the dump goes
 to stderr, so one hash quotes a byte-identical run.  Pytest does not
 collect this file.  To compare a change against its parent checkout (the
 copy makes the parent's own ``tests`` and ``perfbench`` write the parent's
@@ -25,7 +27,7 @@ fixtures):
     diff old.json new.json
 
 Give both runs the same options (``--draws`` or ``--checks`` too, for a sampler
-or a pair-check change).
+or a pair-check change, ``--meshes`` for a surface change).
 """
 
 import argparse
@@ -42,7 +44,7 @@ from functools import partial
 import numpy as np
 
 import geomfix
-from mixedform import cli, fuchsian, polygon, polytope
+from mixedform import cli, fuchsian, polygon, polytope, surface
 from mixedform.errors import DomainError, MixedFormError
 from test_cli import (GOLDEN_CASES, USAGE_ARGV, _case_id, golden_argv, usage_argv,
                       write_golden_inputs)
@@ -56,6 +58,8 @@ DRAW_SIZES = 10 * [None] + [5]
 #: each e of EXPONENTS, checked one by one (and the inequality checks as one stack)
 CHECK_SEEDS = 10
 CHECK_PAIRS = 6
+#: the scales 2^e of the meshes that ``mesh_hashes`` hashes
+MESH_EXPONENTS = (0, 150, -150, 700, -700)
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -223,6 +227,55 @@ def check_hashes(directory):
     return {key: _checks_digest(*check) for key, check in checks.items()}
 
 
+def parity_meshes():
+    """{name: mesh}: Fibonacci m = 12 and 48 boundary metrics (normals jittered by 0.02 at
+    seed m), the genus-2 octagon, doubled regular 5-, 6- and 12-gons and a doubled
+    perturbed 7-gon (seed 7), all with h = 1."""
+    meshes = {}
+    for m in (12, 48):
+        normals = geomfix.fibonacci_sphere(m, np.random.default_rng(m), jitter=0.02)
+        meshes[f"fibonacci {m}"] = polytope.boundary_metric(
+            polytope.build_fan(normals, np.ones(m)), np.ones(m))
+    meshes["genus2 octagon"] = geomfix.genus2_octagon_mesh()
+    fans = {f"regular {n}": polygon.NormalFan2D.regular(n) for n in (5, 6, 12)}
+    fans["perturbed 7"] = geomfix.perturbed_polygon_fan(7, np.random.default_rng(7))
+    for name, fan in fans.items():
+        meshes[f"doubled {name}"] = geomfix.doubled_polygon_mesh(fan, np.ones(fan.n))
+    return meshes
+
+
+def _outcome_bytes(compute, *args):
+    """The bytes of ``compute(*args)``, or the class name of the MixedFormError it raises."""
+    try:
+        return np.asarray(compute(*args)).tobytes()
+    except MixedFormError as exc:
+        return type(exc).__name__.encode()
+
+
+def _cone_angles(mesh):
+    return surface.cone_data(mesh).cone_angles
+
+
+def _flipped_lengths(mesh, slot):
+    return surface.flip(mesh, slot).lengths
+
+
+def mesh_hashes():
+    """{key: sha256} of the cone angles, of the total areas and of every slot's flip
+    outcome (the new lengths, or the error class) of ``parity_meshes`` at each scale 2^e
+    of MESH_EXPONENTS."""
+    digests = {key: hashlib.sha256() for key in ("cone angles", "total areas", "flips")}
+    for base in parity_meshes().values():
+        gluing = base.to_json_dict()["gluing"]
+        for exponent in MESH_EXPONENTS:
+            mesh = surface.TriangleMesh(np.ldexp(base.lengths, exponent), gluing)
+            digests["cone angles"].update(_outcome_bytes(_cone_angles, mesh))
+            digests["total areas"].update(_outcome_bytes(surface.total_area, mesh))
+            for slot in sorted(mesh.sigma):
+                digests["flips"].update(_outcome_bytes(_flipped_lengths, mesh, slot))
+    return {f"meshes {key}": digest.hexdigest() for key, digest in digests.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fixtures", action="append", default=[], metavar="WORKLOAD:SEED",
@@ -232,6 +285,9 @@ def main(argv=None):
     parser.add_argument("--checks", action="store_true",
                         help="also hash seeded Minkowski, Alexandrov-Fenchel and Fuchsian "
                              "pair results")
+    parser.add_argument("--meshes", action="store_true",
+                        help="also hash cone angles, total areas and flip outcomes of seeded "
+                             "meshes")
     args = parser.parse_args(argv)
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     with tempfile.TemporaryDirectory() as directory:
@@ -245,6 +301,8 @@ def main(argv=None):
             hashes.update(draw_hashes(directory))
         if args.checks:
             hashes.update(check_hashes(directory))
+        if args.meshes:
+            hashes.update(mesh_hashes())
         dump = {key.replace(directory, "$INPUTS"): _call(argv, directory)
                 for key, argv in calls.items()}
         dump.update(hashes)

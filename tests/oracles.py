@@ -18,7 +18,9 @@ walk to one facet) must match.
 ``loop_sphere_integral`` and ``loop_boundary_metric`` fan-triangulate each
 Gauss cell and each face in a Python loop, and ``loop_subdivided`` stacks
 the four children of a midpoint split one by one, as ``polytope`` did
-before ``forms.fan_triangles``; the quadrature and the mesh must be ``==``.
+before ``forms.fan_triangles``; ``loop_boundary_metric`` also measures each
+side alone, as ``surface.mesh_from_indexed_triangles`` did before it took
+all sides in one ``row_dot`` pass; the quadrature and the mesh must be ``==``.
 ``stacked_pass_sample`` draws support vectors a pass of six sizes at a time,
 evaluating each size's lengths from scratch and keeping per-row bookkeeping,
 as ``forms.sample_cone`` did before single draws skipped the bookkeeping and
@@ -26,6 +28,10 @@ stacks were placed by linearity; ``three_product_minkowski_check``
 evaluates q(h), q(k) and b(h, k) by three ``SymmetricForm._b`` calls, as
 ``polygon`` did before pair checks took one product each; draws, stream
 positions, ``InequalityResult`` fields and error messages must be equal.
+``loop_corner_angles`` takes each corner angle of a mesh on its own (its
+row scaled by ``unit_scaled``, the law of cosines, ``math.acos`` of the
+clamped cosine), as ``surface`` did before ``TriangleMesh.corner_angles``
+took them as one array; the angles must be ``==``.
 """
 
 import math
@@ -40,7 +46,7 @@ from mixedform.forms import (MEMBERSHIP_TOL, TrilinearForm, overflow_checked,
                              reversed_cauchy_schwarz_check, support_vector, unit_scaled,
                              wall_bound)
 from mixedform.polygon import SAMPLE_LEVELS_PER_PASS, NormalFan2D
-from mixedform.surface import mesh_from_indexed_triangles
+from mixedform.surface import TriangleMesh, mesh_from_indexed_triangles
 
 HOMOGENEITY_SAMPLES = 16
 HOMOGENEITY_FACTORS = (0.5, 2.0)
@@ -334,13 +340,31 @@ def loop_sphere_integral(fan, h, depth):
 
 
 def loop_boundary_metric(fan, h):
-    """``polytope.boundary_metric`` with each face fan-triangulated in a double loop."""
+    """``polytope.boundary_metric`` with each face fan-triangulated in a double loop and
+    each side measured alone, ``np.linalg.norm`` of its unit-scaled vector scaled back."""
     triangles = []
     for i in range(fan.m):
         cyc = fan.face_vertices[i]
         for k in range(1, len(cyc) - 1):
             triangles.append((cyc[0], cyc[k], cyc[k + 1]))
-    return mesh_from_indexed_triangles(fan.vertex_positions(h), triangles)
+    points = fan.vertex_positions(h)
+    P, e = unit_scaled(points)
+    norms = [[float(np.linalg.norm(P[b] - P[a])) for a, b in ((i, j), (j, k), (k, i))]
+             for i, j, k in triangles]
+    gluing = mesh_from_indexed_triangles(points, triangles).to_json_dict()["gluing"]
+    return TriangleMesh(np.ldexp(norms, e), gluing)
+
+
+def loop_corner_angles(mesh):
+    """(T, 3) corner angles of ``mesh``, [t, c] at corner c of triangle t, one at a time."""
+    angles = []
+    for row in mesh.lengths:
+        unit = unit_scaled(row)[0].tolist()
+        for c in range(3):
+            A, B, C = unit[c], unit[(c + 2) % 3], unit[(c + 1) % 3]
+            cos = (A * A + B * B - C * C) / (2.0 * A * B)
+            angles.append(math.acos(min(1.0, max(-1.0, cos))))
+    return np.array(angles).reshape(-1, 3)
 
 
 def stacked_pass_sample(lengths, base, rng, size, spread, margin, shrinks, what):

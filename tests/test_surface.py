@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import geomfix
-from mixedform import errors, polygon, surface
+from mixedform import errors, polygon, polytope, surface
+from oracles import loop_corner_angles
 
 
 def tetrahedron_mesh():
@@ -156,6 +158,64 @@ def test_gauss_bonnet_defect_small_on_valid_meshes():
         assert surface.cone_data(mesh).gauss_bonnet_defect < 1e-12
 
 
+def _doubled_triangle(a, b, c):
+    """Two copies of the triangle (a, b, c) glued along every side (a flat sphere)."""
+    return surface.TriangleMesh([[a, b, c], [a, c, b]], [(0, 0, 1, 0), (0, 1, 1, 2), (0, 2, 1, 1)])
+
+
+def _within_ulps(value, exact, ulps):
+    return abs(value - float(exact)) <= ulps * math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0, 10.0 ** -k) for k in range(3, 10)]
+                         + [(1.0, 1.0, 2.0 ** -60)]
+                         + [(1.0, 0.5 + 2.0 ** -k, 0.5 + 2.0 ** -k) for k in (10, 20, 30, 40, 50)],
+                         ids=str)
+def test_area_of_needles_and_flat_triangles(sides):
+    # Kahan's Heron formula keeps needles and nearly flat triangles to a few
+    # ulps, where the s - a of naive Heron cancels (8.3e-8 relative at 1e-9)
+    with mpmath.workdps(50):
+        a, b, c = (mpmath.mpf(x) for x in sides)
+        s = (a + b + c) / 2
+        exact = 2 * mpmath.sqrt(s * (s - a) * (s - b) * (s - c))
+    assert _within_ulps(surface.total_area(_doubled_triangle(*sides)), exact, 4)
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0, 2.0), (1.0, 0.5, 0.5)], ids=str)
+def test_flat_rows_still_violate_the_triangle_inequality(sides):
+    with pytest.raises(errors.InvalidInput) as info:
+        _doubled_triangle(*sides)
+    assert str(info.value) == ("TriangleMesh: triangle 0 violates the strict triangle "
+                               f"inequality: {list(sides)}")
+
+
+CORNER_ORACLE_MESHES = {
+    "cube": geomfix.cube_boundary_mesh,
+    "genus2 octagon": geomfix.genus2_octagon_mesh,
+    "doubled 5-gon": lambda: geomfix.doubled_polygon_mesh(polygon.NormalFan2D.regular(5),
+                                                          np.ones(5)),
+    "doubled 12-gon": lambda: geomfix.doubled_polygon_mesh(polygon.NormalFan2D.regular(12),
+                                                           np.ones(12)),
+    "doubled perturbed 7-gon": lambda: geomfix.doubled_polygon_mesh(
+        geomfix.perturbed_polygon_fan(7, np.random.default_rng(7)), np.ones(7)),
+    "cube 2^600": lambda: _scaled_mesh(geomfix.cube_boundary_mesh(), 600),
+    "cube 2^-600": lambda: _scaled_mesh(geomfix.cube_boundary_mesh(), -600),
+    "fibonacci 200": lambda: polytope.boundary_metric(
+        polytope.build_fan(geomfix.fibonacci_sphere(200), np.ones(200)), np.ones(200)),
+}
+
+
+@pytest.mark.parametrize("name", list(CORNER_ORACLE_MESHES))
+def test_corner_angles_match_the_loop_oracle(name):
+    # the (T, 3) array and the cone angles summed from it keep every bit of
+    # the corner-by-corner law of cosines
+    mesh = CORNER_ORACLE_MESHES[name]()
+    expected = loop_corner_angles(mesh).tolist()
+    assert mesh.corner_angles.tolist() == expected
+    assert surface.cone_data(mesh).cone_angles.tolist() == [
+        sum(expected[t][c] for t, c in orbit) for orbit in mesh.vertex_orbits]
+
+
 def test_json_roundtrip_preserves_structure():
     mesh = geomfix.genus2_octagon_mesh()
     again = surface.TriangleMesh.from_json_dict(mesh.to_json_dict())
@@ -248,6 +308,38 @@ def test_flip_rejects_nonconvex_quad():
     mesh = surface.TriangleMesh(lengths, gluing)
     with pytest.raises(errors.FlipNotAdmissible):
         surface.flip(mesh, (0, 0))
+
+
+def test_flip_rejects_crossing_on_an_endpoint():
+    # two 3-4-5 triangles, right-angled at the same end of the shared edge:
+    # the other diagonal passes through that endpoint
+    lengths = [[4.0, 5.0, 3.0], [4.0, 3.0, 5.0]]
+    gluing = [(0, 0, 1, 0), (0, 1, 1, 2), (0, 2, 1, 1)]
+    with pytest.raises(errors.FlipNotAdmissible) as info:
+        surface.flip(surface.TriangleMesh(lengths, gluing), (0, 0))
+    assert str(info.value) == "flip: the other diagonal does not cross the edge strictly inside it"
+
+
+@pytest.mark.parametrize("H", [1e5, 1e6, 1e7, 1e12])
+def test_flip_of_an_elongated_kite(H):
+    # a doubled kite: apexes H and 1 off a unit edge, at its midpoint; the
+    # new diagonal is H + 1, however small the short triangle is next to the long one
+    s, r = math.hypot(0.5, H), math.hypot(0.5, 1.0)
+    lengths = [[1.0, s, s], [1.0, r, r], [1.0, s, s], [1.0, r, r]]
+    gluing = [(0, 0, 1, 0), (0, 1, 2, 2), (0, 2, 2, 1), (1, 1, 3, 2), (1, 2, 3, 1), (2, 0, 3, 0)]
+    flipped = surface.flip(surface.TriangleMesh(lengths, gluing), (0, 0))
+    assert _within_ulps(flipped.lengths[0, 1], H + 1.0, 1)
+
+
+@pytest.mark.parametrize("k", range(20, 51))
+def test_flip_of_a_flat_rhombus(k):
+    # two triangles (1, s, s) with s = 1/2 + 2^-k: the new diagonal 2 sqrt(s^2 - 1/4),
+    # where a height sqrt(s^2 - x^2) would cancel (4.7e-10 relative at k = 30)
+    s = 0.5 + 2.0 ** -k
+    flipped = surface.flip(_doubled_triangle(1.0, s, s), (0, 0))
+    with mpmath.workdps(50):
+        exact = 2 * mpmath.sqrt(mpmath.mpf(s) ** 2 - mpmath.mpf(0.25))
+    assert _within_ulps(flipped.lengths[0, 1], exact, 4)
 
 
 def test_flip_rejects_edge_inside_one_triangle():
