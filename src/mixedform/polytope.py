@@ -62,6 +62,7 @@ FEASIBILITY_TOL = 1e-9
 ACTIVE_TOL = 1e-8
 SPHERE_TILING_TOL = 1e-9
 MAX_QUADRATURE_DEPTH = 10
+_LEAF_BUDGET = 1 << 12                # leaves in one block of the sphere quadrature
 SAMPLE_SPREAD = 0.25
 SAMPLE_MARGIN = 1e-9
 SAMPLE_SHRINKS = 60
@@ -660,22 +661,25 @@ def first_area_measure(fan, h):
 # SPHERICAL INTEGRAL
 # =============================================================================
 
-def _midpoints(T):
-    """The unit edge midpoints (ab, bc, ca) of an (N,3,3) block of unit triangles (a, b, c)."""
-    M = T + T[:, [1, 2, 0]]
-    M /= np.linalg.norm(M, axis=-1)[..., None]
-    return M
-
-
-def _subdivided(T, depth):
-    """Recursive 4-way geodesic midpoint split of an (N,3,3) triangle block: (a, b, c) gives
-    (a, ab, ca), (ab, b, bc), (ca, bc, c) and (ab, bc, ca), child-major (every triangle's
-    first child, then every second child, ...)."""
-    for _ in range(depth):
-        points = np.concatenate([T, _midpoints(T)], axis=1)         # a, b, c, ab, bc, ca
-        children = points[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]]
-        T = children.transpose(1, 0, 2, 3).reshape(-1, 3, 3)
-    return T
+def _split_template(depth):
+    """The ``depth``-level midpoint split of one triangle (vertex ids 0, 1, 2) as index
+    arrays: each level's new vertices as parent pairs (a, b), every edge midpoint once (the
+    last level: the leaves' edge midpoints); the leaves' corners, (a, b, c) splitting into
+    (a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca), child-major as each level stacks
+    them; and the leaves' (ab, bc, ca) as indices into the last level."""
+    tris = np.array([[0, 1, 2]])
+    levels = []
+    for _ in range(depth + 1):
+        n = 3 + sum(map(len, levels))
+        if levels:
+            points = np.concatenate([tris, n - len(levels[-1]) + mids.reshape(-1, 3)], axis=1)
+            children = points[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]]
+            tris = children.transpose(1, 0, 2).reshape(-1, 3)
+        edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+        _, first, mids = np.unique(edges[:, 0] * n + edges[:, 1], return_index=True,
+                                   return_inverse=True)
+        levels.append(edges[first])
+    return levels, tris, mids.reshape(-1, 3)
 
 
 def _spherical_triangle_areas(T):
@@ -696,6 +700,9 @@ def area_via_sphere_integral(fan, h, depth):
     triangles use their exact spherical area with the three edge-midpoint
     nodes (planar-quadratic-exact, so the quadratic integrand converges at
     second order in the cell diameter); an overflow raises DomainError.
+    Blocks of base triangles (``_LEAF_BUDGET`` leaves, or one triangle) are split on
+    one index template, each vertex normalized once, with the bits of splitting one
+    base triangle at a time (``loop_sphere_integral`` in ``tests/oracles.py``).
     """
     depth = as_index(depth, "depth")
     if not (0 <= depth <= MAX_QUADRATURE_DEPTH):
@@ -706,19 +713,37 @@ def area_via_sphere_integral(fan, h, depth):
 
 
 def _sphere_integral(fan, positions, depth):
-    """The quadrature over every Gauss cell, once the cells tile the sphere."""
+    """The quadrature over every Gauss cell, once the cells tile the sphere.  Each block
+    fills its (triangle, axis, vertex) array level by level, each vertex (a + b) / |a + b|
+    as the recursive split gave it (addition commutes); the dots are one stacked matmul of
+    (midpoint, axis) rows, and each triangle's leaf row is summed alone, in base order."""
     sizes = np.array([len(cell.faces) for cell in fan.vertex_cells])
-    base = fan_triangles(np.concatenate([cell.faces for cell in fan.vertex_cells]), sizes)
+    base = fan.normals[fan_triangles(np.concatenate([cell.faces for cell in fan.vertex_cells]),
+                                     sizes)].transpose(0, 2, 1)
+    P = np.repeat(positions, sizes - 2, axis=0)[:, :, None]
+    p2 = np.repeat([float(np.dot(p, p)) for p in positions], sizes - 2)[:, None]
+    levels, corners, mids = _split_template(depth)
+    block = max(1, _LEAF_BUDGET >> 2 * depth)
+    n = 3 + sum(map(len, levels[:-1]))
+    # the (triangle, leaf, corner, axis) entries of a block's flat (triangle, axis, vertex) array
+    at = corners[:, :, None] + n * np.arange(3 * min(block, len(base))).reshape(-1, 1, 1, 3)
     total = 0.0
     covered = 0.0
-    # one base triangle at a time: a block of all of them would hold every leaf at once
-    for tri, p in zip(fan.normals[base], np.repeat(positions, sizes - 2, axis=0)):
-        leaves = _subdivided(tri[None], depth)
-        areas = _spherical_triangle_areas(leaves)
-        dots = _midpoints(leaves) @ p
-        fvals = 1.5 * dots * dots - 0.5 * float(np.dot(p, p))
-        total += np.sum(areas * np.mean(fvals, axis=1))
-        covered += float(np.sum(areas))
+    for s in range(0, len(base), block):
+        V = base[s:s + block]
+        for k, pairs in enumerate(levels):
+            if k:                         # V holds the leaves' vertices, not their midpoints
+                V = np.concatenate([V, M], axis=2)
+            M = np.take(V, pairs[:, 0], axis=2) + np.take(V, pairs[:, 1], axis=2)
+            M /= np.linalg.norm(M, axis=1)[:, None]
+        dots = np.matmul(M.transpose(0, 2, 1).copy(), P[s:s + block])[:, :, 0]
+        fvals = np.take(1.5 * dots * dots - 0.5 * p2[s:s + block], mids.T, axis=1)
+        areas = _spherical_triangle_areas(np.take(V, at[:len(V)]).reshape(-1, 3, 3))
+        areas = areas.reshape(len(V), -1)
+        for t, c in zip(np.sum(areas * np.mean(fvals, axis=1), axis=1).tolist(),
+                        np.sum(areas, axis=1).tolist()):
+            total += t
+            covered += c
     if abs(covered - 4.0 * math.pi) > 1e-8:
         raise StructuralError(
             f"Gauss image does not tile the sphere: covered {covered!r} of 4*pi")

@@ -275,7 +275,8 @@ def flip(mesh, interior_edge):
     ``interior_edge`` is a slot (t, e); the edge's two triangles must be
     distinct, and the diagonal from triangle t's apex C = (x, y) to its
     partner's C2 = (x2, -y2) must cross the edge from a = (0, 0) to b = (L, 0)
-    strictly inside it.  Returns a new mesh with the same metric.
+    strictly inside it, and both new triangles must meet the strict triangle
+    inequality at unit scale.  Returns a new mesh with the same metric.
     """
     t, e = (as_index(x, "flip: slot") for x in interior_edge)
     if (t, e) not in mesh.sigma:
@@ -296,7 +297,10 @@ def flip(mesh, interior_edge):
         raise FlipNotAdmissible(
             "flip: the other diagonal does not cross the edge strictly inside it")
 
-    d_new = overflow_checked("flip", np.ldexp, math.hypot(x - x2, y + y2), k)
+    d = math.hypot(x - x2, y + y2)
+    if not (_four_areas(np.array([[dA2, d, dA], [dB2, dB, d]])) > 0.0).all():
+        raise FlipNotAdmissible("flip: a new triangle violates the strict triangle inequality")
+    d_new = overflow_checked("flip", np.ldexp, d, k)
     new_lengths = mesh.lengths.copy()
     # triangle (a, C2, C) replaces t; triangle (C2, b, C) replaces t2
     new_lengths[t] = [mesh.lengths[t2, (e2 + 1) % 3], d_new, mesh.lengths[t, (e + 2) % 3]]

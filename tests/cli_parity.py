@@ -15,7 +15,9 @@ draws (``draw_hashes``), so a sampler change shows its parity as a CLI
 change does, and ``--checks`` the sha256 of seeded in-process pair results
 that the CLI never prints (``check_hashes``), and ``--meshes`` one sha256 each
 of the cone angles, the total areas and the outcome of every flip of seeded
-meshes at several scales (``mesh_hashes``).  The sha256 of the dump goes
+meshes at several scales (``mesh_hashes``), and ``--quadrature`` one sha256 per
+seeded fan of ``polytope.area_via_sphere_integral`` at depths 0-6 and several
+scales (``quadrature_hashes``).  The sha256 of the dump goes
 to stderr, so one hash quotes a byte-identical run.  Pytest does not
 collect this file.  To compare a change against its parent checkout (the
 copy makes the parent's own ``tests`` and ``perfbench`` write the parent's
@@ -27,7 +29,8 @@ fixtures):
     diff old.json new.json
 
 Give both runs the same options (``--draws`` or ``--checks`` too, for a sampler
-or a pair-check change, ``--meshes`` for a surface change).
+or a pair-check change, ``--meshes`` for a surface change, ``--quadrature`` for a
+sphere-quadrature change).
 """
 
 import argparse
@@ -60,6 +63,9 @@ CHECK_SEEDS = 10
 CHECK_PAIRS = 6
 #: the scales 2^e of the meshes that ``mesh_hashes`` hashes
 MESH_EXPONENTS = (0, 150, -150, 700, -700)
+#: the depths and the scales 2^e of the support vectors that ``quadrature_hashes`` integrates
+QUADRATURE_DEPTHS = range(7)
+QUADRATURE_EXPONENTS = (0, 150, -150)
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -276,6 +282,40 @@ def mesh_hashes():
     return {f"meshes {key}": digest.hexdigest() for key, digest in digests.items()}
 
 
+def quadrature_fans():
+    """{name: (fan, h)}: the box h = (1, 1, 2, 2, 3, 3), the regular octahedron, random
+    simple polytopes with m = 10 and 30 (seed m) and Fibonacci m = 48 and 96 fans with
+    normals jittered by 0.05 at seed m and h = 1."""
+    fans = {"box": (geomfix.CUBE_NORMALS, np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])),
+            "octahedron": (geomfix.OCTAHEDRON_NORMALS, np.full(8, 1.0 / np.sqrt(3.0)))}
+    for m in (10, 30):
+        fan, h = geomfix.random_simple_polytope(m, np.random.default_rng(m))
+        fans[f"random simple {m}"] = (fan.normals, h)
+    for m in (48, 96):
+        fans[f"fibonacci {m}"] = (geomfix.fibonacci_sphere(m, np.random.default_rng(m),
+                                                           jitter=0.05), np.ones(m))
+    return {name: (polytope.build_fan(normals, h), h) for name, (normals, h) in fans.items()}
+
+
+def quadrature_hashes():
+    """{key: sha256} per ``quadrature_fans`` fan of the ``repr`` of each
+    ``area_via_sphere_integral`` value (or the class name of the MixedFormError it
+    raises) at each depth of QUADRATURE_DEPTHS and scale 2^e of QUADRATURE_EXPONENTS."""
+    hashes = {}
+    for name, (fan, h) in quadrature_fans().items():
+        digest = hashlib.sha256()
+        for depth in QUADRATURE_DEPTHS:
+            for exponent in QUADRATURE_EXPONENTS:
+                try:
+                    value = repr(polytope.area_via_sphere_integral(fan, np.ldexp(h, exponent),
+                                                                   depth))
+                except MixedFormError as exc:
+                    value = type(exc).__name__
+                digest.update(value.encode() + b"\n")
+        hashes[f"quadrature {name}"] = digest.hexdigest()
+    return hashes
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fixtures", action="append", default=[], metavar="WORKLOAD:SEED",
@@ -288,6 +328,8 @@ def main(argv=None):
     parser.add_argument("--meshes", action="store_true",
                         help="also hash cone angles, total areas and flip outcomes of seeded "
                              "meshes")
+    parser.add_argument("--quadrature", action="store_true",
+                        help="also hash sphere-quadrature areas of seeded fans")
     args = parser.parse_args(argv)
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     with tempfile.TemporaryDirectory() as directory:
@@ -303,6 +345,8 @@ def main(argv=None):
             hashes.update(check_hashes(directory))
         if args.meshes:
             hashes.update(mesh_hashes())
+        if args.quadrature:
+            hashes.update(quadrature_hashes())
         dump = {key.replace(directory, "$INPUTS"): _call(argv, directory)
                 for key, argv in calls.items()}
         dump.update(hashes)

@@ -16,9 +16,11 @@ one array pass; the fan must come out ``==``.
 4D hull of the lifted dual points, which ``polytope._interior_point`` (the
 walk to one facet) must match.
 ``loop_sphere_integral`` and ``loop_boundary_metric`` fan-triangulate each
-Gauss cell and each face in a Python loop, and ``loop_subdivided`` stacks
-the four children of a midpoint split one by one, as ``polytope`` did
-before ``forms.fan_triangles``; ``loop_boundary_metric`` also measures each
+Gauss cell and each face in a Python loop, as ``polytope`` did before
+``forms.fan_triangles``, and ``loop_subdivided`` splits one base triangle at a
+time, stacking the four children of each level one by one, as ``polytope``
+did before it split blocks of base triangles on one index template
+(``polytope._split_template``); ``loop_boundary_metric`` also measures each
 side alone, as ``surface.mesh_from_indexed_triangles`` did before it took
 all sides in one ``row_dot`` pass; the quadrature and the mesh must be ``==``.
 ``stacked_pass_sample`` draws support vectors a pass of six sizes at a time,
@@ -296,7 +298,9 @@ def loop_vertex_positions(fan, h):
 
 
 def loop_subdivided(tri_block, depth):
-    """``polytope._subdivided`` with the four children of each level stacked one by one."""
+    """The leaves of the recursive midpoint split of an (N,3,3) triangle block, child-major,
+    with the four children of each level stacked one by one (``polytope._split_template``
+    gives the same leaves from one template)."""
     T = tri_block
     for _ in range(depth):
         a, b, c = T[:, 0], T[:, 1], T[:, 2]

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1227,11 +1228,59 @@ def test_quadrature_and_boundary_metric_match_the_loop_oracle(name, normals, h):
         oracles.loop_boundary_metric(fan, h).to_json_dict()
 
 
+def _jittered_fibonacci_fan(m, seed):
+    normals = geomfix.fibonacci_sphere(m, np.random.default_rng(seed), jitter=0.05)
+    return polytope.build_fan(normals, np.ones(m)), np.ones(m)
+
+
+@pytest.mark.parametrize("name, depths", [("fibonacci 48", [5]), ("fibonacci 96", [1, 2, 3, 4]),
+                                          ("box", [6, 7, 8])])
+def test_quadrature_matches_the_loop_oracle_at_block_edges(name, depths):
+    # the benchmark's fib48 shape; 188 base triangles, a multiple of no block (64
+    # at depth 3, 16 at depth 4); one box triangle filling (depth 6) or exceeding a block
+    if name == "box":
+        h = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+        fan = polytope.build_fan(CUBE, h)
+    else:
+        fan, h = _jittered_fibonacci_fan(int(name.split()[1]), 5)
+    base = sum(len(cell.faces) - 2 for cell in fan.vertex_cells)
+    assert base == {"fibonacci 48": 92, "fibonacci 96": 188, "box": 8}[name]
+    for depth in depths:
+        assert polytope.area_via_sphere_integral(fan, h, depth) == \
+            oracles.loop_sphere_integral(fan, h, depth)
+
+
+def test_quadrature_holds_a_bounded_block():
+    # a block of all 188 base triangles at depth 6 would hold about 770 000 leaves,
+    # about 55 MiB for each (leaves, 3, 3) array
+    fan, h = _jittered_fibonacci_fan(96, 5)
+    polytope.area_via_sphere_integral(fan, h, 0)
+    tracemalloc.start()
+    try:
+        polytope.area_via_sphere_integral(fan, h, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_subdivided_leaves_match_the_loop_oracle():
-    # the leaves come child-major, as the four stacked children gave them
-    T = CUBE[[[0, 2, 4], [1, 3, 5]]]
-    for depth in range(4):
-        assert np.array_equal(polytope._subdivided(T, depth), oracles.loop_subdivided(T, depth))
+    # filling the template's vertices level by level gives each base triangle the
+    # leaves, child-major, and the leaf edge midpoints of the recursive split
+    rough = np.random.default_rng(3).standard_normal((2, 3, 3))
+    rough /= np.linalg.norm(rough, axis=2)[:, :, None]
+    for depth in range(5):
+        levels, corners, mids = polytope._split_template(depth)
+        for tri in [*CUBE[[[0, 2, 4], [1, 3, 5]]], *rough]:
+            V = tri
+            for pairs in levels:
+                M = V[pairs[:, 0]] + V[pairs[:, 1]]
+                M /= np.linalg.norm(M, axis=1)[:, None]
+                V = np.concatenate([V, M])
+            leaves = oracles.loop_subdivided(tri[None], depth)
+            assert np.array_equal(V[corners], leaves)
+            mid = leaves + leaves[:, [1, 2, 0]]
+            assert np.array_equal(M[mids], mid / np.linalg.norm(mid, axis=2)[:, :, None])
 
 
 # =============================================================================

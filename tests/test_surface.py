@@ -320,6 +320,31 @@ def test_flip_rejects_crossing_on_an_endpoint():
     assert str(info.value) == "flip: the other diagonal does not cross the edge strictly inside it"
 
 
+def _doubled_kite(eps):
+    # a = (0, 0), b = (1, 0), apexes (eps, +-1), doubled; slot (0, 0) is the diagonal ab
+    s, r = math.hypot(1.0 - eps, 1.0), math.hypot(eps, 1.0)
+    lengths = [[1.0, s, r], [1.0, r, s], [1.0, r, s], [1.0, s, r]]
+    gluing = [(0, 0, 1, 0), (2, 0, 3, 0), (0, 1, 2, 2), (0, 2, 2, 1), (1, 1, 3, 2), (1, 2, 3, 1)]
+    return surface.TriangleMesh(lengths, gluing)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11])
+def test_flip_rejects_a_new_triangle_flat_to_rounding(eps):
+    # the crossing lies eps from a, past the crossing bound, but the new triangle at a
+    # rounds to (1, 2, 1): refused as a flip, not built into an invalid mesh
+    with pytest.raises(errors.FlipNotAdmissible) as info:
+        surface.flip(_doubled_kite(eps), (0, 0))
+    assert str(info.value) == "flip: a new triangle violates the strict triangle inequality"
+
+
+def test_flip_of_a_kite_near_an_endpoint():
+    assert surface.flip(_doubled_kite(1e-6), (0, 0)).lengths[0].tolist() == \
+        [1.0000000000005, 2.0, 1.0000000000005]
+    with pytest.raises(errors.FlipNotAdmissible) as info:
+        surface.flip(_doubled_kite(1e-13), (0, 0))
+    assert str(info.value) == "flip: the other diagonal does not cross the edge strictly inside it"
+
+
 @pytest.mark.parametrize("H", [1e5, 1e6, 1e7, 1e12])
 def test_flip_of_an_elongated_kite(H):
     # a doubled kite: apexes H and 1 off a unit edge, at its midpoint; the
