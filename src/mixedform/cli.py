@@ -5,6 +5,8 @@ Layout: ``mixedform <family> <operation> FILE [options]`` with families
 JSON documents described in the README.  Exit codes:
 
     0   success
+    1   stdout was closed before the report was written (``| head``); set
+        by the process entry point, ``mixedform.__main__.run``
     2   bad input: malformed JSON, schema violations, infeasible or
         degenerate geometry, internal consistency failures
     3   a claimed mathematical invariant was falsified on valid input
@@ -36,6 +38,7 @@ from . import __version__, forms
 from .errors import DomainError, InvalidInput, InvariantFalsified, MixedFormError
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_FALSIFIED = 3
 EXIT_USAGE = 64

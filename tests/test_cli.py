@@ -10,6 +10,8 @@ the current code (every other entry keeps its bytes):
 """
 
 import contextlib
+import gc
+import importlib
 import io
 import json
 import math
@@ -846,6 +848,66 @@ def test_each_command_loads_only_its_family(golden_inputs):
                 expected.add("mixedform.surface")
             assert status == 0, command
             assert set(loaded) == expected, command
+
+
+# =============================================================================
+# PROCESS ENTRY POINT
+# =============================================================================
+
+def test_main_leaves_the_collector_unfrozen(capsys, cube_file):
+    # only the process entry point freezes: in process, a freeze would pin the caller's heap
+    before = gc.get_freeze_count()
+    assert run(capsys, "polytope", "signature", cube_file, "--json")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_run_returns_the_code_of_main_and_freezes(square_file, fuchsian_file,
+                                                  base_fan_and_h):
+    # a zero threshold above lambda_min / lambda_max falsifies the PD claim
+    eigs = fuchsian.fuchsian_area_form(base_fan_and_h[0]).eigenvalues()
+    calls = [(0, ["polygon", "signature", square_file, "--json"]),
+             (2, ["polygon", "area-form", "/no/such/file.json"]),
+             (3, ["fuchsian", "check-pd", fuchsian_file,
+                  "--tol", f"{0.5 * (eigs[0] / eigs[-1] + 1.0):.12g}"]),
+             (64, ["frobnicate", square_file])]
+    code = (
+        "import contextlib, gc, io, json, sys\n"
+        "from mixedform.__main__ import run\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.argv[1:] = argv\n"
+        "    before = gc.get_freeze_count()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        status = run()\n"
+        "    print(json.dumps([status, before, gc.get_freeze_count() > 0]))\n"
+        "    gc.unfreeze()\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([argv for _, argv in calls])],
+                          capture_output=True, text=True, env=geomfix.child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        [status, 0, True] for status, _ in calls]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+def test_closed_stdout_exits_1_without_a_traceback(cube_file, mode, unbuffered):
+    # the read end is closed while the child is still importing, before it writes;
+    # unbuffered, the report's print raises, buffered, the flush after main does
+    proc = subprocess.Popen([sys.executable, "-m", "mixedform", "polytope", "boundary-metric",
+                             cube_file, *mode], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=dict(geomfix.child_env(), PYTHONUNBUFFERED=unbuffered))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_CLOSED, "")
+
+
+def test_the_installed_script_is_the_process_entry_point():
+    # the one line of [project.scripts]
+    with open(os.path.join(os.path.dirname(GOLDEN_PATH), os.pardir, "pyproject.toml")) as fh:
+        target = re.search(r'^mixedform = "(.+)"$', fh.read(), re.M).group(1)
+    module, _, name = target.partition(":")
+    assert (module, name) == ("mixedform.__main__", "run")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 # usage, help and error command lines; a golden fixture name stands for its file
