@@ -467,7 +467,3 @@ def main(argv=None):
         return EXIT_INPUT
     print(text if args.json else "\n".join([*lines, f"wall time: {elapsed:.3f}s"]))
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

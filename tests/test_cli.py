@@ -890,9 +890,12 @@ def test_run_returns_the_code_of_main_and_freezes(square_file, fuchsian_file,
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
-def test_closed_stdout_exits_1_without_a_traceback(cube_file, mode, unbuffered):
+def test_closed_stdout_exits_1_without_a_traceback(capsys, cube_file, mode, unbuffered):
     # the read end is closed while the child is still importing, before it writes;
-    # unbuffered, the report's print raises, buffered, the flush after main does
+    # unbuffered, the report's print raises, buffered, the flush after main does,
+    # as long as the whole report fits in stdout's buffer
+    code, out, _ = run(capsys, "polytope", "boundary-metric", cube_file, *mode)
+    assert code == 0 and len(out.encode()) < io.DEFAULT_BUFFER_SIZE
     proc = subprocess.Popen([sys.executable, "-m", "mixedform", "polytope", "boundary-metric",
                              cube_file, *mode], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, env=dict(geomfix.child_env(), PYTHONUNBUFFERED=unbuffered))
